@@ -21,9 +21,9 @@ double parse_load_value(const std::string& text) {
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (pos != text.size() || text.empty()) {
-    throw std::invalid_argument("loads: expected a number, got \"" + text +
-                                "\"");
+  if (pos != text.size() || text.empty() || !std::isfinite(out)) {
+    throw std::invalid_argument("loads: expected a finite number, got \"" +
+                                text + "\"");
   }
   return out;
 }
@@ -223,7 +223,7 @@ void ExperimentSpec::finalize() {
   base.validate();
   if (seeds < 1) throw std::invalid_argument("spec: seeds must be >= 1");
   for (const double load : effective_loads()) {
-    if (load < 0.0 || load > static_cast<double>(base.packet_size)) {
+    if (!(load >= 0.0 && load <= static_cast<double>(base.packet_size))) {
       throw std::invalid_argument("spec: load " + std::to_string(load) +
                                   " out of range");
     }

@@ -1,10 +1,16 @@
 #include "sim/config.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/checkpoint.hpp"
 #include "router/packet.hpp"
@@ -15,56 +21,6 @@
 namespace dragonfly {
 
 namespace {
-
-/// One built-in routing: enum value, canonical registry key, legacy
-/// display spelling (what to_string has always printed).
-struct RoutingName {
-  RoutingKind kind;
-  const char* key;
-  const char* legacy;
-};
-
-constexpr RoutingName kRoutingNames[] = {
-    {RoutingKind::kMinimal, "min", "MIN"},
-    {RoutingKind::kObliviousRrg, "val-rrg", "Obl-RRG"},
-    {RoutingKind::kObliviousCrg, "val-crg", "Obl-CRG"},
-    {RoutingKind::kObliviousNrg, "val-nrg", "Obl-NRG"},
-    {RoutingKind::kSourceRrg, "pb-rrg", "Src-RRG"},
-    {RoutingKind::kSourceCrg, "pb-crg", "Src-CRG"},
-    {RoutingKind::kInTransitRrg, "par-rrg", "In-Trns-RRG"},
-    {RoutingKind::kInTransitCrg, "par-crg", "In-Trns-CRG"},
-    {RoutingKind::kInTransitMm, "par-mm", "In-Trns-MM"},
-    {RoutingKind::kUgalRrg, "ugal-rrg", "UGAL-RRG"},
-    {RoutingKind::kUgalCrg, "ugal-crg", "UGAL-CRG"},
-};
-
-struct TrafficName {
-  TrafficKind kind;
-  const char* key;
-  const char* legacy;
-};
-
-constexpr TrafficName kTrafficNames[] = {
-    {TrafficKind::kUniform, "uniform", "UN"},
-    {TrafficKind::kAdversarial, "adv", "ADV"},
-    {TrafficKind::kAdvConsecutive, "advc", "ADVc"},
-    {TrafficKind::kPlacement, "placement", "placement"},
-    {TrafficKind::kShift, "shift", "shift"},
-    {TrafficKind::kHotspot, "hotspot", "hotspot"},
-};
-
-template <class Names>
-std::string spelling_list(const Names& names) {
-  std::string out;
-  for (const auto& n : names) {
-    if (!out.empty()) out += " | ";
-    out += n.key;
-    if (std::string(n.key) != n.legacy) {
-      out += std::string(" (") + n.legacy + ")";
-    }
-  }
-  return out;
-}
 
 // Closed workload-knob vocabularies (src/workload). Validated both at
 // key=value apply time (early diagnostics) and in validate() (configs
@@ -77,155 +33,40 @@ constexpr const char* kWorkloadPlacements[] = {"contiguous", "random"};
 constexpr const char* kWorkloadMixes[] = {"uniform", "ring", "shift",
                                           "hotspot"};
 
-template <std::size_t N>
-const std::string& check_choice(const char* key, const std::string& value,
-                                const char* const (&valid)[N]) {
-  for (const char* v : valid) {
+/// `value` when it is one of `Valid`; otherwise throws listing them.
+template <const auto& Valid>
+std::string one_of(const std::string& key, const std::string& value) {
+  for (const char* v : Valid) {
     if (value == v) return value;
   }
   std::string list;
-  for (const char* v : valid) {
-    if (!list.empty()) list += " | ";
-    list += v;
+  for (const char* v : Valid) {
+    list += (list.empty() ? "" : " | ") + std::string(v);
   }
-  throw std::invalid_argument(std::string(key) + ": unknown value \"" + value +
+  throw std::invalid_argument(key + ": unknown value \"" + value +
                               "\"; valid values: " + list);
 }
 
-std::vector<std::string> split_mix(const std::string& mix) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(mix);
-  while (std::getline(is, item, ',')) {
-    const auto from = item.find_first_not_of(" \t");
-    const auto to = item.find_last_not_of(" \t");
-    out.push_back(from == std::string::npos
-                      ? std::string()
-                      : item.substr(from, to - from + 1));
-  }
-  return out;
+std::string trim(const std::string& s) {
+  const auto from = s.find_first_not_of(" \t");
+  const auto to = s.find_last_not_of(" \t");
+  return from == std::string::npos ? std::string()
+                                   : s.substr(from, to - from + 1);
 }
 
 }  // namespace
 
 std::vector<std::string> workload_mix_entries(const std::string& mix) {
-  std::vector<std::string> out = split_mix(mix);
-  for (const std::string& entry : out) {
-    check_choice("workload.mix", entry, kWorkloadMixes);
+  std::vector<std::string> out;
+  std::string item;
+  std::istringstream is(mix);
+  while (std::getline(is, item, ',')) {
+    out.push_back(one_of<kWorkloadMixes>("workload.mix", trim(item)));
   }
   if (out.empty()) {
     throw std::invalid_argument("workload.mix: empty mix list");
   }
   return out;
-}
-
-const char* to_string(RoutingKind kind) {
-  for (const RoutingName& n : kRoutingNames) {
-    if (n.kind == kind) return n.legacy;
-  }
-  return "?";
-}
-
-const char* registry_key(RoutingKind kind) {
-  for (const RoutingName& n : kRoutingNames) {
-    if (n.kind == kind) return n.key;
-  }
-  return "?";
-}
-
-std::optional<RoutingKind> try_routing_kind(const std::string& name) {
-  for (const RoutingName& n : kRoutingNames) {
-    if (name == n.key || name == n.legacy) return n.kind;
-  }
-  return std::nullopt;
-}
-
-RoutingKind routing_kind_from_string(const std::string& name) {
-  if (const auto kind = try_routing_kind(name)) return *kind;
-  throw std::invalid_argument("unknown routing kind \"" + name +
-                              "\"; valid names: " +
-                              spelling_list(kRoutingNames));
-}
-
-bool is_oblivious(RoutingKind kind) {
-  switch (kind) {
-    case RoutingKind::kMinimal:
-    case RoutingKind::kObliviousRrg:
-    case RoutingKind::kObliviousCrg:
-    case RoutingKind::kObliviousNrg:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_source_adaptive(RoutingKind kind) {
-  return kind == RoutingKind::kSourceRrg || kind == RoutingKind::kSourceCrg ||
-         kind == RoutingKind::kUgalRrg || kind == RoutingKind::kUgalCrg;
-}
-
-bool is_in_transit(RoutingKind kind) {
-  return kind == RoutingKind::kInTransitRrg ||
-         kind == RoutingKind::kInTransitCrg ||
-         kind == RoutingKind::kInTransitMm;
-}
-
-const char* to_string(TrafficKind kind) {
-  for (const TrafficName& n : kTrafficNames) {
-    if (n.kind == kind) return n.legacy;
-  }
-  return "?";
-}
-
-const char* registry_key(TrafficKind kind) {
-  for (const TrafficName& n : kTrafficNames) {
-    if (n.kind == kind) return n.key;
-  }
-  return "?";
-}
-
-std::optional<TrafficKind> try_traffic_kind(const std::string& name) {
-  for (const TrafficName& n : kTrafficNames) {
-    if (name == n.key || name == n.legacy) return n.kind;
-  }
-  return std::nullopt;
-}
-
-TrafficKind traffic_kind_from_string(const std::string& name) {
-  if (const auto kind = try_traffic_kind(name)) return *kind;
-  throw std::invalid_argument("unknown traffic kind \"" + name +
-                              "\"; valid names: " +
-                              spelling_list(kTrafficNames));
-}
-
-const char* to_string(SimKernel kernel) {
-  switch (kernel) {
-    case SimKernel::kActive: return "active";
-    case SimKernel::kScan: return "scan";
-  }
-  return "?";
-}
-
-SimKernel sim_kernel_from_string(const std::string& name) {
-  if (name == "active") return SimKernel::kActive;
-  if (name == "scan") return SimKernel::kScan;
-  throw std::invalid_argument("unknown sim kernel \"" + name +
-                              "\"; valid names: active | scan");
-}
-
-const char* to_string(StopMode mode) {
-  switch (mode) {
-    case StopMode::kFixed: return "fixed";
-    case StopMode::kCi: return "ci";
-  }
-  return "?";
-}
-
-StopMode stop_mode_from_string(const std::string& name) {
-  if (name == "fixed") return StopMode::kFixed;
-  if (name == "ci") return StopMode::kCi;
-  throw std::invalid_argument("unknown stop mode \"" + name +
-                              "\"; valid names: fixed | ci");
 }
 
 std::string SimConfig::routing_key() const {
@@ -261,6 +102,476 @@ SimConfig SimConfig::paper() {
   return cfg;
 }
 
+// --- the knob table ---------------------------------------------------------
+//
+// One descriptor per key=value knob. Applying a knob, --list, the
+// canonical identity, warm-start refinement, the simple validate()
+// ranges and the checkpoint section are all loops over kKnobs, so a new
+// knob is one new row.
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+[[noreturn]] void bad_value(const std::string& key, const char* expected,
+                            const std::string& value) {
+  throw std::invalid_argument(key + ": expected " + expected + ", got \"" +
+                              value + "\"");
+}
+
+/// `value` parsed as the member type T. Integers parse at T's own width
+/// (32-bit counts, 64-bit Cycle, the unsigned seed): a value past it is
+/// an out-of-range diagnostic, not a misleading "expected an integer".
+/// Doubles must be finite: NaN passes every range comparison.
+template <class T>
+T parse_value(const std::string& key, const std::string& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (value == "1" || value == "true" || value == "on" || value == "yes") {
+      return true;
+    }
+    if (value == "0" || value == "false" || value == "off" || value == "no") {
+      return false;
+    }
+    bad_value(key, "a boolean (1|0|true|false|on|off)", value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    std::size_t pos = 0;
+    double out = 0.0;
+    try {
+      out = std::stod(value, &pos);
+    } catch (const std::exception&) {
+      pos = 0;
+    }
+    if (pos != value.size() || value.empty() || !std::isfinite(out)) {
+      bad_value(key, "a finite number", value);
+    }
+    return out;
+  } else if constexpr (std::is_same_v<T, SimKernel>) {
+    return sim_kernel_from_string(value);
+  } else if constexpr (std::is_same_v<T, StopMode>) {
+    return stop_mode_from_string(value);
+  } else {
+    T out{};
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    if (ec == std::errc::result_out_of_range) {
+      throw std::invalid_argument(
+          key + ": " + value + " is out of range [" +
+          std::to_string(std::numeric_limits<T>::min()) + ", " +
+          std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
+    if (ec != std::errc() || ptr != end) {
+      bad_value(key, std::is_signed_v<T> ? "an integer" : "an unsigned integer",
+                value);
+    }
+    return out;
+  }
+}
+
+/// Fixed formats: every value renders identically on every platform
+/// and build, so cache keys and checkpoints travel. %.17g round-trips
+/// every finite double exactly.
+template <class T>
+std::string format_value(T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "1" : "0";
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+  } else if constexpr (std::is_enum_v<T>) {
+    return to_string(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+std::string format_phases(const std::vector<ScriptedSegment>& script) {
+  std::string out;
+  for (const ScriptedSegment& seg : script) {
+    if (!out.empty()) out += ",";
+    out += seg.name + ":" + format_value(seg.cycles);
+    if (seg.load >= 0.0) out += "@load=" + format_value(seg.load);
+    if (!seg.traffic.empty()) out += "@traffic=" + seg.traffic;
+  }
+  return out;
+}
+
+/// The member at `Path` (one pointer-to-member per nesting level).
+template <auto... Path, class Config>
+auto& member(Config& c) {
+  return (c .* ... .* Path);
+}
+
+/// How a descriptor reaches its member: parse the text form into it,
+/// render its raw value as text, and (numeric members) read it for the
+/// validate() range check.
+struct Field {
+  void (*parse)(SimConfig&, const std::string& key, const std::string& value);
+  std::string (*format)(const SimConfig&);
+  double (*number)(const SimConfig&) = nullptr;
+};
+
+/// A member reached through `Path`, parsed and formatted by its type.
+template <auto... Path>
+constexpr Field field() {
+  using T = std::remove_cvref_t<decltype(member<Path...>(
+      std::declval<SimConfig&>()))>;
+  Field f{[](SimConfig& c, const std::string& k, const std::string& v) {
+            member<Path...>(c) = parse_value<T>(k, v);
+          },
+          [](const SimConfig& c) { return format_value(member<Path...>(c)); }};
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    f.number = [](const SimConfig& c) {
+      return static_cast<double>(member<Path...>(c));
+    };
+  }
+  return f;
+}
+
+/// A string member, stored as `Check` returns it (or throws).
+template <auto Check, auto... Path>
+constexpr Field text() {
+  return {[](SimConfig& c, const std::string& k, const std::string& v) {
+            member<Path...>(c) = Check(k, v);
+          },
+          [](const SimConfig& c) { return member<Path...>(c); }};
+}
+
+std::string resolve_arrangement(const std::string&, const std::string& v) {
+  return arrangement_registry().resolve(v);
+}
+
+std::string resolve_topology(const std::string&, const std::string& v) {
+  if (v.empty()) return v;  // the dragonfly described by `topo`
+  const auto [family, args] = split_topology_spec(v);
+  return topology_registry().resolve(family) +
+         (args.empty() ? "" : ":" + args);
+}
+
+std::string checked_mix(const std::string&, const std::string& v) {
+  (void)workload_mix_entries(v);  // fail on unknown names now
+  return v;
+}
+
+enum class HashClass : std::uint8_t {
+  kPhysical,    ///< defines the warmed-up state: hashed by warm_hash()
+  kRefinement,  ///< may differ on a warm start: canonical_hash() only
+};
+
+/// A validate() range. contains() is false for NaN and infinities, so
+/// configs built in code cannot smuggle them past the check.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool contains(double x) const {
+    return std::isfinite(x) && (lo_open ? x > lo : x >= lo) &&
+           (hi_open ? x < hi : x <= hi);
+  }
+};
+
+struct Knob {
+  const char* key;
+  Field field;
+  const char* desc;  ///< the `simulate_cli --list` line
+  Range range = {};
+  HashClass cls = HashClass::kPhysical;
+  /// Apply-time side effect (explicit flags, the balanced reset,
+  /// early shape checks). A checkpoint restore parses without it.
+  void (*hook)(SimConfig&) = nullptr;
+  /// Hash form, when it differs from field.format.
+  std::string (*canon)(const SimConfig&) = nullptr;
+};
+
+constexpr HashClass kPhys = HashClass::kPhysical;
+constexpr HashClass kRefine = HashClass::kRefinement;
+
+// The topology keys hash through the resolved shape, so spelling
+// variants ("topology=dfly:2,4,2" vs "p=2,a=4,h=2") agree; custom
+// families without a cheap shape hash "-" and their full spec string.
+template <int TopologyShape::*Dim>
+std::string shape_canon(const SimConfig& c) {
+  std::optional<TopologyShape> shape;
+  try {
+    shape = try_topology_shape(c);
+  } catch (const std::exception&) {
+    // Malformed built-in args: validate() rejects them before caching.
+  }
+  return shape ? std::to_string((*shape).*Dim) : std::string("-");
+}
+
+std::string topology_canon(const SimConfig& c) {
+  std::string family;
+  try {
+    family = topology_family(c);
+  } catch (const std::exception&) {
+    return c.topology;  // unknown family: raw spelling, fails validate()
+  }
+  // dfly args are fully absorbed by the shape keys; other families keep
+  // their full arg spelling (the shape alone may not fix the wiring).
+  return family == "dfly" ? family : c.topology;
+}
+
+/// Whitespace-insensitive spellings of one mix hash identically.
+std::string mix_canon(const SimConfig& c) {
+  std::string out;
+  for (const std::string& entry : workload_mix_entries(c.workload.mix)) {
+    out += (out.empty() ? "" : ",") + entry;
+  }
+  return out;
+}
+
+// "h" selects the balanced dragonfly but keeps an explicit p/a/groups:
+// key order must not silently change the requested topology.
+void select_balanced(SimConfig& c) {
+  const DragonflyParams prev = c.topo;
+  c.topo = DragonflyParams::balanced(c.topo.h);
+  if (c.topo_p_explicit) c.topo.p = prev.p;
+  if (c.topo_a_explicit) c.topo.a = prev.a;
+  if (c.topo_g_explicit) c.topo.g = prev.g;
+  c.topology.clear();
+}
+
+template <bool SimConfig::*Flag>
+void mark_topo(SimConfig& c) {
+  c.*Flag = true;
+  c.topology.clear();
+}
+
+void mark_vcs(SimConfig& c) { c.vcs_explicit = true; }
+
+constexpr Knob kKnobs[] = {
+    {"h", field<&SimConfig::topo, &DragonflyParams::h>(),
+     "balanced dragonfly radix: p=h, a=2h, a*h+1 groups", {}, kPhys,
+     select_balanced, shape_canon<&TopologyShape::global_slots>},
+    {"p", field<&SimConfig::topo, &DragonflyParams::p>(),
+     "nodes per router (overrides the balanced preset)", {}, kPhys,
+     mark_topo<&SimConfig::topo_p_explicit>, shape_canon<&TopologyShape::p>},
+    {"a", field<&SimConfig::topo, &DragonflyParams::a>(),
+     "routers per group (overrides the balanced preset)", {}, kPhys,
+     mark_topo<&SimConfig::topo_a_explicit>, shape_canon<&TopologyShape::a>},
+    {"groups", field<&SimConfig::topo, &DragonflyParams::g>(),
+     "dragonfly group count (0 = a*h+1; 2..a*h trims the wiring)", {}, kPhys,
+     mark_topo<&SimConfig::topo_g_explicit>,
+     shape_canon<&TopologyShape::groups>},
+    // Malformed args of a built-in family fail at apply, not mid-run.
+    {"topology", text<resolve_topology, &SimConfig::topology>(),
+     "topology spec: dfly[:p,a,h[,G]] | flatbfly:k,n[,p]", {}, kPhys,
+     [](SimConfig& c) { (void)try_topology_shape(c); }, topology_canon},
+    {"arrangement", text<resolve_arrangement, &SimConfig::arrangement>(),
+     "global-link arrangement registry name (dfly only)", {}, kPhys,
+     [](SimConfig& c) { c.arrangement_explicit = true; }},
+    // Scenario selection by registry name. The text form is the
+    // effective key: code may still select through the deprecated enums.
+    {"routing",
+     {[](SimConfig& c, const std::string&, const std::string& v) {
+        c.routing_name = routing_registry().resolve(v);
+      },
+      [](const SimConfig& c) { return c.routing_key(); }},
+     "routing mechanism registry name"},
+    {"traffic",
+     {[](SimConfig& c, const std::string&, const std::string& v) {
+        c.traffic_name = traffic_registry().resolve(v);
+      },
+      [](const SimConfig& c) { return c.traffic_key(); }},
+     "traffic pattern registry name"},
+    // timing: links serialize at 1 phit/cycle, and the event ring needs
+    // every event booked in the future, so no 0-cycle links.
+    {"local_latency", field<&SimConfig::local_latency>(),
+     "local (intra-group) link latency, cycles", {.lo = 1}},
+    {"global_latency", field<&SimConfig::global_latency>(),
+     "global (inter-group) link latency, cycles", {.lo = 1}},
+    {"pipeline_latency", field<&SimConfig::pipeline_latency>(),
+     "router pipeline depth, cycles", {.lo = 0}},
+    {"packet_size", field<&SimConfig::packet_size>(), "packet size in phits",
+     {.lo = 1}},
+    // buffering: each holds at least one packet (a cross-field check)
+    {"output_queue_size", field<&SimConfig::output_queue_size>(),
+     "per-output post-crossbar queue, phits"},
+    {"local_input_buffer", field<&SimConfig::local_input_buffer>(),
+     "local/injection input buffer per VC, phits"},
+    {"global_input_buffer", field<&SimConfig::global_input_buffer>(),
+     "global input buffer per VC, phits"},
+    // virtual channels: the deadlock-avoidance minimums
+    {"global_vcs", field<&SimConfig::global_vcs>(),
+     "virtual channels on global links", {.lo = 2}, kPhys, mark_vcs},
+    {"local_vcs", field<&SimConfig::local_vcs>(),
+     "virtual channels on local links", {.lo = 3}, kPhys, mark_vcs},
+    {"injection_vcs", field<&SimConfig::injection_vcs>(),
+     "virtual channels on injection ports", {.lo = 1}, kPhys, mark_vcs},
+    // allocator
+    {"allocator_iterations", field<&SimConfig::allocator_iterations>(),
+     "separable-allocator iterations per cycle", {.lo = 1}},
+    {"max_grants_per_output", field<&SimConfig::max_grants_per_output>(),
+     "grants per output per cycle (2x speedup)", {.lo = 1}},
+    {"max_grants_per_input", field<&SimConfig::max_grants_per_input>(),
+     "grants per input per cycle (2x speedup)", {.lo = 1}},
+    {"transit_priority", field<&SimConfig::transit_priority>(),
+     "transit-over-injection arbitration priority"},
+    {"age_arbitration", field<&SimConfig::age_arbitration>(),
+     "oldest-packet-first output arbitration"},
+    // adaptive routing thresholds
+    {"intransit_threshold", field<&SimConfig::intransit_threshold>(),
+     "in-transit misroute congestion threshold",
+     {.lo = 0, .hi = 1, .lo_open = true}},
+    {"pb_threshold_local", field<&SimConfig::pb_threshold_local>(),
+     "PiggyBack saturation threshold, local links"},
+    {"pb_threshold_global", field<&SimConfig::pb_threshold_global>(),
+     "PiggyBack saturation threshold, global links"},
+    // traffic knobs, ranged against the selected shape (cross-field)
+    {"adversarial_offset", field<&SimConfig::adversarial_offset>(),
+     "k of ADV+k: target group = own + k"},
+    {"placement_first_group", field<&SimConfig::placement_first_group>(),
+     "first group of the placement job"},
+    {"placement_num_groups", field<&SimConfig::placement_num_groups>(),
+     "groups in the placement job (0 = h+1)"},
+    {"shift_offset_nodes", field<&SimConfig::shift_offset_nodes>(),
+     "node shift k: dst = src + k (0 = one group)"},
+    {"hotspot_fraction", field<&SimConfig::hotspot_fraction>(),
+     "share of traffic aimed at the hot node", {.lo = 0, .hi = 1}},
+    {"hotspot_node", field<&SimConfig::hotspot_node>(),
+     "destination node of the hotspot share"},
+    // injection (load <= packet_size is a cross-field check)
+    {"load", field<&SimConfig::load>(),
+     "offered load, phits/(node*cycle); sweeps: a:b:step or x,y,z",
+     {.lo = 0}},
+    {"node_queue_capacity", field<&SimConfig::node_queue_capacity>(),
+     "finite source queue, packets", {.lo = 1}},
+    // run control
+    {"warmup_cycles", field<&SimConfig::warmup_cycles>(),
+     "cycles simulated before measurement starts", {.lo = 0}},
+    {"measure_cycles", field<&SimConfig::measure_cycles>(),
+     "measured window; the cap in stop.mode=ci", {.lo = 1}, kRefine},
+    {"sim.paranoid", field<&SimConfig::sim_paranoid>(),
+     "check network invariants every N cycles (0 = off)", {.lo = 0}, kRefine},
+    {"sim.kernel", field<&SimConfig::kernel>(),
+     "cycle kernel: active (active-set scheduling) | scan (dense "
+     "reference; bit-identical)", {}, kRefine},
+    // At most one shard per router as well: a cross-field check.
+    {"sim.shards", field<&SimConfig::shards>(),
+     "step the network in N parallel router shards (bit-identical; "
+     "1 = serial)", {.lo = 1, .hi = kMaxArenas}, kRefine},
+    {"seed", field<&SimConfig::seed>(),
+     "root RNG seed (replicas derive from it)"},
+    // session lifecycle: adaptive stopping, scripted phases, drain, stream
+    {"stop.mode", field<&SimConfig::stop, &StopRule::mode>(),
+     "fixed = exact window | ci = stop when CIs converge", {}, kRefine},
+    {"stop.rel_hw", field<&SimConfig::stop, &StopRule::rel_hw>(),
+     "CI target: relative half-width of accepted/latency",
+     {.lo = 0, .hi = 1, .lo_open = true, .hi_open = true}, kRefine},
+    {"stop.batches", field<&SimConfig::stop, &StopRule::batches>(),
+     "minimum completed batches before testing the CI", {.lo = 2}, kRefine},
+    {"stop.batch_cycles", field<&SimConfig::stop, &StopRule::batch_cycles>(),
+     "batch-means batch length, cycles", {.lo = 1}, kRefine},
+    {"phases",
+     {[](SimConfig& c, const std::string&, const std::string& v) {
+        c.phase_script = parse_phase_script(v);
+      },
+      [](const SimConfig& c) { return format_phases(c.phase_script); }},
+     "scripted Measure segments name:cycles[@load=X][@traffic=T]"},
+    {"drain.max_cycles", field<&SimConfig::drain_max_cycles>(),
+     "post-measure drain budget, cycles (0 = skip)", {.lo = 0}, kRefine},
+    {"stream.interval", field<&SimConfig::stream_interval>(),
+     "MetricTap sampling interval, cycles", {.lo = 1}, kRefine},
+    // workload subsystem (src/workload)
+    {"workload.mode",
+     text<&one_of<kWorkloadModes>, &SimConfig::workload,
+          &WorkloadConfig::mode>(),
+     "workload driver: off | collective | bursty | churn"},
+    {"workload.collective",
+     text<&one_of<kWorkloadCollectives>, &SimConfig::workload,
+          &WorkloadConfig::collective>(),
+     "collective kind: ring | tree | alltoall | halo"},
+    // 0 or >= 2, and at most the node count: a cross-field check.
+    {"workload.participants",
+     field<&SimConfig::workload, &WorkloadConfig::participants>(),
+     "collective ranks (0 = every node)"},
+    {"workload.burst_cycles",
+     field<&SimConfig::workload, &WorkloadConfig::burst_cycles>(),
+     "bursty: mean ON dwell, cycles", {.lo = 1}},
+    {"workload.idle_cycles",
+     field<&SimConfig::workload, &WorkloadConfig::idle_cycles>(),
+     "bursty: mean OFF dwell, cycles", {.lo = 1}},
+    {"workload.jobs", field<&SimConfig::workload, &WorkloadConfig::jobs>(),
+     "churn: maximum concurrent jobs", {.lo = 1}},
+    {"workload.arrival_cycles",
+     field<&SimConfig::workload, &WorkloadConfig::arrival_cycles>(),
+     "churn: mean job inter-arrival gap, cycles", {.lo = 1}},
+    {"workload.job_cycles",
+     field<&SimConfig::workload, &WorkloadConfig::job_cycles>(),
+     "churn: mean job lifetime, cycles", {.lo = 1}},
+    {"workload.job_routers",
+     field<&SimConfig::workload, &WorkloadConfig::job_routers>(),
+     "churn: routers per job (0 = one group)", {.lo = 0}},
+    {"workload.placement",
+     text<&one_of<kWorkloadPlacements>, &SimConfig::workload,
+          &WorkloadConfig::placement>(),
+     "churn job placement: contiguous | random"},
+    {"workload.mix",
+     text<checked_mix, &SimConfig::workload, &WorkloadConfig::mix>(),
+     "churn per-job mixes, cycled: uniform | ring | shift | hotspot", {},
+     kPhys, nullptr, mix_canon},
+};
+
+/// How a value was set, not what it is: outside the hash, but part of
+/// the checkpointed config (spec finalization and validate() read them).
+constexpr bool SimConfig::*kExplicitFlags[] = {
+    &SimConfig::arrangement_explicit, &SimConfig::vcs_explicit,
+    &SimConfig::topo_p_explicit, &SimConfig::topo_a_explicit,
+    &SimConfig::topo_g_explicit};
+
+const Knob* find_knob(const std::string& key) {
+  for (const Knob& k : kKnobs) {
+    if (key == k.key) return &k;
+  }
+  return nullptr;
+}
+
+/// kKnobs sorted by key: the order of kv_keys(), --list and the hash.
+const std::vector<const Knob*>& sorted_knobs() {
+  static const std::vector<const Knob*> sorted = [] {
+    std::vector<const Knob*> out;
+    for (const Knob& k : kKnobs) out.push_back(&k);
+    std::sort(out.begin(), out.end(), [](const Knob* x, const Knob* y) {
+      return std::string_view(x->key) < std::string_view(y->key);
+    });
+    return out;
+  }();
+  return sorted;
+}
+
+std::string canonical_value(const Knob& k, const SimConfig& c) {
+  return k.canon != nullptr ? k.canon(c) : k.field.format(c);
+}
+
+std::uint64_t fnv1a64(std::uint64_t h, std::string_view s) {
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// FNV-1a 64 over the sorted "key=value\n" canonical lines.
+std::string hash_knobs(const SimConfig& c, bool skip_refinement) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const Knob* k : sorted_knobs()) {
+    if (skip_refinement && k->cls == HashClass::kRefinement) continue;
+    h = fnv1a64(h, k->key);
+    h = fnv1a64(h, "=");
+    h = fnv1a64(h, canonical_value(*k, c));
+    h = fnv1a64(h, "\n");
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+}  // namespace
+
 void SimConfig::validate() const {
   // --- topology selection ---------------------------------------------------
   // Resolves the family (unknown names throw, listing the registry) and
@@ -286,76 +597,27 @@ void SimConfig::validate() const {
   }
   // Malformed built-in topology args fail here with the grammar.
   const std::optional<TopologyShape> shape = try_topology_shape(*this);
-  if (packet_size <= 0) throw std::invalid_argument("packet_size must be > 0");
-  if (local_latency < 1 || global_latency < 1) {
-    // Links serialize at 1 phit/cycle, so a 0-cycle link is unphysical;
-    // the event ring also relies on every event being booked in the
-    // future (same-cycle ordering would differ from the event seq order).
-    throw std::invalid_argument("link latencies must be >= 1 cycle");
+  // --- per-knob ranges ------------------------------------------------------
+  for (const Knob& k : kKnobs) {
+    if (k.field.number == nullptr) continue;
+    const double x = k.field.number(*this);
+    if (!k.range.contains(x)) {
+      char why[128];
+      std::snprintf(why, sizeof why, " must be in %c%.15g, %.15g%c, got %.15g",
+                    k.range.lo_open ? '(' : '[', k.range.lo, k.range.hi,
+                    k.range.hi_open ? ')' : ']', x);
+      throw std::invalid_argument(k.key + std::string(why));
+    }
   }
+  // --- cross-field checks ---------------------------------------------------
   if (local_input_buffer < packet_size || global_input_buffer < packet_size ||
       output_queue_size < packet_size) {
     throw std::invalid_argument("buffers must hold at least one packet");
   }
-  if (global_vcs < 2) {
-    throw std::invalid_argument("deadlock avoidance needs >= 2 global VCs");
-  }
-  if (local_vcs < 3) {
-    throw std::invalid_argument("deadlock avoidance needs >= 3 local VCs");
-  }
-  if (injection_vcs < 1) throw std::invalid_argument("need >= 1 injection VC");
-  if (load < 0.0 || load > static_cast<double>(packet_size)) {
-    throw std::invalid_argument("load out of range");
-  }
-  if (allocator_iterations < 1 || max_grants_per_output < 1 ||
-      max_grants_per_input < 1) {
-    throw std::invalid_argument("allocator parameters must be >= 1");
-  }
-  if (intransit_threshold <= 0.0 || intransit_threshold > 1.0) {
-    throw std::invalid_argument("in-transit threshold must be in (0,1]");
-  }
-  if (pipeline_latency < 0) {
-    throw std::invalid_argument("pipeline_latency must be >= 0");
-  }
-  if (warmup_cycles < 0) {
-    throw std::invalid_argument("warmup_cycles must be >= 0, got " +
-                                std::to_string(warmup_cycles));
-  }
-  if (measure_cycles <= 0) {
-    throw std::invalid_argument(
-        "measure_cycles must be >= 1 (a zero-length measurement window "
-        "yields no metrics), got " +
-        std::to_string(measure_cycles));
-  }
-  if (node_queue_capacity < 1) {
-    throw std::invalid_argument("node queue capacity must be >= 1");
-  }
-  // --- session lifecycle ----------------------------------------------------
-  if (stop.rel_hw <= 0.0 || stop.rel_hw >= 1.0) {
-    throw std::invalid_argument("stop.rel_hw must be in (0,1)");
-  }
-  if (stop.batches < 2) {
-    throw std::invalid_argument(
-        "stop.batches must be >= 2 (a CI needs at least two batches)");
-  }
-  if (stop.batch_cycles < 1) {
-    throw std::invalid_argument("stop.batch_cycles must be >= 1");
-  }
-  if (drain_max_cycles < 0) {
-    throw std::invalid_argument("drain.max_cycles must be >= 0");
-  }
-  if (stream_interval < 1) {
-    throw std::invalid_argument("stream.interval must be >= 1");
-  }
-  if (sim_paranoid < 0) {
-    throw std::invalid_argument("sim.paranoid must be >= 0 (cycles between "
-                                "invariant sweeps; 0 disables them)");
-  }
-  if (shards < 1 || shards > kMaxArenas) {
-    throw std::invalid_argument(
-        "sim.shards is " + std::to_string(shards) +
-        "; valid values: 1.." + std::to_string(kMaxArenas) +
-        " (and at most one shard per router of the selected topology)");
+  if (load > static_cast<double>(packet_size)) {
+    throw std::invalid_argument("load must be <= packet_size (" +
+                                std::to_string(packet_size) + "), got " +
+                                std::to_string(load));
   }
   if (!phase_script.empty() && stop.mode == StopMode::kCi) {
     throw std::invalid_argument(
@@ -367,21 +629,19 @@ void SimConfig::validate() const {
       throw std::invalid_argument("phase segment \"" + seg.name +
                                   "\": cycles must be >= 1");
     }
-    if (seg.load >= 0.0 && seg.load > static_cast<double>(packet_size)) {
+    // A negative load keeps the current one; NaN fails both tests.
+    if (!(seg.load < 0.0 || seg.load <= static_cast<double>(packet_size))) {
       throw std::invalid_argument("phase segment \"" + seg.name +
                                   "\": load out of range");
     }
     if (!seg.traffic.empty()) traffic_registry().resolve(seg.traffic);
   }
-  // --- extension-pattern knobs --------------------------------------------
-  // Range checks run against the *selected* topology's shape, and only
-  // for the selected traffic pattern: a flatbfly:k,2 run with uniform
-  // traffic must not trip over the (irrelevant) adversarial offset.
-  // Custom-registered families (no cheap shape) defer to the pattern
-  // constructors, which perform the same checks.
-  if (hotspot_fraction < 0.0 || hotspot_fraction > 1.0) {
-    throw std::invalid_argument("hotspot fraction must be in [0,1]");
-  }
+  // Extension-pattern knobs are checked against the *selected*
+  // topology's shape, and only for the selected traffic pattern: a
+  // flatbfly:k,2 run with uniform traffic must not trip over the
+  // (irrelevant) adversarial offset. Custom-registered families (no
+  // cheap shape) defer to the pattern constructors, which perform the
+  // same checks.
   const std::string traffic_sel = traffic_registry().resolve(traffic_key());
   if (shape) {
     if (shards > shape->num_routers()) {
@@ -427,10 +687,9 @@ void SimConfig::validate() const {
     }
   }
   // --- workload subsystem ---------------------------------------------------
-  check_choice("workload.mode", workload.mode, kWorkloadModes);
-  check_choice("workload.collective", workload.collective,
-               kWorkloadCollectives);
-  check_choice("workload.placement", workload.placement, kWorkloadPlacements);
+  one_of<kWorkloadModes>("workload.mode", workload.mode);
+  one_of<kWorkloadCollectives>("workload.collective", workload.collective);
+  one_of<kWorkloadPlacements>("workload.placement", workload.placement);
   (void)workload_mix_entries(workload.mix);
   if (workload.participants < 0 || workload.participants == 1) {
     throw std::invalid_argument(
@@ -442,21 +701,6 @@ void SimConfig::validate() const {
         "workload.participants is " + std::to_string(workload.participants) +
         " but the topology has only " + std::to_string(shape->num_nodes()) +
         " nodes");
-  }
-  if (workload.burst_cycles < 1 || workload.idle_cycles < 1) {
-    throw std::invalid_argument(
-        "workload.burst_cycles and workload.idle_cycles must be >= 1");
-  }
-  if (workload.jobs < 1) {
-    throw std::invalid_argument("workload.jobs must be >= 1");
-  }
-  if (workload.arrival_cycles < 1 || workload.job_cycles < 1) {
-    throw std::invalid_argument(
-        "workload.arrival_cycles and workload.job_cycles must be >= 1");
-  }
-  if (workload.job_routers < 0) {
-    throw std::invalid_argument(
-        "workload.job_routers must be >= 0 (0 = one group of routers)");
   }
   if (shape && workload.job_routers > shape->num_routers()) {
     throw std::invalid_argument(
@@ -478,737 +722,24 @@ void SimConfig::validate() const {
 
 // --- key=value interface ----------------------------------------------------
 
-namespace {
-
-int parse_int(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  int out = 0;
-  try {
-    out = std::stoi(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size() || value.empty()) {
-    throw std::invalid_argument(key + ": expected an integer, got \"" +
-                                value + "\"");
-  }
-  return out;
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size() || value.empty()) {
-    throw std::invalid_argument(key + ": expected a number, got \"" + value +
-                                "\"");
-  }
-  return out;
-}
-
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "1" || value == "true" || value == "on" || value == "yes") {
-    return true;
-  }
-  if (value == "0" || value == "false" || value == "off" || value == "no") {
-    return false;
-  }
-  throw std::invalid_argument(key + ": expected a boolean (1|0|true|false|" +
-                              "on|off), got \"" + value + "\"");
-}
-
-/// The declarative override table: every SimConfig knob reachable from
-/// config files, --set options and ExperimentSpec.
-struct KvEntry {
-  const char* key;
-  void (*apply)(SimConfig&, const std::string& key, const std::string& value);
-};
-
-const KvEntry kKvEntries[] = {
-    // topology: "h" selects the balanced canonical dragonfly, but never
-    // clobbers a p/a the user set explicitly — key order must not
-    // silently change the requested topology.
-    {"h",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       const DragonflyParams balanced =
-           DragonflyParams::balanced(parse_int(k, v));
-       const DragonflyParams prev = c.topo;
-       c.topo = balanced;
-       if (c.topo_p_explicit) c.topo.p = prev.p;
-       if (c.topo_a_explicit) c.topo.a = prev.a;
-       if (c.topo_g_explicit) c.topo.g = prev.g;
-       c.topology.clear();
-     }},
-    {"p",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.topo.p = parse_int(k, v);
-       c.topo_p_explicit = true;
-       c.topology.clear();
-     }},
-    {"a",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.topo.a = parse_int(k, v);
-       c.topo_a_explicit = true;
-       c.topology.clear();
-     }},
-    {"groups",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.topo.g = parse_int(k, v);
-       c.topo_g_explicit = true;
-       c.topology.clear();
-     }},
-    {"topology",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       const auto [family, args] = split_topology_spec(v);
-       c.topology = topology_registry().resolve(family);
-       if (!args.empty()) c.topology += ":" + args;
-       // Malformed args of a built-in family fail here, not mid-run.
-       (void)try_topology_shape(c);
-     }},
-    {"arrangement",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       c.arrangement = arrangement_registry().resolve(v);
-       c.arrangement_explicit = true;
-     }},
-    // scenario selection by registry name
-    {"routing",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       c.routing_name = routing_registry().resolve(v);
-     }},
-    {"traffic",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       c.traffic_name = traffic_registry().resolve(v);
-     }},
-    // timing
-    {"local_latency",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.local_latency = parse_int(k, v);
-     }},
-    {"global_latency",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.global_latency = parse_int(k, v);
-     }},
-    {"pipeline_latency",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.pipeline_latency = parse_int(k, v);
-     }},
-    {"packet_size",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.packet_size = parse_int(k, v);
-     }},
-    // buffering
-    {"output_queue_size",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.output_queue_size = parse_int(k, v);
-     }},
-    {"local_input_buffer",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.local_input_buffer = parse_int(k, v);
-     }},
-    {"global_input_buffer",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.global_input_buffer = parse_int(k, v);
-     }},
-    // virtual channels
-    {"global_vcs",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.global_vcs = parse_int(k, v);
-       c.vcs_explicit = true;
-     }},
-    {"local_vcs",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.local_vcs = parse_int(k, v);
-       c.vcs_explicit = true;
-     }},
-    {"injection_vcs",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.injection_vcs = parse_int(k, v);
-       c.vcs_explicit = true;
-     }},
-    // allocator
-    {"allocator_iterations",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.allocator_iterations = parse_int(k, v);
-     }},
-    {"max_grants_per_output",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.max_grants_per_output = parse_int(k, v);
-     }},
-    {"max_grants_per_input",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.max_grants_per_input = parse_int(k, v);
-     }},
-    {"transit_priority",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.transit_priority = parse_bool(k, v);
-     }},
-    {"age_arbitration",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.age_arbitration = parse_bool(k, v);
-     }},
-    // adaptive routing thresholds
-    {"intransit_threshold",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.intransit_threshold = parse_double(k, v);
-     }},
-    {"pb_threshold_local",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.pb_threshold_local = parse_double(k, v);
-     }},
-    {"pb_threshold_global",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.pb_threshold_global = parse_double(k, v);
-     }},
-    // traffic knobs
-    {"adversarial_offset",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.adversarial_offset = parse_int(k, v);
-     }},
-    {"placement_first_group",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.placement_first_group = parse_int(k, v);
-     }},
-    {"placement_num_groups",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.placement_num_groups = parse_int(k, v);
-     }},
-    {"shift_offset_nodes",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.shift_offset_nodes = parse_int(k, v);
-     }},
-    {"hotspot_fraction",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.hotspot_fraction = parse_double(k, v);
-     }},
-    {"hotspot_node",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.hotspot_node = parse_int(k, v);
-     }},
-    // injection
-    {"load",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.load = parse_double(k, v);
-     }},
-    {"node_queue_capacity",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.node_queue_capacity = parse_int(k, v);
-     }},
-    // run control
-    {"warmup_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.warmup_cycles = parse_int(k, v);
-     }},
-    {"measure_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.measure_cycles = parse_int(k, v);
-     }},
-    {"sim.paranoid",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.sim_paranoid = parse_int(k, v);
-     }},
-    {"sim.kernel",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       c.kernel = sim_kernel_from_string(v);
-     }},
-    {"sim.shards",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.shards = parse_int(k, v);
-     }},
-    {"seed",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       std::size_t pos = 0;
-       unsigned long long out = 0;
-       try {
-         out = std::stoull(v, &pos);  // throws out_of_range past 2^64
-       } catch (const std::exception&) {
-         pos = 0;
-       }
-       if (pos != v.size() || v.empty() ||
-           v.find_first_not_of("0123456789") != std::string::npos) {
-         throw std::invalid_argument(k + ": expected an unsigned 64-bit " +
-                                     "integer, got \"" + v + "\"");
-       }
-       c.seed = static_cast<std::uint64_t>(out);
-     }},
-    // session lifecycle: adaptive stopping, scripted phases, drain, stream
-    {"stop.mode",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       c.stop.mode = stop_mode_from_string(v);
-     }},
-    {"stop.rel_hw",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.stop.rel_hw = parse_double(k, v);
-     }},
-    {"stop.batches",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.stop.batches = parse_int(k, v);
-     }},
-    {"stop.batch_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.stop.batch_cycles = parse_int(k, v);
-     }},
-    {"phases",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       c.phase_script = parse_phase_script(v);
-     }},
-    {"drain.max_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.drain_max_cycles = parse_int(k, v);
-     }},
-    {"stream.interval",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.stream_interval = parse_int(k, v);
-     }},
-    // workload subsystem (src/workload)
-    {"workload.mode",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.mode = check_choice(k.c_str(), v, kWorkloadModes);
-     }},
-    {"workload.collective",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.collective = check_choice(k.c_str(), v, kWorkloadCollectives);
-     }},
-    {"workload.participants",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.participants = parse_int(k, v);
-     }},
-    {"workload.burst_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.burst_cycles = parse_int(k, v);
-     }},
-    {"workload.idle_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.idle_cycles = parse_int(k, v);
-     }},
-    {"workload.jobs",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.jobs = parse_int(k, v);
-     }},
-    {"workload.arrival_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.arrival_cycles = parse_int(k, v);
-     }},
-    {"workload.job_cycles",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.job_cycles = parse_int(k, v);
-     }},
-    {"workload.job_routers",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.job_routers = parse_int(k, v);
-     }},
-    {"workload.placement",
-     [](SimConfig& c, const std::string& k, const std::string& v) {
-       c.workload.placement = check_choice(k.c_str(), v, kWorkloadPlacements);
-     }},
-    {"workload.mix",
-     [](SimConfig& c, const std::string&, const std::string& v) {
-       (void)workload_mix_entries(v);  // fail on unknown names now
-       c.workload.mix = v;
-     }},
-};
-
-/// One-line descriptions for --list; kv_key_descriptions() asserts this
-/// table covers every kKvEntries key, so adding a knob without its
-/// description fails tests loudly.
-struct KvDesc {
-  const char* key;
-  const char* desc;
-};
-
-constexpr KvDesc kKvDescs[] = {
-    {"h", "balanced dragonfly radix: p=h, a=2h, a*h+1 groups"},
-    {"p", "nodes per router (overrides the balanced preset)"},
-    {"a", "routers per group (overrides the balanced preset)"},
-    {"groups", "dragonfly group count (0 = a*h+1; 2..a*h trims the wiring)"},
-    {"topology", "topology spec: dfly[:p,a,h[,G]] | flatbfly:k,n[,p]"},
-    {"arrangement", "global-link arrangement registry name (dfly only)"},
-    {"routing", "routing mechanism registry name"},
-    {"traffic", "traffic pattern registry name"},
-    {"local_latency", "local (intra-group) link latency, cycles"},
-    {"global_latency", "global (inter-group) link latency, cycles"},
-    {"pipeline_latency", "router pipeline depth, cycles"},
-    {"packet_size", "packet size in phits"},
-    {"output_queue_size", "per-output post-crossbar queue, phits"},
-    {"local_input_buffer", "local/injection input buffer per VC, phits"},
-    {"global_input_buffer", "global input buffer per VC, phits"},
-    {"global_vcs", "virtual channels on global links"},
-    {"local_vcs", "virtual channels on local links"},
-    {"injection_vcs", "virtual channels on injection ports"},
-    {"allocator_iterations", "separable-allocator iterations per cycle"},
-    {"max_grants_per_output", "grants per output per cycle (2x speedup)"},
-    {"max_grants_per_input", "grants per input per cycle (2x speedup)"},
-    {"transit_priority", "transit-over-injection arbitration priority"},
-    {"age_arbitration", "oldest-packet-first output arbitration"},
-    {"intransit_threshold", "in-transit misroute congestion threshold"},
-    {"pb_threshold_local", "PiggyBack saturation threshold, local links"},
-    {"pb_threshold_global", "PiggyBack saturation threshold, global links"},
-    {"adversarial_offset", "k of ADV+k: target group = own + k"},
-    {"placement_first_group", "first group of the placement job"},
-    {"placement_num_groups", "groups in the placement job (0 = h+1)"},
-    {"shift_offset_nodes", "node shift k: dst = src + k (0 = one group)"},
-    {"hotspot_fraction", "share of traffic aimed at the hot node"},
-    {"hotspot_node", "destination node of the hotspot share"},
-    {"load", "offered load, phits/(node*cycle); sweeps: a:b:step or x,y,z"},
-    {"node_queue_capacity", "finite source queue, packets"},
-    {"warmup_cycles", "cycles simulated before measurement starts"},
-    {"measure_cycles", "measured window; the cap in stop.mode=ci"},
-    {"seed", "root RNG seed (replicas derive from it)"},
-    {"sim.kernel",
-     "cycle kernel: active (active-set scheduling) | scan (dense "
-     "reference; bit-identical)"},
-    {"sim.paranoid", "check network invariants every N cycles (0 = off)"},
-    {"sim.shards",
-     "step the network in N parallel router shards (bit-identical; "
-     "1 = serial)"},
-    {"stop.mode", "fixed = exact window | ci = stop when CIs converge"},
-    {"stop.rel_hw", "CI target: relative half-width of accepted/latency"},
-    {"stop.batches", "minimum completed batches before testing the CI"},
-    {"stop.batch_cycles", "batch-means batch length, cycles"},
-    {"phases", "scripted Measure segments name:cycles[@load=X][@traffic=T]"},
-    {"drain.max_cycles", "post-measure drain budget, cycles (0 = skip)"},
-    {"stream.interval", "MetricTap sampling interval, cycles"},
-    {"workload.mode",
-     "workload driver: off | collective | bursty | churn"},
-    {"workload.collective",
-     "collective kind: ring | tree | alltoall | halo"},
-    {"workload.participants", "collective ranks (0 = every node)"},
-    {"workload.burst_cycles", "bursty: mean ON dwell, cycles"},
-    {"workload.idle_cycles", "bursty: mean OFF dwell, cycles"},
-    {"workload.jobs", "churn: maximum concurrent jobs"},
-    {"workload.arrival_cycles", "churn: mean job inter-arrival gap, cycles"},
-    {"workload.job_cycles", "churn: mean job lifetime, cycles"},
-    {"workload.job_routers", "churn: routers per job (0 = one group)"},
-    {"workload.placement", "churn job placement: contiguous | random"},
-    {"workload.mix",
-     "churn per-job mixes, cycled: uniform | ring | shift | hotspot"},
-};
-
-// --- canonical serialization (sweep-service cache keys) ----------------------
-
-/// Fixed-format numeric renderers: every canonical value must serialize
-/// identically on every platform and build, so the cache keys travel.
-std::string canon_num(std::int64_t v) { return std::to_string(v); }
-
-std::string canon_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string canon_bool(bool v) { return v ? "1" : "0"; }
-
-std::string canon_phases(const std::vector<ScriptedSegment>& script) {
-  std::string out;
-  for (const ScriptedSegment& seg : script) {
-    if (!out.empty()) out += ",";
-    out += seg.name + ":" + canon_num(static_cast<std::int64_t>(seg.cycles));
-    if (seg.load >= 0.0) out += "@load=" + canon_num(seg.load);
-    if (!seg.traffic.empty()) out += "@traffic=" + seg.traffic;
-  }
-  return out;
-}
-
-/// Canonical value of every kv-table key. The topology keys normalize
-/// through the resolved shape so spelling variants ("topology=dfly:2,4,2"
-/// vs "p=2,a=4,h=2") serialize identically; custom families without a
-/// cheap shape fall back to the resolved spec string and mark the
-/// dragonfly fields not-applicable.
-struct CanonEntry {
-  const char* key;
-  std::string (*value)(const SimConfig&);
-};
-
-std::optional<TopologyShape> canon_shape(const SimConfig& c) {
-  try {
-    return try_topology_shape(c);
-  } catch (const std::exception&) {
-    // Malformed built-in args: fall back to the raw spelling below —
-    // validate() rejects the config before anything caches it.
-    return std::nullopt;
-  }
-}
-
-const CanonEntry kCanonEntries[] = {
-    {"topology",
-     [](const SimConfig& c) {
-       std::string family;
-       try {
-         family = topology_family(c);
-       } catch (const std::exception&) {
-         return c.topology;  // unknown family: raw spelling, fails validate()
-       }
-       // dfly args are fully absorbed by the shape entries below; other
-       // families keep their full arg spelling (the shape alone may not
-       // determine the wiring).
-       return family == "dfly" ? std::string("dfly")
-                               : (c.topology.empty() ? family : c.topology);
-     }},
-    {"h",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->global_slots))
-                    : std::string("-");
-     }},
-    {"p",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->p))
-                    : std::string("-");
-     }},
-    {"a",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->a))
-                    : std::string("-");
-     }},
-    {"groups",
-     [](const SimConfig& c) {
-       const auto shape = canon_shape(c);
-       return shape ? canon_num(static_cast<std::int64_t>(shape->groups))
-                    : std::string("-");
-     }},
-    {"arrangement", [](const SimConfig& c) { return c.arrangement; }},
-    {"routing", [](const SimConfig& c) { return c.routing_key(); }},
-    {"traffic", [](const SimConfig& c) { return c.traffic_key(); }},
-    {"local_latency",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.local_latency));
-     }},
-    {"global_latency",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.global_latency));
-     }},
-    {"pipeline_latency",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.pipeline_latency));
-     }},
-    {"packet_size",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.packet_size));
-     }},
-    {"output_queue_size",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.output_queue_size));
-     }},
-    {"local_input_buffer",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.local_input_buffer));
-     }},
-    {"global_input_buffer",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.global_input_buffer));
-     }},
-    {"global_vcs",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.global_vcs));
-     }},
-    {"local_vcs",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.local_vcs));
-     }},
-    {"injection_vcs",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.injection_vcs));
-     }},
-    {"allocator_iterations",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.allocator_iterations));
-     }},
-    {"max_grants_per_output",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.max_grants_per_output));
-     }},
-    {"max_grants_per_input",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.max_grants_per_input));
-     }},
-    {"transit_priority",
-     [](const SimConfig& c) { return canon_bool(c.transit_priority); }},
-    {"age_arbitration",
-     [](const SimConfig& c) { return canon_bool(c.age_arbitration); }},
-    {"intransit_threshold",
-     [](const SimConfig& c) { return canon_num(c.intransit_threshold); }},
-    {"pb_threshold_local",
-     [](const SimConfig& c) { return canon_num(c.pb_threshold_local); }},
-    {"pb_threshold_global",
-     [](const SimConfig& c) { return canon_num(c.pb_threshold_global); }},
-    {"adversarial_offset",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.adversarial_offset));
-     }},
-    {"placement_first_group",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.placement_first_group));
-     }},
-    {"placement_num_groups",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.placement_num_groups));
-     }},
-    {"shift_offset_nodes",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.shift_offset_nodes));
-     }},
-    {"hotspot_fraction",
-     [](const SimConfig& c) { return canon_num(c.hotspot_fraction); }},
-    {"hotspot_node",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.hotspot_node));
-     }},
-    {"load", [](const SimConfig& c) { return canon_num(c.load); }},
-    {"node_queue_capacity",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.node_queue_capacity));
-     }},
-    {"warmup_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.warmup_cycles));
-     }},
-    {"measure_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.measure_cycles));
-     }},
-    {"seed", [](const SimConfig& c) { return std::to_string(c.seed); }},
-    {"sim.paranoid",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.sim_paranoid));
-     }},
-    {"sim.kernel",
-     [](const SimConfig& c) { return std::string(to_string(c.kernel)); }},
-    {"sim.shards",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.shards));
-     }},
-    {"stop.mode",
-     [](const SimConfig& c) { return std::string(to_string(c.stop.mode)); }},
-    {"stop.rel_hw",
-     [](const SimConfig& c) { return canon_num(c.stop.rel_hw); }},
-    {"stop.batches",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.stop.batches));
-     }},
-    {"stop.batch_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.stop.batch_cycles));
-     }},
-    {"phases", [](const SimConfig& c) { return canon_phases(c.phase_script); }},
-    {"drain.max_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.drain_max_cycles));
-     }},
-    {"stream.interval",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.stream_interval));
-     }},
-    {"workload.mode", [](const SimConfig& c) { return c.workload.mode; }},
-    {"workload.collective",
-     [](const SimConfig& c) { return c.workload.collective; }},
-    {"workload.participants",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.participants));
-     }},
-    {"workload.burst_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.burst_cycles));
-     }},
-    {"workload.idle_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.idle_cycles));
-     }},
-    {"workload.jobs",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.jobs));
-     }},
-    {"workload.arrival_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.arrival_cycles));
-     }},
-    {"workload.job_cycles",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.job_cycles));
-     }},
-    {"workload.job_routers",
-     [](const SimConfig& c) {
-       return canon_num(static_cast<std::int64_t>(c.workload.job_routers));
-     }},
-    {"workload.placement",
-     [](const SimConfig& c) { return c.workload.placement; }},
-    {"workload.mix",
-     [](const SimConfig& c) {
-       // Normalize the comma list (whitespace-insensitive spellings of
-       // the same mix hash identically).
-       std::string out;
-       for (const std::string& entry : workload_mix_entries(c.workload.mix)) {
-         if (!out.empty()) out += ",";
-         out += entry;
-       }
-       return out;
-     }},
-};
-
-/// Knobs a refinement request may change on a warm start (see
-/// SimConfig::refinement_key).
-constexpr const char* kRefinementKeys[] = {
-    "measure_cycles", "stop.mode",       "stop.rel_hw",
-    "stop.batches",   "stop.batch_cycles", "drain.max_cycles",
-    "stream.interval", "sim.kernel",     "sim.shards",
-    "sim.paranoid",
-};
-
-std::uint64_t fnv1a64(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string hash_entries(
-    const std::vector<std::pair<std::string, std::string>>& entries,
-    bool skip_refinement) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& [key, value] : entries) {
-    if (skip_refinement && SimConfig::refinement_key(key)) continue;
-    h = fnv1a64(h, key);
-    h = fnv1a64(h, "=");
-    h = fnv1a64(h, value);
-    h = fnv1a64(h, "\n");
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string joined_kv_keys() {
-  std::string out;
-  for (const std::string& key : SimConfig::kv_keys()) {
-    if (!out.empty()) out += " ";
-    out += key;
-  }
-  return out;
-}
-
-}  // namespace
-
 bool SimConfig::try_apply_kv(const std::string& key,
                              const std::string& value) {
-  for (const KvEntry& entry : kKvEntries) {
-    if (key == entry.key) {
-      entry.apply(*this, key, value);
-      return true;
-    }
-  }
-  return false;
+  const Knob* k = find_knob(key);
+  if (k == nullptr) return false;
+  k->field.parse(*this, key, value);
+  if (k->hook != nullptr) k->hook(*this);
+  return true;
 }
 
 void SimConfig::apply_kv(const std::string& key, const std::string& value) {
   if (!try_apply_kv(key, value)) {
+    std::string keys;
+    for (const std::string& k : kv_keys()) {
+      if (!keys.empty()) keys += " ";
+      keys += k;
+    }
     throw std::invalid_argument("unknown config key \"" + key +
-                                "\"; valid keys: " + joined_kv_keys());
+                                "\"; valid keys: " + keys);
   }
 }
 
@@ -1224,86 +755,47 @@ SimConfig SimConfig::from_kv(std::span<const std::string> overrides) {
 
 std::vector<std::string> SimConfig::kv_keys() {
   std::vector<std::string> keys;
-  keys.reserve(std::size(kKvEntries));
-  for (const KvEntry& entry : kKvEntries) keys.emplace_back(entry.key);
-  std::sort(keys.begin(), keys.end());
+  for (const Knob* k : sorted_knobs()) keys.emplace_back(k->key);
   return keys;
 }
 
 std::vector<std::pair<std::string, std::string>>
 SimConfig::kv_key_descriptions() {
   std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(std::size(kKvEntries));
-  for (const KvEntry& entry : kKvEntries) {
-    const char* desc = nullptr;
-    for (const KvDesc& d : kKvDescs) {
-      if (std::string(d.key) == entry.key) {
-        desc = d.desc;
-        break;
-      }
-    }
-    if (desc == nullptr) {
-      throw std::logic_error(std::string("config key \"") + entry.key +
-                             "\" has no --list description");
-    }
-    out.emplace_back(entry.key, desc);
-  }
-  std::sort(out.begin(), out.end());
+  for (const Knob* k : sorted_knobs()) out.emplace_back(k->key, k->desc);
   return out;
 }
 
 std::vector<std::pair<std::string, std::string>> SimConfig::canonical_kv()
     const {
-  // Driven by the kv table, not by kCanonEntries, so a knob added to
-  // kKvEntries without a canonical serializer fails loudly here — the
-  // silent-cache-poisoning guard (a knob that changes results but not
-  // the hash would alias distinct configs onto one cache entry).
   std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(std::size(kKvEntries));
-  for (const KvEntry& entry : kKvEntries) {
-    const CanonEntry* canon = nullptr;
-    for (const CanonEntry& c : kCanonEntries) {
-      if (std::string(c.key) == entry.key) {
-        canon = &c;
-        break;
-      }
-    }
-    if (canon == nullptr) {
-      throw std::logic_error(std::string("config key \"") + entry.key +
-                             "\" has no canonical serializer — add it to "
-                             "kCanonEntries so the result cache can key on "
-                             "it");
-    }
-    out.emplace_back(entry.key, canon->value(*this));
+  for (const Knob* k : sorted_knobs()) {
+    out.emplace_back(k->key, canonical_value(*k, *this));
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::string SimConfig::canonical_hash() const {
-  return hash_entries(canonical_kv(), /*skip_refinement=*/false);
+  return hash_knobs(*this, /*skip_refinement=*/false);
 }
 
 bool SimConfig::refinement_key(const std::string& key) {
-  for (const char* k : kRefinementKeys) {
-    if (key == k) return true;
-  }
-  return false;
+  const Knob* k = find_knob(key);
+  return k != nullptr && k->cls == HashClass::kRefinement;
 }
 
 std::string SimConfig::warm_hash() const {
-  return hash_entries(canonical_kv(), /*skip_refinement=*/true);
+  return hash_knobs(*this, /*skip_refinement=*/true);
 }
 
 std::string SimConfig::warm_incompatibility(const SimConfig& refined) const {
-  const auto mine = canonical_kv();
-  const auto theirs = refined.canonical_kv();
-  // Same kv table on both sides, sorted by key: walk in lockstep.
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    if (refinement_key(mine[i].first)) continue;
-    if (mine[i].second != theirs[i].second) {
-      return "knob \"" + mine[i].first + "\" is \"" + mine[i].second +
-             "\" in the warm-start checkpoint but \"" + theirs[i].second +
+  for (const Knob* k : sorted_knobs()) {
+    if (k->cls == HashClass::kRefinement) continue;
+    const std::string mine = canonical_value(*k, *this);
+    const std::string theirs = canonical_value(*k, refined);
+    if (mine != theirs) {
+      return "knob \"" + std::string(k->key) + "\" is \"" + mine +
+             "\" in the warm-start checkpoint but \"" + theirs +
              "\" in the request; only the measurement window and stop rule "
              "may differ on a warm start";
     }
@@ -1312,13 +804,13 @@ std::string SimConfig::warm_incompatibility(const SimConfig& refined) const {
 }
 
 void SimConfig::apply_refinements(const SimConfig& refined) {
-  measure_cycles = refined.measure_cycles;
-  stop = refined.stop;
-  drain_max_cycles = refined.drain_max_cycles;
-  stream_interval = refined.stream_interval;
-  kernel = refined.kernel;
-  shards = refined.shards;
-  sim_paranoid = refined.sim_paranoid;
+  // Through the text form, as a checkpoint restore does: exact for every
+  // value type (%.17g round-trips doubles).
+  for (const Knob& k : kKnobs) {
+    if (k.cls == HashClass::kRefinement) {
+      k.field.parse(*this, k.key, k.field.format(refined));
+    }
+  }
 }
 
 std::vector<ScriptedSegment> parse_phase_script(const std::string& text) {
@@ -1326,10 +818,8 @@ std::vector<ScriptedSegment> parse_phase_script(const std::string& text) {
   std::string item;
   std::istringstream is(text);
   while (std::getline(is, item, ',')) {
-    const auto from = item.find_first_not_of(" \t");
-    if (from == std::string::npos) continue;
-    const auto to = item.find_last_not_of(" \t");
-    item = item.substr(from, to - from + 1);
+    item = trim(item);
+    if (item.empty()) continue;
 
     // Split "name:cycles[@k=v]..." on '@'.
     std::vector<std::string> parts;
@@ -1348,12 +838,13 @@ std::vector<ScriptedSegment> parse_phase_script(const std::string& text) {
     }
     ScriptedSegment seg;
     seg.name = parts[0].substr(0, colon);
-    seg.cycles = parse_int("phases: \"" + seg.name + "\" cycles",
-                           parts[0].substr(colon + 1));
+    seg.cycles = parse_value<Cycle>("phases: \"" + seg.name + "\" cycles",
+                                    parts[0].substr(colon + 1));
     for (std::size_t i = 1; i < parts.size(); ++i) {
       const auto [key, value] = split_kv(parts[i]);
       if (key == "load") {
-        seg.load = parse_double("phases: \"" + seg.name + "\" load", value);
+        seg.load =
+            parse_value<double>("phases: \"" + seg.name + "\" load", value);
       } else if (key == "traffic") {
         seg.traffic = traffic_registry().resolve(value);
       } else {
@@ -1369,153 +860,33 @@ std::vector<ScriptedSegment> parse_phase_script(const std::string& text) {
 
 void SimConfig::write_to(CheckpointWriter& ck) const {
   ck.tag("SimConfig");
-  ck.str(topology);
-  ck.i32(topo.p);
-  ck.i32(topo.a);
-  ck.i32(topo.h);
-  ck.i32(topo.g);
-  ck.str(arrangement);
-  ck.boolean(arrangement_explicit);
-  ck.i64(local_latency);
-  ck.i64(global_latency);
-  ck.i32(pipeline_latency);
-  ck.i32(packet_size);
-  ck.i32(output_queue_size);
-  ck.i32(local_input_buffer);
-  ck.i32(global_input_buffer);
-  ck.i32(global_vcs);
-  ck.i32(local_vcs);
-  ck.i32(injection_vcs);
-  ck.i32(allocator_iterations);
-  ck.i32(max_grants_per_output);
-  ck.i32(max_grants_per_input);
-  ck.boolean(transit_priority);
-  ck.boolean(age_arbitration);
-  ck.f64(intransit_threshold);
-  ck.f64(pb_threshold_local);
-  ck.f64(pb_threshold_global);
-  ck.str(routing_name);
-  ck.str(traffic_name);
-  ck.u8(static_cast<std::uint8_t>(routing));
-  ck.u8(static_cast<std::uint8_t>(traffic));
-  ck.i32(adversarial_offset);
-  ck.i32(placement_first_group);
-  ck.i32(placement_num_groups);
-  ck.i32(shift_offset_nodes);
-  ck.f64(hotspot_fraction);
-  ck.i32(hotspot_node);
-  ck.f64(load);
-  ck.i32(node_queue_capacity);
-  ck.i64(warmup_cycles);
-  ck.i64(measure_cycles);
-  ck.u64(seed);
-  ck.i32(sim_paranoid);
-  ck.u8(static_cast<std::uint8_t>(kernel));
-  ck.i32(shards);
-  ck.u8(static_cast<std::uint8_t>(stop.mode));
-  ck.f64(stop.rel_hw);
-  ck.i32(stop.batches);
-  ck.i64(stop.batch_cycles);
-  ck.vec(phase_script, [&](const ScriptedSegment& seg) {
-    ck.str(seg.name);
-    ck.i64(seg.cycles);
-    ck.f64(seg.load);
-    ck.str(seg.traffic);
-  });
-  ck.i64(drain_max_cycles);
-  ck.i64(stream_interval);
-  ck.boolean(vcs_explicit);
-  ck.boolean(topo_p_explicit);
-  ck.boolean(topo_a_explicit);
-  ck.boolean(topo_g_explicit);
-  // workload subsystem (appended in checkpoint format v5)
-  ck.str(workload.mode);
-  ck.str(workload.collective);
-  ck.i32(workload.participants);
-  ck.i64(workload.burst_cycles);
-  ck.i64(workload.idle_cycles);
-  ck.i32(workload.jobs);
-  ck.i64(workload.arrival_cycles);
-  ck.i64(workload.job_cycles);
-  ck.i32(workload.job_routers);
-  ck.str(workload.placement);
-  ck.str(workload.mix);
+  for (const Knob& k : kKnobs) {
+    ck.str(k.key);
+    ck.str(k.field.format(*this));
+  }
+  for (const auto flag : kExplicitFlags) ck.boolean(this->*flag);
 }
 
 void SimConfig::read_from(CheckpointReader& ck) {
   ck.tag("SimConfig");
-  topology = ck.str();
-  topo.p = ck.i32();
-  topo.a = ck.i32();
-  topo.h = ck.i32();
-  topo.g = ck.i32();
-  arrangement = ck.str();
-  arrangement_explicit = ck.boolean();
-  local_latency = ck.i64();
-  global_latency = ck.i64();
-  pipeline_latency = ck.i32();
-  packet_size = ck.i32();
-  output_queue_size = ck.i32();
-  local_input_buffer = ck.i32();
-  global_input_buffer = ck.i32();
-  global_vcs = ck.i32();
-  local_vcs = ck.i32();
-  injection_vcs = ck.i32();
-  allocator_iterations = ck.i32();
-  max_grants_per_output = ck.i32();
-  max_grants_per_input = ck.i32();
-  transit_priority = ck.boolean();
-  age_arbitration = ck.boolean();
-  intransit_threshold = ck.f64();
-  pb_threshold_local = ck.f64();
-  pb_threshold_global = ck.f64();
-  routing_name = ck.str();
-  traffic_name = ck.str();
-  routing = static_cast<RoutingKind>(ck.u8());
-  traffic = static_cast<TrafficKind>(ck.u8());
-  adversarial_offset = ck.i32();
-  placement_first_group = ck.i32();
-  placement_num_groups = ck.i32();
-  shift_offset_nodes = ck.i32();
-  hotspot_fraction = ck.f64();
-  hotspot_node = ck.i32();
-  load = ck.f64();
-  node_queue_capacity = ck.i32();
-  warmup_cycles = ck.i64();
-  measure_cycles = ck.i64();
-  seed = ck.u64();
-  sim_paranoid = ck.i32();
-  kernel = static_cast<SimKernel>(ck.u8());
-  shards = ck.i32();
-  stop.mode = static_cast<StopMode>(ck.u8());
-  stop.rel_hw = ck.f64();
-  stop.batches = ck.i32();
-  stop.batch_cycles = ck.i64();
-  ck.vec(phase_script, [&] {
-    ScriptedSegment seg;
-    seg.name = ck.str();
-    seg.cycles = ck.i64();
-    seg.load = ck.f64();
-    seg.traffic = ck.str();
-    return seg;
-  });
-  drain_max_cycles = ck.i64();
-  stream_interval = ck.i64();
-  vcs_explicit = ck.boolean();
-  topo_p_explicit = ck.boolean();
-  topo_a_explicit = ck.boolean();
-  topo_g_explicit = ck.boolean();
-  workload.mode = ck.str();
-  workload.collective = ck.str();
-  workload.participants = ck.i32();
-  workload.burst_cycles = ck.i64();
-  workload.idle_cycles = ck.i64();
-  workload.jobs = ck.i32();
-  workload.arrival_cycles = ck.i64();
-  workload.job_cycles = ck.i64();
-  workload.job_routers = ck.i32();
-  workload.placement = ck.str();
-  workload.mix = ck.str();
+  // Raw values through each knob's parse, without the apply hooks: a
+  // replayed "h" would otherwise reset a p/a the stream also carries.
+  for (const Knob& k : kKnobs) {
+    const std::string key = ck.str();
+    const std::string value = ck.str();
+    if (key != k.key) {
+      throw std::runtime_error("checkpoint: config section has knob \"" +
+                               key + "\" where \"" + k.key +
+                               "\" was expected");
+    }
+    try {
+      k.field.parse(*this, key, value);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("checkpoint: corrupt config: ") +
+                               e.what());
+    }
+  }
+  for (const auto flag : kExplicitFlags) this->*flag = ck.boolean();
 }
 
 std::pair<std::string, std::string> split_kv(const std::string& item) {
@@ -1523,12 +894,6 @@ std::pair<std::string, std::string> split_kv(const std::string& item) {
   if (eq == std::string::npos) {
     throw std::invalid_argument("expected key=value, got \"" + item + "\"");
   }
-  auto trim = [](std::string s) {
-    const auto from = s.find_first_not_of(" \t");
-    const auto to = s.find_last_not_of(" \t");
-    return from == std::string::npos ? std::string()
-                                     : s.substr(from, to - from + 1);
-  };
   return {trim(item.substr(0, eq)), trim(item.substr(eq + 1))};
 }
 

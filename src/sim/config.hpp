@@ -151,7 +151,8 @@ struct SimConfig {
   /// (core/topology registry): "dfly[:p,a,h[,G]]", "flatbfly:k,n[,p]",
   /// or any user-registered family. Empty selects the dragonfly
   /// described by `topo` below (the h/p/a/groups keys reset it so the
-  /// last topology-selecting override wins).
+  /// last topology-selecting override wins; `topology=` with an empty
+  /// value selects it too).
   std::string topology;
   DragonflyParams topo = DragonflyParams::balanced(6);
   std::string arrangement = "palmtree";
@@ -293,10 +294,9 @@ struct SimConfig {
   /// knob to its default — serialize identically; the bookkeeping flags
   /// (vcs_explicit, topo_*_explicit) and spec-level concerns are
   /// excluded. The topology entries are normalized through the resolved
-  /// shape, so "topology=dfly:2,4,2" and "p=2,a=4,h=2" agree. A knob
-  /// added to the kv table without a canonical serializer throws
-  /// std::logic_error here (the cache-poisoning guard the unit tests
-  /// pin).
+  /// shape, so "topology=dfly:2,4,2" and "p=2,a=4,h=2" agree. Every
+  /// knob of the table is hashed: its canonical form comes from the
+  /// same descriptor that applies it.
   std::vector<std::pair<std::string, std::string>> canonical_kv() const;
 
   /// FNV-1a 64-bit hash of canonical_kv(), as a 16-digit hex string —
@@ -335,9 +335,13 @@ struct SimConfig {
   static std::vector<std::pair<std::string, std::string>>
   kv_key_descriptions();
 
-  /// Serialize / reconstruct every field (checkpoint streams embed the
-  /// config so restore() can rebuild the network deterministically).
-  /// Named read_from/write_to because `load` is taken by the knob.
+  /// Serialize / reconstruct the config (checkpoint streams embed it so
+  /// restore() can rebuild the network deterministically): one
+  /// (key, raw value) text pair per kv_keys() knob, then the *_explicit
+  /// flags. read_from parses each value with its knob's own parser and
+  /// throws std::runtime_error ("checkpoint: ...") on a corrupt or
+  /// out-of-order entry. Named read_from/write_to because `load` is
+  /// taken by the knob.
   void write_to(CheckpointWriter& ck) const;
   void read_from(CheckpointReader& ck);
 };

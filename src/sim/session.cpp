@@ -44,7 +44,12 @@ constexpr const char* kCheckpointMagic = "dragonfly-session-checkpoint";
 /// estimator and the per-job battery, and a Workload driver section
 /// sits between the router and node sections; SimConfig gained the
 /// workload.* table.
-constexpr std::uint32_t kCheckpointVersion = 5;
+/// v6: the SimConfig section is text — a (key, raw value) string pair
+/// for every knob of the config's knob table, in table order, then the
+/// *_explicit flags — instead of positional binary fields; restore
+/// parses each value through its knob's own parser, so a corrupt value
+/// fails with a diagnostic naming the knob.
+constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// Jain fairness over per-job accepted loads: delivered phits divided
 /// by job-nodes times the overlap of the job's lifetime with

@@ -20,22 +20,32 @@ std::string topology_cache_key(const SimConfig& cfg) {
 
 std::shared_ptr<const Topology> TopologyCache::acquire(const SimConfig& cfg) {
   const std::string key = topology_cache_key(cfg);
+  std::promise<std::shared_ptr<const Topology>> build;
+  std::shared_future<std::shared_ptr<const Topology>> entry;
+  bool owner = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
+    const auto [it, inserted] = map_.try_emplace(key);
+    if (!inserted) {
       ++hits_;
-      return it->second;
+      entry = it->second;
+    } else {
+      ++misses_;
+      owner = true;
+      entry = it->second = build.get_future().share();
     }
   }
-  // Build outside the lock: construction is the expensive part and two
-  // concurrent first-acquires of the same shape are rare; the second
-  // insert loses and adopts the first entry.
-  std::shared_ptr<const Topology> built = make_topology(cfg);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = map_.emplace(key, std::move(built));
-  ++misses_;
-  return it->second;
+  if (!owner) return entry.get();  // waits out a concurrent first build
+  // Build outside the lock: construction is the expensive part, and
+  // other shapes must not queue behind it.
+  try {
+    build.set_value(make_topology(cfg));
+  } catch (...) {
+    build.set_exception(std::current_exception());
+    std::lock_guard<std::mutex> lock(mu_);
+    map_.erase(key);  // the next acquire retries
+  }
+  return entry.get();
 }
 
 TopologyCache::Stats TopologyCache::stats() const {

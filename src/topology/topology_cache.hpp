@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,6 +37,8 @@ class TopologyCache {
   };
 
   /// The shared topology for cfg's shape, building it on first use.
+  /// Concurrent first acquires of one shape build it once: the others
+  /// wait for that build (and count as hits).
   std::shared_ptr<const Topology> acquire(const SimConfig& cfg);
 
   Stats stats() const;
@@ -49,7 +52,9 @@ class TopologyCache {
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const Topology>> map_;
+  std::unordered_map<std::string,
+                     std::shared_future<std::shared_ptr<const Topology>>>
+      map_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };

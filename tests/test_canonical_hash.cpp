@@ -5,7 +5,7 @@
 //     (a missed knob would alias two different experiments onto one
 //     cache entry), with a coverage check tied to SimConfig::kv_keys()
 //     so a newly added knob fails this test until it gets a
-//     perturbation (and, transitively, a canonical serializer);
+//     perturbation;
 //   * invariance   — application order and spelling variants of the
 //     same physical config ("topology=dfly:2,4,2" vs "p/a/h", default
 //     vs explicitly spelled default) hash identically;
@@ -13,11 +13,13 @@
 //     knobs, and warm_incompatibility diagnoses everything else.
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.hpp"
 #include "sim/config.hpp"
 
 namespace dragonfly {
@@ -105,14 +107,14 @@ TEST(CanonicalHash, EveryKnobPerturbsTheHash) {
 }
 
 /// Coverage guard: a knob added to the kv table without a perturbation
-/// here fails loudly, mirroring the kKvDescs description check. This
-/// is what keeps cache-keying honest as the knob table grows.
+/// here fails loudly. This is what keeps cache-keying honest as the
+/// knob table grows.
 TEST(CanonicalHash, PerturbationTableCoversEveryKnob) {
   for (const std::string& key : SimConfig::kv_keys()) {
     EXPECT_TRUE(perturbations().count(key) == 1)
         << "config key \"" << key
         << "\" has no hash perturbation in test_canonical_hash.cpp — add "
-           "one (and a canonical serializer if canonical_kv() throws)";
+           "one";
   }
   // And the inverse: no stale entries for removed knobs.
   const std::vector<std::string> keys = SimConfig::kv_keys();
@@ -122,10 +124,8 @@ TEST(CanonicalHash, PerturbationTableCoversEveryKnob) {
   }
 }
 
-/// canonical_kv() itself must cover the knob table — this is the
-/// logic_error guard that stops a new knob from silently not being
-/// hashed. Exercised explicitly so the failure mode is a readable test
-/// name, not a crash inside some service request.
+/// canonical_kv() itself must cover the knob table, sorted by key, so
+/// no knob is silently left out of the hash.
 TEST(CanonicalHash, CanonicalKvCoversEveryKnob) {
   const SimConfig base = base_config();
   std::vector<std::pair<std::string, std::string>> kv;
@@ -190,6 +190,60 @@ TEST(CanonicalHash, ExplicitDefaultSpellingHashesLikeTheDefault) {
   SimConfig spelled_seed = base_config();
   ASSERT_TRUE(spelled_seed.try_apply_kv("seed", std::to_string(plain.seed)));
   EXPECT_EQ(plain.canonical_hash(), spelled_seed.canonical_hash());
+}
+
+/// Literal cache keys. The service's result and warm-start caches, and
+/// the `RESULT <hash>` bytes the benchmark's committed digests cover,
+/// key on these exact values: a change to the knob table's code must
+/// leave them where they are, and a deliberate change to the canonical
+/// form has to update them here.
+TEST(CanonicalHash, PinnedCacheKeys) {
+  SimConfig every = base_config();
+  for (const auto& [key, value] : perturbations()) {
+    ASSERT_TRUE(every.try_apply_kv(key, value)) << key;
+  }
+  const struct {
+    const char* name;
+    SimConfig cfg;
+    const char* canonical;
+    const char* warm;
+  } cases[] = {
+      {"small(2)", SimConfig::small(2), "326a7f419a92c55d",
+       "f45872f45cd584d9"},
+      {"paper()", SimConfig::paper(), "c085ed1b0ff2b402", "3d2e7a8cb0e89364"},
+      {"every perturbation", every, "c2a19c9b94bdc389", "377f848d0331d05c"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.cfg.canonical_hash(), c.canonical) << c.name;
+    EXPECT_EQ(c.cfg.warm_hash(), c.warm) << c.name;
+  }
+}
+
+/// The checkpoint's config section carries every knob: a config
+/// restored from it hashes and re-serializes identically.
+TEST(CanonicalHash, CheckpointSectionRoundTripsEveryKnob) {
+  std::vector<SimConfig> configs{base_config()};
+  SimConfig every = base_config();
+  for (const auto& [key, value] : perturbations()) {
+    SimConfig one = base_config();
+    ASSERT_TRUE(one.try_apply_kv(key, value)) << key;
+    configs.push_back(one);
+    ASSERT_TRUE(every.try_apply_kv(key, value)) << key;
+  }
+  configs.push_back(every);
+  for (const SimConfig& cfg : configs) {
+    std::stringstream first;
+    CheckpointWriter writer(first);
+    cfg.write_to(writer);
+    SimConfig copy;
+    CheckpointReader reader(first);
+    copy.read_from(reader);
+    EXPECT_EQ(copy.canonical_hash(), cfg.canonical_hash());
+    std::stringstream second;
+    CheckpointWriter rewriter(second);
+    copy.write_to(rewriter);
+    EXPECT_EQ(second.str(), first.str());
+  }
 }
 
 TEST(CanonicalHash, HashIsStableAcrossCopies) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "common/checkpoint.hpp"
@@ -253,6 +254,76 @@ TEST(Config, ValidateRejectsDegenerateWindows) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(Config, NonFiniteNumbersAreRejected) {
+  // At apply time: every double knob's parse refuses them.
+  for (const char* key : {"load", "intransit_threshold", "pb_threshold_local",
+                          "pb_threshold_global", "hotspot_fraction",
+                          "stop.rel_hw"}) {
+    for (const char* value : {"nan", "NaN", "inf", "-inf", "1e999"}) {
+      SimConfig cfg = SimConfig::small(2);
+      EXPECT_THROW(cfg.apply_kv(key, value), std::invalid_argument)
+          << key << "=" << value;
+    }
+  }
+  EXPECT_THROW(parse_phase_script("a:100@load=nan"), std::invalid_argument);
+
+  // In validate(): configs built in code get the same answer.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double SimConfig::*field :
+       {&SimConfig::load, &SimConfig::intransit_threshold,
+        &SimConfig::pb_threshold_local, &SimConfig::pb_threshold_global,
+        &SimConfig::hotspot_fraction}) {
+    for (const double value : {nan, inf}) {
+      SimConfig cfg = SimConfig::small(2);
+      cfg.*field = value;
+      EXPECT_THROW(cfg.validate(), std::invalid_argument) << value;
+    }
+  }
+  SimConfig cfg = SimConfig::small(2);
+  cfg.stop.rel_hw = nan;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = SimConfig::small(2);
+  cfg.phase_script.push_back({"hot", 100, nan, ""});
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(Config, IntegerKnobsParseAtTheirMembersWidth) {
+  // Cycle is 64-bit: a window past 2^31 cycles is a legal request.
+  SimConfig cfg;
+  cfg.apply_kv("warmup_cycles", "3000000000");
+  EXPECT_EQ(cfg.warmup_cycles, 3'000'000'000);
+  cfg.apply_kv("workload.job_cycles", "4294967296");
+  EXPECT_EQ(cfg.workload.job_cycles, 4'294'967'296);
+  EXPECT_EQ(parse_phase_script("long:3000000000")[0].cycles, 3'000'000'000);
+
+  // Past a member's width is an out-of-range diagnostic, not a
+  // misleading "expected an integer".
+  const auto message = [](const char* key, const char* value) {
+    SimConfig c;
+    try {
+      c.apply_kv(key, value);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const char* key : {"warmup_cycles", "measure_cycles",
+                          "stop.batch_cycles", "drain.max_cycles",
+                          "stream.interval", "workload.burst_cycles"}) {
+    const std::string msg = message(key, "99999999999999999999");
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << key << ": " << msg;
+  }
+  const std::string msg = message("packet_size", "3000000000");
+  EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+  EXPECT_NE(message("seed", "18446744073709551616").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(message("warmup_cycles", "12x").find("expected an integer"),
+            std::string::npos);
+  EXPECT_NE(message("seed", "-1").find("expected an unsigned integer"),
+            std::string::npos);
+}
+
 TEST(Config, ValidateCoversSessionKnobs) {
   SimConfig cfg = SimConfig::small(2);
   cfg.stop.rel_hw = 0.0;
@@ -404,6 +475,36 @@ TEST(Config, CheckpointRoundTripsEveryField) {
   ASSERT_EQ(copy.phase_script.size(), 1u);
   EXPECT_EQ(copy.phase_script[0].name, "x");
   EXPECT_DOUBLE_EQ(copy.phase_script[0].load, 0.3);
+}
+
+TEST(Config, CheckpointKeepsCodeBuiltSelections) {
+  // Code may still select through the deprecated enums and pin an
+  // unbalanced shape field by field; the config section carries both
+  // (restoring "h" must not re-derive the p/a it also carries).
+  SimConfig cfg = SimConfig::small(2);
+  cfg.routing = RoutingKind::kInTransitMm;
+  cfg.traffic = TrafficKind::kAdvConsecutive;
+  cfg.topo = DragonflyParams{3, 5, 2, 7};
+  cfg.vcs_explicit = true;
+  cfg.topo_a_explicit = true;
+
+  std::stringstream buffer;
+  CheckpointWriter writer(buffer);
+  cfg.write_to(writer);
+  SimConfig copy;
+  CheckpointReader reader(buffer);
+  copy.read_from(reader);
+
+  EXPECT_EQ(copy.routing_key(), "par-mm");
+  EXPECT_EQ(copy.traffic_key(), "advc");
+  EXPECT_EQ(copy.topo.p, 3);
+  EXPECT_EQ(copy.topo.a, 5);
+  EXPECT_EQ(copy.topo.h, 2);
+  EXPECT_EQ(copy.topo.g, 7);
+  EXPECT_TRUE(copy.vcs_explicit);
+  EXPECT_TRUE(copy.topo_a_explicit);
+  EXPECT_FALSE(copy.topo_p_explicit);
+  EXPECT_EQ(copy.canonical_hash(), cfg.canonical_hash());
 }
 
 TEST(Config, MechanismClassPredicates) {

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "common/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "sim_test_util.hpp"
 
@@ -308,6 +309,64 @@ TEST(Session, CheckpointRejectsGarbageStreams) {
   const std::string bytes = full.str();
   std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
   EXPECT_THROW(Session::restore(truncated), std::runtime_error);
+}
+
+/// Bytes of a checkpoint taken at the Measure boundary.
+std::string measure_boundary_checkpoint() {
+  Session session(quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1));
+  session.advance_to(SessionPhase::kMeasure);
+  std::stringstream stream;
+  session.checkpoint(stream);
+  return stream.str();
+}
+
+/// what() of the runtime_error Session::restore throws on `bytes`.
+std::string restore_error(const std::string& bytes) {
+  std::stringstream stream(bytes);
+  try {
+    Session::restore(stream);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "restored without error";
+}
+
+TEST(Session, CheckpointRejectsACorruptConfigValue) {
+  // The config section is (key, value) strings. Give sim.kernel a name
+  // no kernel has, keeping every length intact: the restore must fail
+  // on that value, naming it, while reading the config section, i.e.
+  // before a network is sized from it.
+  std::string bytes = measure_boundary_checkpoint();
+  const std::string key = "sim.kernel";
+  const std::size_t at = bytes.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + key.size() + sizeof(std::uint64_t);
+  ASSERT_EQ(bytes.compare(value, 6, "active"), 0);
+  bytes.replace(value, 6, "warped");
+  const std::string why = restore_error(bytes);
+  EXPECT_EQ(why.rfind("checkpoint: corrupt config", 0), 0u) << why;
+  EXPECT_NE(why.find("warped"), std::string::npos) << why;
+
+  // A section whose keys drifted out of table order fails the same way.
+  bytes = measure_boundary_checkpoint();
+  const std::size_t seed = bytes.find("seed");
+  ASSERT_NE(seed, std::string::npos);
+  bytes.replace(seed, 4, "sead");
+  EXPECT_EQ(restore_error(bytes).rfind("checkpoint: config section", 0), 0u)
+      << restore_error(bytes);
+}
+
+TEST(Session, CheckpointRejectsAnOlderFormatVersion) {
+  std::string bytes = measure_boundary_checkpoint();
+  std::stringstream stream(bytes);
+  CheckpointReader reader(stream);
+  (void)reader.str();  // magic; the format version follows
+  const auto version_at = static_cast<std::size_t>(stream.tellg());
+  std::stringstream v5;
+  CheckpointWriter writer(v5);
+  writer.u32(5);
+  bytes.replace(version_at, v5.str().size(), v5.str());
+  EXPECT_EQ(restore_error(bytes), "checkpoint: unsupported version 5");
 }
 
 TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {

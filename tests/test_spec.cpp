@@ -76,6 +76,10 @@ TEST(Spec, ParseLoads) {
   EXPECT_THROW(parse_loads("0.1:1.0"), std::invalid_argument);
   EXPECT_THROW(parse_loads("1.0:0.1:0.1"), std::invalid_argument);
   EXPECT_THROW(parse_loads("abc"), std::invalid_argument);
+  // Non-finite loads would pass every later range comparison.
+  EXPECT_THROW(parse_loads("nan"), std::invalid_argument);
+  EXPECT_THROW(parse_loads("0.1,inf"), std::invalid_argument);
+  EXPECT_THROW(parse_loads("0.1:nan:0.1"), std::invalid_argument);
 }
 
 TEST(Spec, ParsesConfigFileGrammar) {

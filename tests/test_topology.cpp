@@ -2,8 +2,13 @@
 
 #include "sim/config.hpp"
 #include "topology/flatbfly.hpp"
+#include "topology/topology_cache.hpp"
 
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <thread>
+#include <vector>
 
 namespace dragonfly {
 namespace {
@@ -254,6 +259,29 @@ TEST(Topology, PaperScaleTableI) {
   EXPECT_EQ(topo.num_nodes(), 5256);
   EXPECT_EQ(topo.num_routers(), 876);
   EXPECT_EQ(topo.num_groups(), 73);
+}
+
+TEST(Topology, CacheBuildsAShapeOnceUnderConcurrentFirstUse) {
+  // Sweep points start together; each shape must still be built once,
+  // with the other acquirers waiting for that build.
+  TopologyCache cache;
+  const SimConfig cfg = SimConfig::small(4);
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const Topology>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      got[i] = cache.acquire(cfg);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& topo : got) EXPECT_EQ(topo, got[0]);
+  const TopologyCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.live, 1u);
 }
 
 }  // namespace
