@@ -28,7 +28,7 @@ int main() {
       cfg.apply_vc_defaults();
       Curve curve;
       curve.label = display_name(routing) + (age ? "+age" : "");
-      curve.points = {run_averaged(cfg, setup.spec.seeds)};
+      curve.points = {run_averaged(cfg, setup.spec.seeds, *setup.pool)};
       curves.push_back(std::move(curve));
     }
   }
@@ -50,8 +50,9 @@ int main() {
     cfg.load = 0.7;
     cfg.age_arbitration = age;
     cfg.apply_vc_defaults();
-    un.push_back(Curve{age ? "In-Trns-MM+age" : "In-Trns-MM",
-                       {run_averaged(cfg, setup.spec.seeds)}});
+    un.push_back(
+        Curve{age ? "In-Trns-MM+age" : "In-Trns-MM",
+              {run_averaged(cfg, setup.spec.seeds, *setup.pool)}});
   }
   Table cost({"config", "UN accepted @0.7", "UN latency"});
   cost.set_title("Ablation A — uniform-traffic cost of age arbitration");

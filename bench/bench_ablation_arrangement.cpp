@@ -25,7 +25,8 @@ int main() {
     cfg.traffic_name = "advc";
     cfg.load = fairness_load(setup);
     cfg.apply_vc_defaults();
-    const AveragedResult r = run_averaged(cfg, setup.spec.seeds);
+    const AveragedResult r =
+        run_averaged(cfg, setup.spec.seeds, *setup.pool);
     // Identify the starved router inside group 0.
     int argmin = 0;
     for (int i = 1; i < cfg.topo.a; ++i) {

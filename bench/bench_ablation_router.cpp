@@ -48,7 +48,8 @@ int main() {
                               : "advc";
       cfg.load = pass == 0 ? 0.8 : 0.4;
       cfg.apply_vc_defaults();
-      const AveragedResult r = run_averaged(cfg, setup.spec.seeds);
+      const AveragedResult r =
+          run_averaged(cfg, setup.spec.seeds, *setup.pool);
       (pass == 0 ? un_acc : advc_acc) = r.accepted_load;
       (pass == 0 ? un_lat : advc_lat) = r.avg_latency;
     }

@@ -32,7 +32,8 @@ int main() {
                               : "uniform";
       cfg.load = pass == 0 ? fairness_load(setup) : 0.6;
       cfg.apply_vc_defaults();
-      const AveragedResult r = run_averaged(cfg, setup.spec.seeds);
+      const AveragedResult r =
+          run_averaged(cfg, setup.spec.seeds, *setup.pool);
       (pass == 0 ? advc_acc : un_acc) = r.accepted_load;
       (pass == 0 ? advc_lat : un_lat) = r.avg_latency;
     }
@@ -52,7 +53,8 @@ int main() {
     cfg.traffic_name = "advc";
     cfg.load = fairness_load(setup);
     cfg.apply_vc_defaults();
-    const AveragedResult r = run_averaged(cfg, setup.spec.seeds);
+    const AveragedResult r =
+        run_averaged(cfg, setup.spec.seeds, *setup.pool);
     it.add_row({t, r.accepted_load, r.avg_latency, r.fairness.cov,
                 r.fairness.min_injections});
   }

@@ -24,7 +24,7 @@ int main() {
   base.apply_vc_defaults();
   Curve curve;
   curve.label = "In-Trns-MM";
-  curve.points = run_sweep(base, loads, setup.spec.seeds);
+  curve.points = run_sweep(base, loads, setup.spec.seeds, *setup.pool);
   report_latency_breakdown(std::cout,
                            "Figure 3 (latency components, cycles)",
                            "fig3_breakdown", curve);

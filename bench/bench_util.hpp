@@ -34,11 +34,13 @@ inline double fairness_load(const BenchSetup& setup) {
   return setup.full_scale || setup.spec.base.topo.h >= 6 ? 0.4 : 0.3;
 }
 
-/// Paper legend label for a registry key ("par-mm" -> "In-Trns-MM");
-/// custom keys label as themselves.
+/// Paper legend label for a registry key: the alias its routing unit
+/// registers ("par-mm" -> "In-Trns-MM"); keys without one label as
+/// themselves.
 inline std::string display_name(const std::string& routing_key) {
-  const auto kind = try_routing_kind(routing_key);
-  return kind ? to_string(*kind) : routing_key;
+  const std::vector<std::string> aliases =
+      routing_registry().aliases_of(routing_key);
+  return aliases.empty() ? routing_key : aliases.front();
 }
 
 /// Paper legend: the "MIN/Obl-RRG" reference line is MIN under uniform
@@ -79,7 +81,8 @@ inline std::vector<Curve> run_figure(const BenchSetup& setup,
     spec.base.apply_vc_defaults();
     Curve curve;
     curve.label = curve_label(key, traffic_key);
-    curve.points = run_spec(spec);
+    curve.points = run_sweep(spec.base, spec.effective_loads(), spec.seeds,
+                             *setup.pool);
     curves.push_back(std::move(curve));
   }
   return curves;
@@ -101,7 +104,7 @@ inline std::vector<Curve> run_fairness(const BenchSetup& setup,
     labels.push_back(display_name(key));
   }
   const std::vector<AveragedResult> results =
-      run_configs(configs, setup.spec.seeds);
+      run_configs(configs, setup.spec.seeds, *setup.pool);
   std::vector<Curve> curves;
   for (std::size_t i = 0; i < results.size(); ++i) {
     curves.push_back(Curve{labels[i], {results[i]}});

@@ -51,9 +51,9 @@ class SerialRunner final : public ParallelRunner {
 };
 
 /// Owns a ThreadPool and shares indices across its workers — the default
-/// threaded implementation behind the deprecated `int threads`
-/// convenience overloads of run_sweep/run_configs and behind sharded
-/// sessions (sim.shards > 1).
+/// threaded implementation: run_spec and the bench binaries pass one to
+/// run_sweep/run_configs, and sharded sessions (sim.shards > 1) step on
+/// one.
 class PoolRunner final : public ParallelRunner {
  public:
   /// threads <= 0 selects the hardware concurrency (ThreadPool::resolve).

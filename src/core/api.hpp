@@ -10,6 +10,12 @@
 //   cfg.apply_vc_defaults();
 //   dragonfly::SimResult r = dragonfly::run_simulation(cfg);
 //
+//   dragonfly::PoolRunner pool;  // sweeps and grids run on a ParallelRunner
+//   auto curve = dragonfly::run_sweep(cfg, dragonfly::default_loads(),
+//                                     /*num_seeds=*/3, pool);
+//
+// run_simulation() is Session(cfg).run(); build a Session directly to
+// step it, stream samples from it or checkpoint it (sim/session.hpp).
 // Scenarios are extensible without core edits: register new routings /
 // traffic patterns / arrangements by name (core/registry.hpp), or drive
 // whole sweeps declaratively from key=value specs (core/spec.hpp).
@@ -30,7 +36,6 @@
 #include "metrics/tap.hpp"         // IWYU pragma: export
 #include "routing/routing.hpp"     // IWYU pragma: export
 #include "sim/config.hpp"          // IWYU pragma: export
-#include "sim/engine.hpp"          // IWYU pragma: export
 #include "sim/network.hpp"         // IWYU pragma: export
 #include "sim/session.hpp"         // IWYU pragma: export
 #include "topology/dragonfly.hpp"  // IWYU pragma: export

@@ -1,11 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace dragonfly {
 
@@ -50,7 +48,6 @@ AveragedResult average_results(std::span<const SimResult> runs) {
   if (runs.size() == 1) avg.jobs = runs.front().jobs;
   return avg;
 }
-
 
 AveragedResult run_averaged(const SimConfig& base, int num_seeds,
                             ParallelRunner& runner, RunObserver* observer) {
@@ -118,60 +115,10 @@ std::vector<AveragedResult> run_sweep(const SimConfig& base,
   return run_configs(configs, num_seeds, runner, observer);
 }
 
-// --- int-threads compatibility shims ----------------------------------------
-
-namespace {
-/// Shim pool sizing: never spawn more workers than jobs (a sweep of 3
-/// jobs on a 64-core box should not park 61 idle threads).
-PoolRunner make_pool(int threads, std::size_t jobs) {
-  return PoolRunner(static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(ThreadPool::resolve(threads)),
-      std::max<std::size_t>(jobs, 1))));
-}
-}  // namespace
-
-AveragedResult run_averaged(const SimConfig& base, int num_seeds,
-                            int threads, RunObserver* observer) {
-  PoolRunner pool = make_pool(threads, static_cast<std::size_t>(
-                                           std::max(num_seeds, 1)));
-  return run_averaged(base, num_seeds, pool, observer);
-}
-
-std::vector<AveragedResult> run_sweep(const SimConfig& base,
-                                      std::span<const double> loads,
-                                      int num_seeds, int threads,
-                                      RunObserver* observer) {
-  PoolRunner pool = make_pool(
-      threads, loads.size() * static_cast<std::size_t>(std::max(num_seeds, 1)));
-  return run_sweep(base, loads, num_seeds, pool, observer);
-}
-
-std::vector<AveragedResult> run_configs(std::span<const SimConfig> configs,
-                                        int num_seeds, int threads,
-                                        RunObserver* observer) {
-  PoolRunner pool = make_pool(threads, configs.size() * static_cast<std::size_t>(
-                                           std::max(num_seeds, 1)));
-  return run_configs(configs, num_seeds, pool, observer);
-}
-
-std::span<const RoutingKind> paper_routings() {
-  static const RoutingKind kinds[] = {
-      RoutingKind::kObliviousRrg, RoutingKind::kObliviousCrg,
-      RoutingKind::kSourceRrg,    RoutingKind::kSourceCrg,
-      RoutingKind::kInTransitRrg, RoutingKind::kInTransitCrg,
-      RoutingKind::kInTransitMm,
-  };
-  return kinds;
-}
-
 std::span<const std::string> paper_routing_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const RoutingKind kind : paper_routings()) {
-      out.emplace_back(registry_key(kind));
-    }
-    return out;
-  }();
+  static const std::vector<std::string> names = {
+      "val-rrg", "val-crg", "pb-rrg", "pb-crg", "par-rrg", "par-crg", "par-mm",
+  };
   return names;
 }
 

@@ -1,5 +1,6 @@
 // Experiment runner: load sweeps, multi-seed averaging and parallel
-// execution of independent simulation points (one thread per point).
+// execution of independent simulation points through a caller-supplied
+// ParallelRunner.
 //
 // This is the layer the bench harness and the examples sit on; it also
 // defines the scaled-down defaults (and the REPRO_* environment knobs)
@@ -15,7 +16,7 @@
 #include "common/parallel.hpp"
 #include "metrics/fairness.hpp"
 #include "metrics/tap.hpp"
-#include "sim/engine.hpp"
+#include "sim/session.hpp"
 
 namespace dragonfly {
 
@@ -140,35 +141,11 @@ std::vector<AveragedResult> run_configs(std::span<const SimConfig> configs,
                                         int num_seeds, ParallelRunner& runner,
                                         RunObserver* observer = nullptr);
 
-// --- int-threads compatibility shims ----------------------------------------
-// Thin wrappers that build an internal PoolRunner with
-// min(ThreadPool::resolve(threads), jobs) workers and forward to the
-// runner overloads above. Prefer those: a caller-provided runner can be
-// shared across calls, swapped for SerialRunner in debuggers, or backed
-// by an external scheduler (CallbackRunner) — the experiment layer no
-// longer reaches into ThreadPool directly.
-
-AveragedResult run_averaged(const SimConfig& base, int num_seeds,
-                            int threads = 0, RunObserver* observer = nullptr);
-
-std::vector<AveragedResult> run_sweep(const SimConfig& base,
-                                      std::span<const double> loads,
-                                      int num_seeds, int threads = 0,
-                                      RunObserver* observer = nullptr);
-
-std::vector<AveragedResult> run_configs(std::span<const SimConfig> configs,
-                                        int num_seeds, int threads = 0,
-                                        RunObserver* observer = nullptr);
-
 // --- paper defaults ---------------------------------------------------------
 
-/// The seven routing configurations of the paper's evaluation, in the
-/// legend order of Figures 2/4/5/6. DEPRECATED enum shim of
-/// paper_routing_names().
-std::span<const RoutingKind> paper_routings();
-
-/// The same seven configurations as registry names ("val-rrg", ...,
-/// "par-mm").
+/// The seven routing configurations of the paper's evaluation, as
+/// registry names ("val-rrg", ..., "par-mm"), in the legend order of
+/// Figures 2/4/5/6.
 std::span<const std::string> paper_routing_names();
 
 /// Offered-load sweep used for the latency/throughput figures.

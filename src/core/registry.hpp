@@ -12,7 +12,7 @@
 //
 // Built-ins self-register from their own translation units under the
 // paper's names ("min", "pb-crg", "par-mm", "advc", "palmtree", ...)
-// with the legacy enum spellings ("MIN", "In-Trns-MM", ...) as aliases;
+// with the paper's legend spellings ("MIN", "In-Trns-MM", ...) as aliases;
 // the domain accessors (routing_registry() & co.) anchor those units so
 // a static link never drops them. Unknown names fail with a diagnostic
 // listing every registered name.
@@ -46,7 +46,7 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Register `factory` under the canonical `name`, plus optional
-  /// aliases (legacy spellings). Throws std::logic_error when any name
+  /// aliases (alternative spellings). Throws std::logic_error when any name
   /// is already taken — two plugins colliding on a key is a bug worth
   /// failing loudly on, not a case to silently resolve.
   void add(const std::string& name, Factory factory,
@@ -100,6 +100,18 @@ class Registry {
     std::vector<std::string> out;
     out.reserve(factories_.size());
     for (const auto& [name, factory] : factories_) out.push_back(name);
+    return out;  // std::map iterates in sorted order
+  }
+
+  /// Aliases registered for the canonical `name`, sorted (empty when
+  /// it has none or is unknown). The built-in routings register their
+  /// paper legend spelling ("par-mm" -> "In-Trns-MM").
+  std::vector<std::string> aliases_of(const std::string& name) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::string> out;
+    for (const auto& [alias, target] : aliases_) {
+      if (target == name) out.push_back(alias);
+    }
     return out;  // std::map iterates in sorted order
   }
 

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
+
 namespace dragonfly {
 
 namespace {
@@ -233,7 +235,13 @@ void ExperimentSpec::finalize() {
 std::vector<AveragedResult> run_spec(const ExperimentSpec& spec,
                                      RunObserver* observer) {
   const std::vector<double> loads = spec.effective_loads();
-  return run_sweep(spec.base, loads, spec.seeds, spec.threads, observer);
+  // Never spawn more workers than jobs: a 3-job sweep on a 64-core box
+  // should not park 61 idle threads.
+  const std::size_t jobs =
+      loads.size() * static_cast<std::size_t>(std::max(spec.seeds, 1));
+  PoolRunner pool(static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(ThreadPool::resolve(spec.threads)), jobs)));
+  return run_sweep(spec.base, loads, spec.seeds, pool, observer);
 }
 
 void ProgressPrinter::on_start(std::size_t total_jobs,
@@ -271,6 +279,7 @@ void ProgressPrinter::print_locked(std::size_t finished,
 
 BenchSetup bench_setup() {
   BenchSetup setup;
+  setup.pool = std::make_unique<PoolRunner>(setup.spec.threads);
   // Fail fast on a bad REPRO_FORMAT: the mirror writers consult it only
   // after the sweep has run, which would lose the whole run's results.
   (void)results_format();

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -109,6 +110,9 @@ class ProgressPrinter : public RunObserver {
 struct BenchSetup {
   ExperimentSpec spec;
   bool full_scale = false;
+  /// The one worker pool (spec.threads workers) every sweep of the
+  /// bench runs on.
+  std::unique_ptr<PoolRunner> pool;
 };
 BenchSetup bench_setup();
 

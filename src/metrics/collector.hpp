@@ -89,8 +89,8 @@ class MetricsCollector {
   /// Called by the network when a packet tail reaches its destination.
   void on_delivered(const Packet& pkt, Cycle when);
 
-  // --- per-router counters (SoA; routers bind slots via
-  // Router::bind_counters and increment them directly) -------------------
+  // --- per-router counters (SoA; each Router gets its slots as
+  // RouterCounters at construction and increments them directly) -------
   /// Size the per-router counter arrays (done once by Network::build).
   void attach_routers(int num_routers);
   std::int64_t* router_injected_total(RouterId r) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "common/checkpoint.hpp"
 
@@ -34,7 +33,7 @@ int InputPort::total_occupancy() const {
 
 void OutputPort::configure(PortKind kind, RouterId peer, PortId peer_port,
                            Cycle link_latency, int queue_capacity,
-                           std::vector<int> credits_per_vc,
+                           const std::vector<int>& credits_per_vc,
                            OutputHotSlots slots) {
   kind_ = kind;
   peer_ = peer;
@@ -42,21 +41,10 @@ void OutputPort::configure(PortKind kind, RouterId peer, PortId peer_port,
   link_latency_ = link_latency;
   queue_capacity_ = queue_capacity;
   num_vcs_ = static_cast<int>(credits_per_vc.size());
-  if (slots.credits != nullptr) {
-    credits_ = slots.credits;
-    credit_capacity_ = slots.credit_capacity;
-    queue_occupancy_ = slots.queue_occupancy;
-    link_free_ = slots.link_free;
-    own_credits_.clear();
-    own_capacity_.clear();
-  } else {
-    own_credits_.assign(credits_per_vc.begin(), credits_per_vc.end());
-    own_capacity_ = own_credits_;
-    credits_ = own_credits_.data();
-    credit_capacity_ = own_capacity_.data();
-    queue_occupancy_ = &own_queue_occupancy_;
-    link_free_ = &own_link_free_;
-  }
+  credits_ = slots.credits;
+  credit_capacity_ = slots.credit_capacity;
+  queue_occupancy_ = slots.queue_occupancy;
+  link_free_ = slots.link_free;
   for (int v = 0; v < num_vcs_; ++v) {
     credits_[v] = credits_per_vc[static_cast<std::size_t>(v)];
     credit_capacity_[v] = credits_per_vc[static_cast<std::size_t>(v)];
@@ -64,27 +52,6 @@ void OutputPort::configure(PortKind kind, RouterId peer, PortId peer_port,
   *queue_occupancy_ = 0;
   *link_free_ = 0;
   queue_.clear();
-}
-
-void OutputPort::copy_from(const OutputPort& other) {
-  kind_ = other.kind_;
-  peer_ = other.peer_;
-  peer_port_ = other.peer_port_;
-  link_latency_ = other.link_latency_;
-  queue_capacity_ = other.queue_capacity_;
-  num_vcs_ = other.num_vcs_;
-  queue_ = other.queue_;
-  // A copy always owns its counters: the source's HotState binding (if
-  // any) belongs to the source's (router, port) slot.
-  own_credits_.assign(other.credits_, other.credits_ + other.num_vcs_);
-  own_capacity_.assign(other.credit_capacity_,
-                       other.credit_capacity_ + other.num_vcs_);
-  own_queue_occupancy_ = *other.queue_occupancy_;
-  own_link_free_ = *other.link_free_;
-  credits_ = own_credits_.data();
-  credit_capacity_ = own_capacity_.data();
-  queue_occupancy_ = &own_queue_occupancy_;
-  link_free_ = &own_link_free_;
 }
 
 void OutputPort::take_credits(VcId vc, int phits) {

@@ -5,12 +5,11 @@
 // decrement at grant time); the credit returns when the packet is in turn
 // granted out of that buffer, delayed by the upstream link latency.
 //
-// Since the data-oriented kernel refactor the *hot* counters (credits,
-// queue occupancy, link busy-until, FIFO occupancy, head-of-line packet)
-// live in the Network-owned HotState structure-of-arrays; VcFifo and
-// OutputPort hold pointers into those arrays, bound at wiring time. Used
-// standalone (unit tests) they fall back to private storage, so the
-// class behaviour is unchanged either way — only the storage moves.
+// The *hot* counters (credits, queue occupancy, link busy-until, FIFO
+// occupancy, head-of-line packet) live in a HotState structure-of-arrays
+// (sim/hot_state.hpp); VcFifo and OutputPort hold pointers into it,
+// bound at wiring time. Copies share those slots, so a container of
+// them may relocate but each slot has exactly one live owner.
 #pragma once
 
 #include <vector>
@@ -27,20 +26,12 @@ class CheckpointReader;
 /// FIFO of arrived packets for one virtual channel of an input port.
 class VcFifo {
  public:
-  /// Standalone: occupancy and head tracked in private members.
-  /// Bound (Router wiring): they live in the HotState slots passed here.
-  explicit VcFifo(int capacity_phits, std::int32_t* occupancy_slot = nullptr,
-                  PacketRef* head_slot = nullptr)
-      : capacity_(capacity_phits),
-        occ_(occupancy_slot ? occupancy_slot : &own_occupancy_),
-        head_(head_slot ? head_slot : &own_head_) {
+  /// Occupancy and head live in the HotState slots passed here.
+  VcFifo(int capacity_phits, std::int32_t* occupancy_slot,
+         PacketRef* head_slot)
+      : capacity_(capacity_phits), occ_(occupancy_slot), head_(head_slot) {
     *occ_ = 0;
     *head_ = kNoPacket;
-  }
-  VcFifo(const VcFifo& other) { copy_from(other); }
-  VcFifo& operator=(const VcFifo& other) {
-    if (this != &other) copy_from(other);
-    return *this;
   }
 
   int capacity() const { return capacity_; }
@@ -58,28 +49,14 @@ class VcFifo {
   int pop(int size_phits);
 
   /// Checkpoint the FIFO ordering only; the occupancy counter lives in
-  /// the HotState arrays (a router-owned private HotState for
-  /// standalone routers) and is serialized there.
+  /// the HotState arrays and is serialized there.
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
   /// Re-derive the head slot from the FIFO contents (checkpoint load).
   void refresh_head() { *head_ = fifo_.empty() ? kNoPacket : fifo_.front(); }
 
  private:
-  void copy_from(const VcFifo& other) {
-    capacity_ = other.capacity_;
-    fifo_ = other.fifo_;
-    own_occupancy_ = *other.occ_;
-    own_head_ = *other.head_;
-    // A copied fifo always owns its counters: the source's binding into a
-    // HotState (if any) belongs to the source's (router, port, vc) slot.
-    occ_ = &own_occupancy_;
-    head_ = &own_head_;
-  }
-
   int capacity_ = 0;
-  std::int32_t own_occupancy_ = 0;
-  PacketRef own_head_ = kNoPacket;
   std::int32_t* occ_ = nullptr;
   PacketRef* head_ = nullptr;
   Ring<PacketRef> fifo_;
@@ -107,8 +84,7 @@ struct PendingTx {
   Cycle ready = 0;
 };
 
-/// Hot-state slots of one output port (see HotState). All null =
-/// standalone mode with private storage.
+/// Hot-state slots of one output port (see HotState).
 struct OutputHotSlots {
   std::int32_t* credits = nullptr;          ///< [num_vcs]
   std::int32_t* credit_capacity = nullptr;  ///< [num_vcs]
@@ -120,17 +96,12 @@ struct OutputHotSlots {
 /// queue and link serialization state.
 class OutputPort {
  public:
-  OutputPort() = default;
-  OutputPort(const OutputPort& other) { copy_from(other); }
-  OutputPort& operator=(const OutputPort& other) {
-    if (this != &other) copy_from(other);
-    return *this;
-  }
-
+  /// Bind the port to `slots` and reset them: full credits per VC, an
+  /// empty queue, an idle link.
   void configure(PortKind kind, RouterId peer, PortId peer_port,
                  Cycle link_latency, int queue_capacity,
-                 std::vector<int> credits_per_vc,
-                 OutputHotSlots slots = {});
+                 const std::vector<int>& credits_per_vc,
+                 OutputHotSlots slots);
 
   PortKind kind() const { return kind_; }
   RouterId peer() const { return peer_; }
@@ -176,33 +147,23 @@ class OutputPort {
   const Ring<PendingTx>& pending() const { return queue_; }
 
   /// Checkpoint the queue ordering only; the hot counters (credits,
-  /// queue occupancy, link deadline) live in the HotState arrays (a
-  /// router-owned private HotState for standalone routers) and are
-  /// serialized there.
+  /// queue occupancy, link deadline) live in the HotState arrays and
+  /// are serialized there.
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
 
  private:
-  void copy_from(const OutputPort& other);
-
   PortKind kind_ = PortKind::kLocal;
   RouterId peer_ = kInvalidRouter;
   PortId peer_port_ = kInvalidPort;
   Cycle link_latency_ = 0;
   int queue_capacity_ = 0;
   int num_vcs_ = 0;
-  // Private fallback storage (standalone mode; see OutputHotSlots).
-  std::vector<std::int32_t> own_credits_;
-  std::vector<std::int32_t> own_capacity_;
-  std::int32_t own_queue_occupancy_ = 0;
-  Cycle own_link_free_ = 0;
-  // Hot counters, pointing either at HotState slots or at the private
-  // members above; configure() binds them (null until then, like the
-  // pre-SoA empty vectors).
+  // HotState slots; configure() binds them.
   std::int32_t* credits_ = nullptr;
   std::int32_t* credit_capacity_ = nullptr;
-  std::int32_t* queue_occupancy_ = &own_queue_occupancy_;
-  Cycle* link_free_ = &own_link_free_;
+  std::int32_t* queue_occupancy_ = nullptr;
+  Cycle* link_free_ = nullptr;
   Ring<PendingTx> queue_;
 };
 

@@ -23,7 +23,8 @@ AllocatorConfig allocator_config(const SimConfig& cfg) {
 
 Router::Router(const Topology& topo, const SimConfig& cfg,
                RouterId id, RoutingAlgorithm* routing, PacketStore* store,
-               EventSink* sink, Rng rng, HotState* hot)
+               EventSink* sink, Rng rng, HotState& hot,
+               const RouterCounters& counters)
     : topo_(topo),
       cfg_(cfg),
       id_(id),
@@ -31,18 +32,14 @@ Router::Router(const Topology& topo, const SimConfig& cfg,
       store_(store),
       sink_(sink),
       rng_(rng),
+      hot_(&hot),
       inputs_(static_cast<std::size_t>(topo.ports_per_router())),
       outputs_(static_cast<std::size_t>(topo.ports_per_router())),
       allocator_(topo.ports_per_router(), topo.ports_per_router(),
-                 allocator_config(cfg)) {
-  if (hot != nullptr) {
-    hot_ = hot;
-    hot_row_ = id;
-  } else {
-    own_hot_ = std::make_unique<HotState>(HotLayout::make(topo, cfg), 1);
-    hot_ = own_hot_.get();
-    hot_row_ = 0;
-  }
+                 allocator_config(cfg)),
+      injected_measured_(counters.injected_measured),
+      injected_total_(counters.injected_total),
+      forwarded_total_(counters.forwarded_total) {
   requests_.reserve(64);
   decisions_.reserve(64);
 }
@@ -73,14 +70,14 @@ void Router::wire_output(PortId port, PortKind kind, RouterId peer,
   }
   const HotLayout& l = hot_->layout();
   OutputHotSlots slots;
-  slots.credits = hot_->credits(hot_row_) + l.out_vc_index(port, 0);
+  slots.credits = hot_->credits(id_) + l.out_vc_index(port, 0);
   slots.credit_capacity =
-      hot_->credit_capacity(hot_row_) + l.out_vc_index(port, 0);
-  slots.queue_occupancy = hot_->queue_occupancy(hot_row_) + port;
-  slots.link_free = hot_->link_free(hot_row_) + port;
+      hot_->credit_capacity(id_) + l.out_vc_index(port, 0);
+  slots.queue_occupancy = hot_->queue_occupancy(id_) + port;
+  slots.link_free = hot_->link_free(id_) + port;
   outputs_[static_cast<std::size_t>(port)].configure(
       kind, peer, peer_port, link_latency, cfg_.output_queue_size,
-      std::move(credits), slots);
+      credits, slots);
 }
 
 void Router::wire_input(PortId port, PortKind kind, RouterId upstream,
@@ -97,17 +94,9 @@ void Router::wire_input(PortId port, PortKind kind, RouterId upstream,
   for (int v = 0; v < vcs; ++v) {
     const int flat = l.in_vc_index(port, v);
     in.vcs.emplace_back(input_buffer_capacity(kind),
-                        hot_->in_occupancy(hot_row_) + flat,
-                        hot_->in_head(hot_row_) + flat);
+                        hot_->in_occupancy(id_) + flat,
+                        hot_->in_head(id_) + flat);
   }
-}
-
-void Router::bind_counters(std::int64_t* injected_total,
-                           std::int64_t* injected_measured,
-                           std::int64_t* forwarded_total) {
-  injected_total_ = injected_total;
-  injected_measured_ = injected_measured;
-  forwarded_total_ = forwarded_total;
 }
 
 void Router::packet_arrival(PortId in_port, VcId vc, PacketRef ref,
@@ -160,10 +149,10 @@ void Router::allocate(Cycle now) {
   // port/VC scan — so requests, routing calls and RNG draws are
   // bit-identical to the dense kernel.
   const HotLayout& l = hot_->layout();
-  const std::uint64_t* mask = hot_->in_mask(hot_row_);
-  const PacketRef* heads = hot_->in_head(hot_row_);
-  const std::int32_t* credits = hot_->credits(hot_row_);
-  const std::int32_t* qocc = hot_->queue_occupancy(hot_row_);
+  const std::uint64_t* mask = hot_->in_mask(id_);
+  const PacketRef* heads = hot_->in_head(id_);
+  const std::int32_t* credits = hot_->credits(id_);
+  const std::int32_t* qocc = hot_->queue_occupancy(id_);
   const int words = l.in_mask_words();
   const int inj_end = topo_.first_local_port();
   for (int w = 0; w < words; ++w) {
@@ -373,16 +362,6 @@ void Router::save(CheckpointWriter& ck) const {
   ck.boolean(measuring_);
   ck.i32(buffered_packets_);
   ck.i32(pending_tx_);
-  // A private HotState / private statistics counters (standalone
-  // router) are not covered by a Network checkpoint: serialize them
-  // inline. Network-owned routers carry both in the Network stream
-  // (HotState block, collector counter arrays).
-  if (own_hot_ != nullptr) {
-    own_hot_->save(ck);
-    ck.i64(*injected_measured_);
-    ck.i64(*injected_total_);
-    ck.i64(*forwarded_total_);
-  }
 }
 
 void Router::load(CheckpointReader& ck) {
@@ -402,16 +381,10 @@ void Router::load(CheckpointReader& ck) {
   measuring_ = ck.boolean();
   buffered_packets_ = ck.i32();
   pending_tx_ = ck.i32();
-  if (own_hot_ != nullptr) {
-    own_hot_->load(ck);
-    *injected_measured_ = ck.i64();
-    *injected_total_ = ck.i64();
-    *forwarded_total_ = ck.i64();
-  }
   // Re-derive the non-empty-VC mask from the restored FIFOs (VcFifo::load
   // already refreshed the head slots).
   const HotLayout& l = hot_->layout();
-  std::uint64_t* mask = hot_->in_mask(hot_row_);
+  std::uint64_t* mask = hot_->in_mask(id_);
   for (int w = 0; w < l.in_mask_words(); ++w) mask[w] = 0;
   for (PortId port = 0; port < l.ports; ++port) {
     const InputPort& in = inputs_[static_cast<std::size_t>(port)];

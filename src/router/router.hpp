@@ -5,12 +5,11 @@
 // Hot state (credits, queue occupancies, link deadlines, input-VC
 // occupancy/heads and the non-empty-VC bitmask) lives in a HotState
 // structure-of-arrays owned by the Network; the router binds its row at
-// construction. A router built without a shared HotState (unit tests)
-// owns a private single-row instance — behaviour is identical.
+// construction, and its statistics counters likewise live in the
+// MetricsCollector's arrays.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -51,13 +50,20 @@ class EventSink {
   }
 };
 
+/// Where a router keeps its statistics counters (one int64 each; the
+/// Network points them into the MetricsCollector's arrays).
+struct RouterCounters {
+  std::int64_t* injected_total = nullptr;
+  std::int64_t* injected_measured = nullptr;
+  std::int64_t* forwarded_total = nullptr;
+};
+
 class Router {
  public:
-  /// `hot` is the Network-owned SoA (row = `id`); nullptr makes the
-  /// router own a private single-row HotState (standalone fixtures).
+  /// `hot` is the Network-owned SoA; the router uses row `id`.
   Router(const Topology& topo, const SimConfig& cfg, RouterId id,
          RoutingAlgorithm* routing, PacketStore* store, EventSink* sink,
-         Rng rng, HotState* hot = nullptr);
+         Rng rng, HotState& hot, const RouterCounters& counters);
 
   RouterId id() const { return id_; }
   GroupId group() const { return topo_.group_of_router(id_); }
@@ -71,11 +77,6 @@ class Router {
                    Cycle link_latency);
   void wire_input(PortId port, PortKind kind, RouterId upstream,
                   PortId upstream_port, Cycle credit_latency);
-  /// Route per-router statistics into the collector's contiguous counter
-  /// arrays (standalone routers keep private fallbacks).
-  void bind_counters(std::int64_t* injected_total,
-                     std::int64_t* injected_measured,
-                     std::int64_t* forwarded_total);
   /// sim.kernel=active: emit schedule_port_ready() fire times instead of
   /// relying on the per-cycle transmit() poll.
   void set_event_driven_tx(bool on) { event_tx_ = on; }
@@ -91,7 +92,7 @@ class Router {
   // --- per-cycle steps (called by Network) -----------------------------------
   void allocate(Cycle now);
   /// Dense-scan link transfer: poll every output port (sim.kernel=scan
-  /// and standalone fixtures).
+  /// and unit fixtures).
   void transmit(Cycle now);
   /// Event-driven link transfer: fire one output port whose
   /// schedule_port_ready() deadline is `now` (sim.kernel=active).
@@ -135,9 +136,8 @@ class Router {
   const InputPort& input(PortId port) const {
     return inputs_[static_cast<std::size_t>(port)];
   }
-  /// This router's row in the shared HotState (invariant sweeps).
+  /// The shared HotState; this router's row is id() (invariant sweeps).
   const HotState& hot() const { return *hot_; }
-  RouterId hot_row() const { return hot_row_; }
   /// Total buffered phits across one input port's VCs: a contiguous sum
   /// over the port's HotState occupancy span, where
   /// InputPort::total_occupancy chases per-VcFifo slot pointers. Same
@@ -145,7 +145,7 @@ class Router {
   int input_occupancy(PortId port) const {
     const HotLayout& l = hot_->layout();
     const std::int32_t* occ =
-        hot_->in_occupancy(hot_row_) +
+        hot_->in_occupancy(id_) +
         l.in_vc_off[static_cast<std::size_t>(port)];
     const int n = l.in_vc_off[static_cast<std::size_t>(port) + 1] -
                   l.in_vc_off[static_cast<std::size_t>(port)];
@@ -178,10 +178,10 @@ class Router {
   int num_vcs_for_input(PortKind kind) const;
   int num_vcs_for_output(PortKind kind) const;
   void set_in_mask(int flat_vc) {
-    hot_->in_mask(hot_row_)[flat_vc >> 6] |= 1ull << (flat_vc & 63);
+    hot_->in_mask(id_)[flat_vc >> 6] |= 1ull << (flat_vc & 63);
   }
   void clear_in_mask(int flat_vc) {
-    hot_->in_mask(hot_row_)[flat_vc >> 6] &= ~(1ull << (flat_vc & 63));
+    hot_->in_mask(id_)[flat_vc >> 6] &= ~(1ull << (flat_vc & 63));
   }
 
   const Topology& topo_;
@@ -192,10 +192,7 @@ class Router {
   EventSink* sink_;
   Rng rng_;
 
-  /// Private HotState when constructed without a shared one.
-  std::unique_ptr<HotState> own_hot_;
-  HotState* hot_ = nullptr;
-  RouterId hot_row_ = 0;
+  HotState* hot_ = nullptr;  ///< row id_ is this router's
 
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
@@ -212,14 +209,9 @@ class Router {
   /// Packets in output queues not yet put on the wire; lets transmit()
   /// return immediately on idle routers.
   int pending_tx_ = 0;
-  /// Fallback counter storage for standalone routers; Network rebinds
-  /// the pointers into MetricsCollector's arrays (bind_counters).
-  std::int64_t own_injected_measured_ = 0;
-  std::int64_t own_injected_total_ = 0;
-  std::int64_t own_forwarded_total_ = 0;
-  std::int64_t* injected_measured_ = &own_injected_measured_;
-  std::int64_t* injected_total_ = &own_injected_total_;
-  std::int64_t* forwarded_total_ = &own_forwarded_total_;
+  std::int64_t* injected_measured_ = nullptr;
+  std::int64_t* injected_total_ = nullptr;
+  std::int64_t* forwarded_total_ = nullptr;
 };
 
 }  // namespace dragonfly

@@ -154,6 +154,13 @@ const RoutingRegistry::Registrar kRegisterParMm{
     {"In-Trns-MM"}};
 }  // namespace
 
+bool is_in_transit_routing(const std::string& name) {
+  const RoutingRegistry& registry = routing_registry();
+  if (!registry.contains(name)) return false;
+  const std::string key = registry.resolve(name);
+  return key == "par-rrg" || key == "par-crg" || key == "par-mm";
+}
+
 namespace detail {
 void link_in_transit_routing() {}
 }  // namespace detail

@@ -26,6 +26,11 @@ enum class InTransitVariant : std::uint8_t { kRrg, kCrg, kMm };
 
 const char* to_string(InTransitVariant variant);
 
+/// True when `name` (registry key or alias) selects one of the three
+/// in-transit mechanisms: par-rrg, par-crg, par-mm. These run with 3
+/// local VCs instead of 4 (Table I; SimConfig::apply_vc_defaults).
+bool is_in_transit_routing(const std::string& name);
+
 class InTransitRouting final : public RoutingAlgorithm {
  public:
   InTransitRouting(const Topology& topo, const SimConfig& cfg,

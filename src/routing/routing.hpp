@@ -91,15 +91,16 @@ class RoutingAlgorithm {
 /// The open set of routing mechanisms, keyed by registry name. The
 /// built-ins self-register from their own translation units under the
 /// paper's names ("min", "val-rrg|crg|nrg", "pb-rrg|crg",
-/// "par-rrg|crg|mm", "ugal-rrg|crg"; the legacy enum spellings "MIN",
-/// "In-Trns-MM", ... resolve as aliases). User code registers new
+/// "par-rrg|crg|mm", "ugal-rrg|crg"; the paper's legend spellings
+/// "MIN", "In-Trns-MM", ... resolve as aliases and label the bench
+/// tables). User code registers new
 /// policies here and selects them through SimConfig::routing_name — no
 /// core edits needed.
 using RoutingRegistry =
     Registry<RoutingAlgorithm, const Topology&, const SimConfig&>;
 RoutingRegistry& routing_registry();
 
-/// Build the mechanism selected by cfg.routing_key() (registry shim).
+/// Build the mechanism selected by cfg.routing_name.
 std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo,
                                                const SimConfig& cfg);
 

@@ -1,6 +1,7 @@
 #include "service/server.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -82,6 +83,11 @@ void SweepServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // listener closed or unrecoverable
     }
+    // RESULT and DONE go out as separate writes; without TCP_NODELAY,
+    // Nagle holds the second until the client's delayed ACK (~40 ms).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    reap_finished();
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();
@@ -97,25 +103,51 @@ void SweepServer::accept_loop() {
   }
 }
 
+void SweepServer::reap_finished() {
+  std::vector<std::unique_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto keep = connections_.begin();
+    for (auto& conn : connections_) {
+      if (conn->done.load()) {
+        finished.push_back(std::move(conn));
+      } else {
+        *keep++ = std::move(conn);
+      }
+    }
+    connections_.erase(keep, connections_.end());
+  }
+  for (auto& conn : finished) {
+    conn->thread.join();
+    ::close(conn->fd);
+  }
+}
+
 void SweepServer::handle_connection(Connection* conn) {
   std::string buffer;
   char chunk[4096];
-  while (!stopping_.load()) {
+  bool too_long = false;
+  while (!stopping_.load() && !too_long) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      if (nl - start > kMaxLineBytes) break;
       const std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       handle_line(conn, line);
       if (stopping_.load()) break;
     }
     buffer.erase(0, start);
+    // Whatever is left is one unfinished (or overlong) line.
+    too_long = buffer.size() > kMaxLineBytes;
     // A QUIT closes our side; recv() then returns 0 and the loop ends.
   }
+  if (too_long) send_line(conn, protocol::format_error("line too long"));
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->done.store(true);
 }
 
 void SweepServer::handle_line(Connection* conn, const std::string& line) {

@@ -2,11 +2,16 @@
 // line protocol of protocol.hpp. One accept thread plus one handler
 // thread per connection; handlers block in SweepService::execute while
 // the shared ThreadPool simulates, so many clients queue work into one
-// process-wide cache/pool. `simulate_cli --serve PORT` wraps this.
+// process-wide cache/pool. The accept thread reaps finished connections
+// (joins the handler, closes the fd) as new ones arrive. Sockets run
+// with TCP_NODELAY, and a request line longer than kMaxLineBytes gets
+// `ERR line too long` and a closed connection. `simulate_cli --serve
+// PORT` wraps this.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -20,6 +25,9 @@ namespace dragonfly {
 
 class SweepServer {
  public:
+  /// Longest request line accepted, newline excluded.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()) and starts
   /// accepting. Throws std::runtime_error when the socket can't be
   /// set up. The service must outlive the server.
@@ -44,9 +52,12 @@ class SweepServer {
     int fd = -1;
     std::thread thread;
     std::mutex write_mu;  ///< serializes replies vs. streamed samples
+    std::atomic<bool> done{false};  ///< handler returned; fd unused
   };
 
   void accept_loop();
+  /// Join and close every connection whose handler has returned.
+  void reap_finished();
   void handle_connection(Connection* conn);
   void handle_line(Connection* conn, const std::string& line);
   bool send_line(Connection* conn, const std::string& line);

@@ -14,6 +14,7 @@
 
 #include "common/checkpoint.hpp"
 #include "router/packet.hpp"
+#include "routing/in_transit.hpp"
 #include "routing/routing.hpp"
 #include "topology/topology.hpp"
 #include "traffic/pattern.hpp"
@@ -69,19 +70,8 @@ std::vector<std::string> workload_mix_entries(const std::string& mix) {
   return out;
 }
 
-std::string SimConfig::routing_key() const {
-  return routing_name.empty() ? registry_key(routing) : routing_name;
-}
-
-std::string SimConfig::traffic_key() const {
-  return traffic_name.empty() ? registry_key(traffic) : traffic_name;
-}
-
 void SimConfig::apply_vc_defaults() {
-  // Custom registered routings (no enum mapping) get the conservative
-  // oblivious/source-adaptive count of 4 local VCs.
-  const auto kind = try_routing_kind(routing_key());
-  local_vcs = kind && is_in_transit(*kind) ? 3 : 4;
+  local_vcs = is_in_transit_routing(routing_name) ? 3 : 4;
   global_vcs = 2;
   injection_vcs = 3;
 }
@@ -237,6 +227,14 @@ constexpr Field text() {
           [](const SimConfig& c) { return member<Path...>(c); }};
 }
 
+std::string resolve_routing(const std::string&, const std::string& v) {
+  return routing_registry().resolve(v);
+}
+
+std::string resolve_traffic(const std::string&, const std::string& v) {
+  return traffic_registry().resolve(v);
+}
+
 std::string resolve_arrangement(const std::string&, const std::string& v) {
   return arrangement_registry().resolve(v);
 }
@@ -363,19 +361,9 @@ constexpr Knob kKnobs[] = {
     {"arrangement", text<resolve_arrangement, &SimConfig::arrangement>(),
      "global-link arrangement registry name (dfly only)", {}, kPhys,
      [](SimConfig& c) { c.arrangement_explicit = true; }},
-    // Scenario selection by registry name. The text form is the
-    // effective key: code may still select through the deprecated enums.
-    {"routing",
-     {[](SimConfig& c, const std::string&, const std::string& v) {
-        c.routing_name = routing_registry().resolve(v);
-      },
-      [](const SimConfig& c) { return c.routing_key(); }},
+    {"routing", text<resolve_routing, &SimConfig::routing_name>(),
      "routing mechanism registry name"},
-    {"traffic",
-     {[](SimConfig& c, const std::string&, const std::string& v) {
-        c.traffic_name = traffic_registry().resolve(v);
-      },
-      [](const SimConfig& c) { return c.traffic_key(); }},
+    {"traffic", text<resolve_traffic, &SimConfig::traffic_name>(),
      "traffic pattern registry name"},
     // timing: links serialize at 1 phit/cycle, and the event ring needs
     // every event booked in the future, so no 0-cycle links.

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -14,59 +13,6 @@
 #include "topology/arrangement.hpp"
 
 namespace dragonfly {
-
-/// Which routing mechanism/policy combination to run — the seven
-/// configurations evaluated in the paper plus the minimal baseline.
-///
-/// DEPRECATED as the extension surface: the enum is a closed shim kept
-/// for source compatibility. New code selects scenarios by *registry
-/// name* (SimConfig::routing_name / routing_registry(), see
-/// core/registry.hpp); each enumerator maps onto a registry key via
-/// registry_key().
-enum class RoutingKind : std::uint8_t {
-  kMinimal,        ///< MIN: oblivious shortest path
-  kObliviousRrg,   ///< Valiant, intermediate group anywhere
-  kObliviousCrg,   ///< Valiant restricted to groups on the source router
-  kObliviousNrg,   ///< Valiant restricted to groups on *other* routers (extension)
-  kSourceRrg,      ///< PiggyBack source-adaptive, RRG non-minimal paths
-  kSourceCrg,      ///< PiggyBack source-adaptive, CRG non-minimal paths
-  kInTransitRrg,   ///< in-transit adaptive (PAR/OLM), RRG policy
-  kInTransitCrg,   ///< in-transit adaptive (PAR/OLM), CRG policy
-  kInTransitMm,    ///< in-transit adaptive, Mixed-mode (CRG@source, NRG in transit)
-  kUgalRrg,        ///< UGAL-L source-adaptive, RRG paths (extension)
-  kUgalCrg,        ///< UGAL-L source-adaptive, CRG paths (extension)
-};
-
-const char* to_string(RoutingKind kind);
-/// Accepts both the legacy display spelling ("In-Trns-MM") and the
-/// registry key ("par-mm"); unknown names throw std::invalid_argument
-/// listing every valid spelling.
-RoutingKind routing_kind_from_string(const std::string& name);
-/// Non-throwing variant: nullopt for names that are not built-ins
-/// (custom registry entries resolve to no enum value).
-std::optional<RoutingKind> try_routing_kind(const std::string& name);
-/// Canonical registry key of a built-in ("min", "pb-crg", "par-mm", ...).
-const char* registry_key(RoutingKind kind);
-bool is_oblivious(RoutingKind kind);
-bool is_source_adaptive(RoutingKind kind);
-bool is_in_transit(RoutingKind kind);
-
-/// Traffic pattern selector (see src/traffic). DEPRECATED shim like
-/// RoutingKind: new code selects patterns by registry name.
-enum class TrafficKind : std::uint8_t {
-  kUniform,      ///< UN: uniform random over all nodes
-  kAdversarial,  ///< ADV+k: every node targets group (own + offset)
-  kAdvConsecutive,  ///< ADVc: random among the next h consecutive groups
-  kPlacement,    ///< uniform traffic inside a consecutive-group job (Sec. III)
-  kShift,        ///< node-level shift permutation: dst = src + k nodes (extension)
-  kHotspot,      ///< UN with a fraction of traffic aimed at one hot node (extension)
-};
-
-const char* to_string(TrafficKind kind);
-TrafficKind traffic_kind_from_string(const std::string& name);
-std::optional<TrafficKind> try_traffic_kind(const std::string& name);
-/// Canonical registry key of a built-in ("uniform", "advc", ...).
-const char* registry_key(TrafficKind kind);
 
 class CheckpointWriter;
 class CheckpointReader;
@@ -189,13 +135,11 @@ struct SimConfig {
   double pb_threshold_global = 3.0;   ///< PiggyBack T, global links
 
   // --- routing / traffic -------------------------------------------------------
-  /// Registry names (core/registry.hpp) — the open extension surface.
-  /// When non-empty they select the scenario; the enum fields below are
-  /// deprecated shims consulted only when the name is empty.
-  std::string routing_name;
-  std::string traffic_name;
-  RoutingKind routing = RoutingKind::kMinimal;
-  TrafficKind traffic = TrafficKind::kUniform;
+  /// Registry names (core/registry.hpp): the one scenario selector.
+  /// Any registered name or alias; the built-ins are "min", "val-rrg",
+  /// "pb-crg", "par-mm", ... and "uniform", "adv", "advc", ...
+  std::string routing_name = "min";
+  std::string traffic_name = "uniform";
   int adversarial_offset = 1;  ///< k of ADV+k
   int placement_first_group = 0;
   int placement_num_groups = 0;  ///< 0 => h+1 groups
@@ -248,14 +192,13 @@ struct SimConfig {
   bool topo_a_explicit = false;
   bool topo_g_explicit = false;
 
-  /// Effective registry key of the selected routing/traffic: the
-  /// *_name field when set, else the key of the deprecated enum.
-  std::string routing_key() const;
-  std::string traffic_key() const;
+  /// The selected routing/traffic registry name.
+  const std::string& routing_key() const { return routing_name; }
+  const std::string& traffic_key() const { return traffic_name; }
 
-  /// Apply the per-mechanism VC counts of Table I (4 local VCs for
-  /// oblivious and source-adaptive mechanisms, 3 for in-transit; custom
-  /// registered routings get the conservative 4).
+  /// Apply the per-mechanism VC counts of Table I (3 local VCs for the
+  /// in-transit mechanisms, see is_in_transit_routing(); 4 for every
+  /// other routing, custom registrations included).
   void apply_vc_defaults();
 
   /// Scaled-down preset for tests/benches: balanced dragonfly of radix h,

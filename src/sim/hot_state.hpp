@@ -13,8 +13,8 @@
 //
 // The cold state (the FIFO orderings themselves, wiring, arbiter
 // pointers) stays in the owning objects; `VcFifo`/`OutputPort` receive
-// pointers into these arrays at wiring time and fall back to private
-// storage when used standalone (unit tests).
+// pointers into these arrays at wiring time (unit fixtures bind a
+// small HotState of their own the same way).
 #pragma once
 
 #include <cstdint>
@@ -65,9 +65,8 @@ struct HotLayout {
   static HotLayout make(const Topology& topo, const SimConfig& cfg);
 };
 
-/// The arrays. One instance per Network (routers bind spans of it); a
-/// standalone Router owns a single-router instance so unit fixtures keep
-/// working without a Network.
+/// The arrays. One instance per Network (routers bind spans of it); unit
+/// fixtures build a small one for the routers or ports they test.
 class HotState {
  public:
   HotState(HotLayout layout, int num_routers);
@@ -169,7 +168,7 @@ class HotState {
 /// source-queue-full byte. Arrays are padded to a whole 64-lane window
 /// so whole-word vector loads never run off the end (pad lanes carry
 /// mode 1 and never enter a draw mask). Nodes bind per-lane pointers at
-/// build time and fall back to private storage standalone, like VcFifo.
+/// build time and fall back to private storage standalone (see Node).
 class NodeHot {
  public:
   NodeHot() = default;

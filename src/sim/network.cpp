@@ -173,10 +173,10 @@ void Network::build() {
                 : static_cast<EventSink*>(this);
     routers_.push_back(std::make_unique<Router>(
         *topo_, cfg_, r, routing_.get(), &store_, sink,
-        root.child(0x1000000ull + static_cast<std::uint64_t>(r)), &hot_));
-    routers_.back()->bind_counters(collector_.router_injected_total(r),
-                                   collector_.router_injected_measured(r),
-                                   collector_.router_forwarded_total(r));
+        root.child(0x1000000ull + static_cast<std::uint64_t>(r)), hot_,
+        RouterCounters{collector_.router_injected_total(r),
+                       collector_.router_injected_measured(r),
+                       collector_.router_forwarded_total(r)}));
     routers_.back()->set_event_driven_tx(active_kernel_);
   }
 
@@ -654,10 +654,13 @@ void Network::check_invariants() const {
       const std::uint64_t lane_sel =
           lanes == 64 ? ~0ull : (1ull << lanes) - 1;
       // A whole-window load past this router's stride reads the next
-      // router's lanes (masked off below) — in bounds except at the
-      // very end of the array, where the scalar loop takes over.
+      // routers' lanes (masked off below) — in bounds except near the
+      // end of the array, where the scalar loop takes over.
+      const std::size_t window_end =
+          static_cast<std::size_t>(occ - hot_.all_in_occupancy().data()) +
+          64 * static_cast<std::size_t>(w) + 64;
       std::uint64_t derived;
-      if (lanes == 64 || r + 1 < R) {
+      if (window_end <= hot_.all_in_occupancy().size()) {
         derived = simd::positive_i32_mask(occ + 64 * w) & lane_sel;
       } else {
         derived = 0;

@@ -382,6 +382,8 @@ SimResult Session::run() {
   return collect();
 }
 
+SimResult run_simulation(const SimConfig& cfg) { return Session(cfg).run(); }
+
 SimResult Session::collect() const {
   SimResult r;
   r.offered_load = cfg_.load;

@@ -1,5 +1,5 @@
 // Steppable simulation sessions: the phase-driven lifecycle every run
-// goes through (Engine is a thin compatibility shim over this).
+// goes through (run_simulation() below is the one-call form).
 //
 // A Session owns one Network and drives it through an explicit machine
 //
@@ -7,7 +7,7 @@
 //
 // with three ways to end the Measure phase:
 //   * fixed window  — exactly measure_cycles (the paper's Sec. IV-A
-//     methodology; bit-identical to the pre-Session Engine::run());
+//     methodology);
 //   * adaptive stop — stop.mode=ci: batch-means confidence intervals on
 //     accepted load and latency, measurement ends at the first batch
 //     boundary where both relative half-widths fall under stop.rel_hw
@@ -135,8 +135,8 @@ class Session {
 
   // --- raw access -----------------------------------------------------------
   /// Advance exactly `cycles` cycles with the deadlock watchdog but *no*
-  /// phase logic — the Engine-compat escape hatch for custom loops that
-  /// call begin/end_measurement themselves.
+  /// phase logic — the escape hatch for custom loops that call
+  /// Network::begin/end_measurement themselves.
   void step_raw(Cycle cycles);
 
   Network& network() { return net_; }
@@ -190,8 +190,8 @@ class Session {
   Network net_;
 
   // Phase machine. Deadlines are armed lazily on the first step() inside
-  // a phase, so raw pre-stepping (Engine::run_cycles before run()) keeps
-  // the legacy "warmup counts from here" semantics.
+  // a phase, so raw pre-stepping (step_raw() before run()) keeps the
+  // "warmup counts from here" semantics.
   SessionPhase phase_ = SessionPhase::kWarmup;
   bool phase_armed_ = false;
   Cycle phase_end_ = 0;
@@ -222,5 +222,8 @@ class Session {
   std::int64_t last_progress_ = -1;
   std::size_t last_live_ = 0;
 };
+
+/// Configure, run to Done, return: Session(cfg).run().
+SimResult run_simulation(const SimConfig& cfg);
 
 }  // namespace dragonfly

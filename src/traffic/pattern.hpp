@@ -64,7 +64,7 @@ std::unique_ptr<TrafficPattern> make_hotspot(const Topology& topo,
 
 /// The open set of traffic patterns, keyed by registry name. Built-ins
 /// self-register under the paper's names ("uniform", "adv", "advc",
-/// "placement", "shift", "hotspot"; legacy spellings "UN"/"ADV"/"ADVc"
+/// "placement", "shift", "hotspot"; the paper's spellings "UN"/"ADV"/"ADVc"
 /// resolve as aliases). User code registers new patterns here and
 /// selects them through SimConfig::traffic_name — no core edits needed.
 /// Factories receive the topology and the full SimConfig (for knobs
@@ -73,7 +73,7 @@ using TrafficRegistry =
     Registry<TrafficPattern, const Topology&, const SimConfig&>;
 TrafficRegistry& traffic_registry();
 
-/// Build the pattern selected by cfg.traffic_key() (registry shim).
+/// Build the pattern selected by cfg.traffic_name.
 std::unique_ptr<TrafficPattern> make_traffic(const Topology& topo,
                                              const SimConfig& cfg);
 

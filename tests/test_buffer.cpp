@@ -2,11 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/hot_state.hpp"
+
 namespace dragonfly {
 namespace {
 
+/// A one-router HotState of kPorts ports with kVcs VCs each way; fifos
+/// and output ports bind its slots the way Router wiring binds a
+/// Network's HotState.
+class HotSlots {
+ public:
+  static constexpr int kPorts = 2;
+  static constexpr int kVcs = 3;
+
+  HotSlots() : hot_(layout(), /*num_routers=*/1) {}
+
+  VcFifo fifo(int capacity_phits, PortId port = 0, VcId vc = 0) {
+    const int flat = hot_.layout().in_vc_index(port, vc);
+    return VcFifo(capacity_phits, hot_.in_occupancy(0) + flat,
+                  hot_.in_head(0) + flat);
+  }
+
+  OutputHotSlots output(PortId port) {
+    const int first = hot_.layout().out_vc_index(port, 0);
+    return {hot_.credits(0) + first, hot_.credit_capacity(0) + first,
+            hot_.queue_occupancy(0) + port, hot_.link_free(0) + port};
+  }
+
+ private:
+  static HotLayout layout() {
+    HotLayout l;
+    l.ports = kPorts;
+    for (int port = 0; port <= kPorts; ++port) {
+      l.in_vc_off.push_back(port * kVcs);
+      l.out_vc_off.push_back(port * kVcs);
+    }
+    for (int port = 0; port < kPorts; ++port) {
+      l.port_of_in_vc.insert(l.port_of_in_vc.end(), kVcs, port);
+    }
+    return l;
+  }
+
+  HotState hot_;
+};
+
 TEST(VcFifo, PushPopTracksOccupancy) {
-  VcFifo fifo(32);
+  HotSlots slots;
+  VcFifo fifo = slots.fifo(32);
   EXPECT_TRUE(fifo.empty());
   EXPECT_EQ(fifo.free_space(), 32);
   fifo.push(1, 8);
@@ -20,27 +62,32 @@ TEST(VcFifo, PushPopTracksOccupancy) {
 }
 
 TEST(VcFifo, OverflowThrows) {
-  VcFifo fifo(16);
+  HotSlots slots;
+  VcFifo fifo = slots.fifo(16);
   fifo.push(1, 8);
   fifo.push(2, 8);
   EXPECT_THROW(fifo.push(3, 8), std::logic_error);
 }
 
 TEST(VcFifo, PopEmptyThrows) {
-  VcFifo fifo(16);
+  HotSlots slots;
+  VcFifo fifo = slots.fifo(16);
   EXPECT_THROW(fifo.pop(8), std::logic_error);
 }
 
 TEST(VcFifo, HeadOfEmptyIsNoPacket) {
-  VcFifo fifo(16);
+  HotSlots slots;
+  VcFifo fifo = slots.fifo(16);
   EXPECT_EQ(fifo.head(), kNoPacket);
 }
 
 class OutputPortFixture : public ::testing::Test {
  protected:
   OutputPortFixture() {
-    port_.configure(PortKind::kLocal, 3, 7, 10, 32, {32, 32, 32});
+    port_.configure(PortKind::kLocal, 3, 7, 10, 32, {32, 32, 32},
+                    slots_.output(0));
   }
+  HotSlots slots_;
   OutputPort port_;
 };
 
@@ -89,7 +136,7 @@ TEST_F(OutputPortFixture, OccupancyCombinesQueueAndReservation) {
 TEST_F(OutputPortFixture, EjectionReportsZeroOccupancy) {
   OutputPort ej;
   ej.configure(PortKind::kEjection, kInvalidRouter, kInvalidPort, 0, 32,
-               {1 << 20});
+               {1 << 20}, slots_.output(1));
   ej.take_credits(0, 8);
   EXPECT_DOUBLE_EQ(ej.occupancy_fraction(), 0.0);
   EXPECT_DOUBLE_EQ(ej.vc_occupancy_fraction(0), 0.0);
@@ -126,9 +173,10 @@ TEST_F(OutputPortFixture, SerializationSpacesTransmissions) {
 }
 
 TEST(InputPort, TotalOccupancySumsVcs) {
+  HotSlots slots;
   InputPort in;
-  in.vcs.emplace_back(32);
-  in.vcs.emplace_back(32);
+  in.vcs.push_back(slots.fifo(32, 0, 0));
+  in.vcs.push_back(slots.fifo(32, 0, 1));
   in.vcs[0].push(1, 8);
   in.vcs[1].push(2, 8);
   in.vcs[1].push(3, 8);

@@ -4,8 +4,11 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/checkpoint.hpp"
+#include "routing/routing.hpp"
 
 namespace dragonfly {
 namespace {
@@ -30,18 +33,30 @@ TEST(Config, DefaultsMatchTableI) {
 }
 
 TEST(Config, VcDefaultsPerMechanism) {
+  // Table I: the in-transit mechanisms run 3 local VCs, the oblivious
+  // and source-adaptive ones 4. Every built-in is covered.
+  const std::vector<std::string> keys = routing_registry().keys();
+  int in_transit = 0;
+  for (const std::string& key : keys) {
+    SimConfig cfg;
+    cfg.routing_name = key;
+    cfg.apply_vc_defaults();
+    const bool par = key == "par-rrg" || key == "par-crg" || key == "par-mm";
+    in_transit += par ? 1 : 0;
+    EXPECT_EQ(cfg.local_vcs, par ? 3 : 4) << key;
+    EXPECT_EQ(cfg.global_vcs, 2) << key;
+    EXPECT_EQ(cfg.injection_vcs, 3) << key;
+  }
+  EXPECT_EQ(in_transit, 3);
+  EXPECT_GE(keys.size(), 11u);
+  // Aliases select like their keys; unregistered names get the 4.
   SimConfig cfg;
-  cfg.routing = RoutingKind::kObliviousRrg;
+  cfg.routing_name = "In-Trns-MM";
   cfg.apply_vc_defaults();
-  EXPECT_EQ(cfg.local_vcs, 4);  // Table I: oblivious/source-adaptive
-  cfg.routing = RoutingKind::kSourceCrg;
+  EXPECT_EQ(cfg.local_vcs, 3);
+  cfg.routing_name = "not-registered";
   cfg.apply_vc_defaults();
   EXPECT_EQ(cfg.local_vcs, 4);
-  cfg.routing = RoutingKind::kInTransitMm;
-  cfg.apply_vc_defaults();
-  EXPECT_EQ(cfg.local_vcs, 3);  // Table I: in-transit
-  EXPECT_EQ(cfg.global_vcs, 2);
-  EXPECT_EQ(cfg.injection_vcs, 3);
 }
 
 TEST(Config, SmallPresetKeepsMicroarchitecture) {
@@ -99,63 +114,12 @@ TEST(Config, ValidateRejectsBadSettings) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
-constexpr RoutingKind kAllRoutingKinds[] = {
-    RoutingKind::kMinimal,      RoutingKind::kObliviousRrg,
-    RoutingKind::kObliviousCrg, RoutingKind::kObliviousNrg,
-    RoutingKind::kSourceRrg,    RoutingKind::kSourceCrg,
-    RoutingKind::kInTransitRrg, RoutingKind::kInTransitCrg,
-    RoutingKind::kInTransitMm,  RoutingKind::kUgalRrg,
-    RoutingKind::kUgalCrg};
-
-constexpr TrafficKind kAllTrafficKinds[] = {
-    TrafficKind::kUniform,  TrafficKind::kAdversarial,
-    TrafficKind::kAdvConsecutive, TrafficKind::kPlacement,
-    TrafficKind::kShift,    TrafficKind::kHotspot};
-
-TEST(Config, RoutingKindStringsRoundTripExhaustively) {
-  for (RoutingKind kind : kAllRoutingKinds) {
-    // Legacy display spelling and canonical registry key both resolve.
-    EXPECT_EQ(routing_kind_from_string(to_string(kind)), kind);
-    EXPECT_EQ(routing_kind_from_string(registry_key(kind)), kind);
-    EXPECT_NE(std::string(to_string(kind)), "?");
-    EXPECT_NE(std::string(registry_key(kind)), "?");
-  }
-  EXPECT_THROW(routing_kind_from_string("bogus"), std::invalid_argument);
-  try {
-    routing_kind_from_string("bogus");
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("par-mm"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("In-Trns-MM"), std::string::npos) << msg;
-  }
-}
-
-TEST(Config, TrafficKindStringsRoundTripExhaustively) {
-  for (TrafficKind kind : kAllTrafficKinds) {
-    EXPECT_EQ(traffic_kind_from_string(to_string(kind)), kind);
-    EXPECT_EQ(traffic_kind_from_string(registry_key(kind)), kind);
-    EXPECT_NE(std::string(registry_key(kind)), "?");
-  }
-  EXPECT_THROW(traffic_kind_from_string("bogus"), std::invalid_argument);
-  try {
-    traffic_kind_from_string("bogus");
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("advc"), std::string::npos);
-  }
-}
-
-TEST(Config, TryKindLookupsAreNonThrowing) {
-  EXPECT_EQ(try_routing_kind("par-mm"), RoutingKind::kInTransitMm);
-  EXPECT_EQ(try_routing_kind("UGAL-CRG"), RoutingKind::kUgalCrg);
-  EXPECT_EQ(try_routing_kind("custom-thing"), std::nullopt);
-  EXPECT_EQ(try_traffic_kind("UN"), TrafficKind::kUniform);
-  EXPECT_EQ(try_traffic_kind("nope"), std::nullopt);
-}
-
-TEST(Config, KeyAccessorsFollowNameOverEnum) {
+TEST(Config, KeyAccessorsReturnTheSelectedNames) {
   SimConfig cfg;
-  cfg.routing = RoutingKind::kInTransitMm;
-  cfg.traffic = TrafficKind::kAdvConsecutive;
+  EXPECT_EQ(cfg.routing_key(), "min");
+  EXPECT_EQ(cfg.traffic_key(), "uniform");
+  cfg.routing_name = "par-mm";
+  cfg.traffic_name = "advc";
   EXPECT_EQ(cfg.routing_key(), "par-mm");
   EXPECT_EQ(cfg.traffic_key(), "advc");
   cfg.routing_name = "my-plugin";
@@ -478,12 +442,12 @@ TEST(Config, CheckpointRoundTripsEveryField) {
 }
 
 TEST(Config, CheckpointKeepsCodeBuiltSelections) {
-  // Code may still select through the deprecated enums and pin an
-  // unbalanced shape field by field; the config section carries both
-  // (restoring "h" must not re-derive the p/a it also carries).
+  // Code may select by name and pin an unbalanced shape field by
+  // field; the config section carries both (restoring "h" must not
+  // re-derive the p/a it also carries).
   SimConfig cfg = SimConfig::small(2);
-  cfg.routing = RoutingKind::kInTransitMm;
-  cfg.traffic = TrafficKind::kAdvConsecutive;
+  cfg.routing_name = "par-mm";
+  cfg.traffic_name = "advc";
   cfg.topo = DragonflyParams{3, 5, 2, 7};
   cfg.vcs_explicit = true;
   cfg.topo_a_explicit = true;
@@ -505,16 +469,6 @@ TEST(Config, CheckpointKeepsCodeBuiltSelections) {
   EXPECT_TRUE(copy.topo_a_explicit);
   EXPECT_FALSE(copy.topo_p_explicit);
   EXPECT_EQ(copy.canonical_hash(), cfg.canonical_hash());
-}
-
-TEST(Config, MechanismClassPredicates) {
-  EXPECT_TRUE(is_oblivious(RoutingKind::kMinimal));
-  EXPECT_TRUE(is_oblivious(RoutingKind::kObliviousNrg));
-  EXPECT_FALSE(is_oblivious(RoutingKind::kSourceRrg));
-  EXPECT_TRUE(is_source_adaptive(RoutingKind::kSourceCrg));
-  EXPECT_FALSE(is_source_adaptive(RoutingKind::kInTransitMm));
-  EXPECT_TRUE(is_in_transit(RoutingKind::kInTransitRrg));
-  EXPECT_FALSE(is_in_transit(RoutingKind::kMinimal));
 }
 
 TEST(Config, TopologyKeySelectsFamiliesAndValidatesArgs) {

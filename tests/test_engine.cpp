@@ -1,4 +1,7 @@
-#include "sim/engine.hpp"
+// Whole-run behaviour of the simulation engine: run_simulation() results,
+// reproducibility, fairness over active routers, saturation and raw
+// step-by-step access through Session.
+#include "sim/session.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,11 +10,11 @@
 namespace dragonfly {
 namespace {
 
+using testutil::expect_identical;
 using testutil::quick;
 
 TEST(Engine, RunProducesConsistentResult) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
+  const SimConfig cfg = quick("min", "uniform", 0.2);
   const SimResult r = run_simulation(cfg);
   EXPECT_DOUBLE_EQ(r.offered_load, 0.2);
   EXPECT_NEAR(r.accepted_load, 0.2, 0.02);
@@ -30,8 +33,7 @@ TEST(Engine, RunProducesConsistentResult) {
 }
 
 TEST(Engine, LatencyPercentilesAreOrdered) {
-  const SimConfig cfg = quick(RoutingKind::kInTransitMm,
-                              TrafficKind::kAdvConsecutive, 0.3);
+  const SimConfig cfg = quick("par-mm", "advc", 0.3);
   const SimResult r = run_simulation(cfg);
   EXPECT_GT(r.p50_latency, 0.0);
   EXPECT_GE(r.p99_latency, r.p50_latency);
@@ -41,33 +43,30 @@ TEST(Engine, LatencyPercentilesAreOrdered) {
 }
 
 TEST(Engine, ResultsAreReproducible) {
-  const SimConfig cfg =
-      quick(RoutingKind::kInTransitCrg, TrafficKind::kAdvConsecutive, 0.3);
-  const SimResult a = run_simulation(cfg);
-  const SimResult b = run_simulation(cfg);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_DOUBLE_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.injections_per_router, b.injections_per_router);
+  const SimConfig cfg = quick("par-crg", "advc", 0.3);
+  expect_identical(run_simulation(cfg), run_simulation(cfg));
 }
 
 TEST(Engine, StepwiseAccessMatchesRun) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
-  Engine engine(cfg);
-  engine.run_cycles(cfg.warmup_cycles);
-  engine.network().begin_measurement();
-  engine.run_cycles(cfg.measure_cycles);
-  engine.network().end_measurement();
-  const SimResult manual = engine.collect();
+  // step_raw + manual begin/end_measurement (the step-by-step form of a
+  // custom loop) must agree with run_simulation on the same config.
+  const SimConfig cfg = quick("min", "uniform", 0.2);
+  Session session(cfg);
+  session.step_raw(cfg.warmup_cycles);
+  session.network().begin_measurement();
+  session.step_raw(cfg.measure_cycles);
+  session.network().end_measurement();
+  const SimResult manual = session.collect();
   const SimResult automatic = run_simulation(cfg);
   EXPECT_EQ(manual.delivered_packets, automatic.delivered_packets);
-  EXPECT_DOUBLE_EQ(manual.avg_latency, automatic.avg_latency);
+  EXPECT_EQ(manual.avg_latency, automatic.avg_latency);
+  EXPECT_EQ(manual.injections_per_router, automatic.injections_per_router);
 }
 
 TEST(Engine, FairnessExcludesSilentRouters) {
   // Placement job on 2 groups: fairness must be computed over the job's
   // routers only (silent routers would fake min=0).
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kPlacement, 0.2);
+  SimConfig cfg = quick("min", "placement", 0.2);
   cfg.placement_first_group = 3;
   cfg.placement_num_groups = 2;
   const SimResult r = run_simulation(cfg);
@@ -78,14 +77,13 @@ TEST(Engine, FairnessExcludesSilentRouters) {
 TEST(Engine, HighLoadDoesNotTripWatchdog) {
   // Oversaturated MIN/ADV: progress continues even though queues are
   // permanently full — the watchdog must not fire.
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kAdversarial, 0.9);
+  SimConfig cfg = quick("min", "adv", 0.9);
   cfg.warmup_cycles = 6'000;
   EXPECT_NO_THROW(run_simulation(cfg));
 }
 
 TEST(Engine, AgeArbitrationRuns) {
-  SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3);
+  SimConfig cfg = quick("par-mm", "advc", 0.3);
   cfg.age_arbitration = true;
   const SimResult r = run_simulation(cfg);
   EXPECT_GT(r.delivered_packets, 0);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim_test_util.hpp"
@@ -13,10 +15,10 @@ namespace {
 using testutil::quick;
 
 TEST(Experiment, RunAveragedMatchesSingleRun) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.15);
+  const SimConfig cfg = quick("min", "uniform", 0.15);
   const SimResult single = run_simulation(cfg);
-  const AveragedResult avg = run_averaged(cfg, 1);
+  SerialRunner serial;
+  const AveragedResult avg = run_averaged(cfg, 1, serial);
   EXPECT_DOUBLE_EQ(avg.accepted_load, single.accepted_load);
   EXPECT_DOUBLE_EQ(avg.avg_latency, single.avg_latency);
   EXPECT_EQ(avg.seeds, 1);
@@ -29,15 +31,15 @@ TEST(Experiment, RunAveragedMatchesSingleRun) {
 }
 
 TEST(Experiment, SeedAveragingReducesToMean) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.15);
+  const SimConfig cfg = quick("min", "uniform", 0.15);
   SimConfig s1 = cfg;
   s1.seed = derive_seed(cfg.seed, 0);
   SimConfig s2 = cfg;
   s2.seed = derive_seed(cfg.seed, 1);
   const SimResult r1 = run_simulation(s1);
   const SimResult r2 = run_simulation(s2);
-  const AveragedResult avg = run_averaged(cfg, 2);
+  PoolRunner pool(2);
+  const AveragedResult avg = run_averaged(cfg, 2, pool);
   EXPECT_NEAR(avg.avg_latency, (r1.avg_latency + r2.avg_latency) / 2, 1e-9);
   EXPECT_NEAR(avg.accepted_load,
               (r1.accepted_load + r2.accepted_load) / 2, 1e-9);
@@ -45,10 +47,10 @@ TEST(Experiment, SeedAveragingReducesToMean) {
 }
 
 TEST(Experiment, SweepPreservesLoadOrder) {
-  const SimConfig base = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                               0.0);
+  const SimConfig base = quick("min", "uniform", 0.0);
   const std::vector<double> loads{0.05, 0.15, 0.25};
-  const auto results = run_sweep(base, loads, /*seeds=*/1, /*threads=*/2);
+  PoolRunner pool(2);
+  const auto results = run_sweep(base, loads, /*num_seeds=*/1, pool);
   ASSERT_EQ(results.size(), loads.size());
   for (std::size_t i = 0; i < loads.size(); ++i) {
     EXPECT_DOUBLE_EQ(results[i].offered_load, loads[i]);
@@ -57,11 +59,12 @@ TEST(Experiment, SweepPreservesLoadOrder) {
 }
 
 TEST(Experiment, ParallelSweepEqualsSerialSweep) {
-  const SimConfig base = quick(RoutingKind::kObliviousCrg,
-                               TrafficKind::kAdvConsecutive, 0.0);
+  const SimConfig base = quick("val-crg", "advc", 0.0);
   const std::vector<double> loads{0.1, 0.2};
-  const auto serial = run_sweep(base, loads, 1, /*threads=*/1);
-  const auto parallel = run_sweep(base, loads, 1, /*threads=*/4);
+  SerialRunner one;
+  PoolRunner four(4);
+  const auto serial = run_sweep(base, loads, 1, one);
+  const auto parallel = run_sweep(base, loads, 1, four);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial[i].avg_latency, parallel[i].avg_latency);
@@ -74,11 +77,12 @@ TEST(Experiment, ParallelSweepEqualsSerialSweep) {
 // box may have fewer than 8 cores — oversubscription exercises arbitrary
 // job interleavings all the same).
 TEST(Experiment, SweepIsBitIdenticalAcrossThreadCounts) {
-  const SimConfig base = quick(RoutingKind::kInTransitMm,
-                               TrafficKind::kAdvConsecutive, 0.0);
+  const SimConfig base = quick("par-mm", "advc", 0.0);
   const std::vector<double> loads{0.1, 0.25, 0.4};
-  const auto serial = run_sweep(base, loads, /*seeds=*/2, /*threads=*/1);
-  const auto parallel = run_sweep(base, loads, /*seeds=*/2, /*threads=*/8);
+  SerialRunner one;
+  PoolRunner eight(8);
+  const auto serial = run_sweep(base, loads, /*num_seeds=*/2, one);
+  const auto parallel = run_sweep(base, loads, /*num_seeds=*/2, eight);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const AveragedResult& a = serial[i];
@@ -116,24 +120,22 @@ TEST(Experiment, DeriveSeedIsStableAndDecorrelated) {
 }
 
 TEST(Experiment, RunConfigsPropagatesErrors) {
-  SimConfig bad = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  SimConfig bad = quick("min", "uniform", 0.1);
   bad.global_vcs = 1;  // fails validation inside the worker
   std::vector<SimConfig> configs{bad};
-  EXPECT_THROW(run_configs(configs, 1, 2), std::invalid_argument);
+  PoolRunner pool(2);
+  EXPECT_THROW(run_configs(configs, 1, pool), std::invalid_argument);
 }
 
 TEST(Experiment, PaperRoutingsAreTheSevenConfigs) {
-  const auto kinds = paper_routings();
-  ASSERT_EQ(kinds.size(), 7u);
-  EXPECT_EQ(kinds[0], RoutingKind::kObliviousRrg);
-  EXPECT_EQ(kinds[6], RoutingKind::kInTransitMm);
-  // The name-based list mirrors the enum shim one-for-one.
   const auto names = paper_routing_names();
-  ASSERT_EQ(names.size(), kinds.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(names[i], registry_key(kinds[i]));
+  const std::vector<std::string> legend_order{
+      "val-rrg", "val-crg", "pb-rrg", "pb-crg", "par-rrg", "par-crg", "par-mm"};
+  EXPECT_EQ(std::vector<std::string>(names.begin(), names.end()),
+            legend_order);
+  for (const std::string& name : names) {
+    EXPECT_TRUE(routing_registry().contains(name)) << name;
   }
-  EXPECT_EQ(names[6], "par-mm");
 }
 
 TEST(Experiment, BenchSetupEnvOverrides) {
@@ -172,6 +174,8 @@ TEST(Experiment, BenchSetupDefaultsSmall) {
   EXPECT_FALSE(setup.full_scale);
   EXPECT_EQ(setup.spec.base.topo.h, 3);
   EXPECT_GE(static_cast<int>(setup.spec.loads.size()), 10);
+  ASSERT_NE(setup.pool, nullptr);
+  EXPECT_GE(setup.pool->concurrency(), 1);
 }
 
 }  // namespace

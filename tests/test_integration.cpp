@@ -12,7 +12,7 @@ using testutil::quick;
 using testutil::run_checked;
 
 class MechanismTraffic
-    : public ::testing::TestWithParam<std::tuple<RoutingKind, TrafficKind>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(MechanismTraffic, DeliversTrafficAndConserves) {
   const auto [routing, traffic] = GetParam();
@@ -32,19 +32,13 @@ TEST_P(MechanismTraffic, DeliversTrafficAndConserves) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombinations, MechanismTraffic,
     ::testing::Combine(
-        ::testing::Values(RoutingKind::kMinimal, RoutingKind::kObliviousRrg,
-                          RoutingKind::kObliviousCrg,
-                          RoutingKind::kObliviousNrg, RoutingKind::kSourceRrg,
-                          RoutingKind::kSourceCrg, RoutingKind::kUgalRrg,
-                          RoutingKind::kUgalCrg, RoutingKind::kInTransitRrg,
-                          RoutingKind::kInTransitCrg,
-                          RoutingKind::kInTransitMm),
-        ::testing::Values(TrafficKind::kUniform, TrafficKind::kAdversarial,
-                          TrafficKind::kAdvConsecutive, TrafficKind::kShift,
-                          TrafficKind::kHotspot)),
+        ::testing::Values("min", "val-rrg", "val-crg", "val-nrg", "pb-rrg",
+                          "pb-crg", "ugal-rrg", "ugal-crg", "par-rrg",
+                          "par-crg", "par-mm"),
+        ::testing::Values("uniform", "adv", "advc", "shift", "hotspot")),
     [](const auto& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
-                         "_" + to_string(std::get<1>(info.param));
+      std::string name =
+          std::get<0>(info.param) + "_" + std::get<1>(info.param);
       for (char& c : name) {
         if (c == '-' || c == '+') c = '_';
       }
@@ -52,26 +46,22 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 class MechanismRadix
-    : public ::testing::TestWithParam<std::tuple<RoutingKind, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(MechanismRadix, WorksAcrossNetworkSizes) {
   const auto [routing, h] = GetParam();
-  const SimResult r =
-      run_checked(quick(routing, TrafficKind::kAdvConsecutive, 0.2, h));
+  const SimResult r = run_checked(quick(routing, "advc", 0.2, h));
   EXPECT_GT(r.delivered_packets, 20);
   EXPECT_NEAR(r.components.total(), r.avg_latency, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, MechanismRadix,
-    ::testing::Combine(::testing::Values(RoutingKind::kMinimal,
-                                         RoutingKind::kObliviousCrg,
-                                         RoutingKind::kSourceRrg,
-                                         RoutingKind::kInTransitMm),
+    ::testing::Combine(::testing::Values("min", "val-crg", "pb-rrg", "par-mm"),
                        ::testing::Values(1, 2, 3)),
     [](const auto& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
-                         "_h" + std::to_string(std::get<1>(info.param));
+      std::string name = std::get<0>(info.param) + "_h" +
+                         std::to_string(std::get<1>(info.param));
       for (char& c : name) {
         if (c == '-' || c == '+') c = '_';
       }
@@ -79,8 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Integration, SeedsChangeResultsButNotInvariants) {
-  SimConfig cfg = quick(RoutingKind::kInTransitMm,
-                        TrafficKind::kAdvConsecutive, 0.3);
+  SimConfig cfg = quick("par-mm", "advc", 0.3);
   std::vector<std::int64_t> delivered;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     cfg.seed = seed;
@@ -94,8 +83,7 @@ TEST(Integration, SeedsChangeResultsButNotInvariants) {
 
 TEST(Integration, AcceptedLoadTracksOfferedBelowSaturation) {
   for (double load : {0.05, 0.1, 0.2}) {
-    const SimResult r = run_checked(
-        quick(RoutingKind::kInTransitMm, TrafficKind::kUniform, load));
+    const SimResult r = run_checked(quick("par-mm", "uniform", load));
     EXPECT_NEAR(r.accepted_load, load, 0.02) << "load " << load;
   }
 }
@@ -103,8 +91,7 @@ TEST(Integration, AcceptedLoadTracksOfferedBelowSaturation) {
 TEST(Integration, LatencyIsMonotoneInLoadUnderUniformMin) {
   double last = 0.0;
   for (double load : {0.1, 0.5, 0.8}) {
-    const SimResult r =
-        run_checked(quick(RoutingKind::kMinimal, TrafficKind::kUniform, load));
+    const SimResult r = run_checked(quick("min", "uniform", load));
     EXPECT_GT(r.avg_latency, last) << "load " << load;
     last = r.avg_latency;
   }
@@ -112,16 +99,14 @@ TEST(Integration, LatencyIsMonotoneInLoadUnderUniformMin) {
 
 TEST(Integration, OversaturationKeepsAcceptedAtCapacity) {
   // Offered 0.9 vs 0.5: accepted load at/above saturation is flat.
-  const SimResult high = run_checked(
-      quick(RoutingKind::kObliviousRrg, TrafficKind::kUniform, 0.9));
-  const SimResult higher = run_checked(
-      quick(RoutingKind::kObliviousRrg, TrafficKind::kUniform, 1.0));
+  const SimResult high = run_checked(quick("val-rrg", "uniform", 0.9));
+  const SimResult higher = run_checked(quick("val-rrg", "uniform", 1.0));
   EXPECT_NEAR(high.accepted_load, higher.accepted_load, 0.05);
 }
 
 TEST(Integration, TransitPriorityImprovesNothingAtLowLoad) {
   // At low UN load the priority is irrelevant: same latency either way.
-  SimConfig with = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  SimConfig with = quick("min", "uniform", 0.1);
   SimConfig without = with;
   without.transit_priority = false;
   const SimResult a = run_checked(with);
@@ -133,8 +118,7 @@ TEST(Integration, PlacementTrafficCreatesAdvcBottleneck) {
   // Paper Sec. III: an application on h+1 consecutive groups turns
   // uniform application traffic into ADVc-like flows — the job's last
   // routers see reduced injection with in-transit routing + priority.
-  SimConfig cfg = quick(RoutingKind::kInTransitMm, TrafficKind::kPlacement,
-                        0.35, /*h=*/3);
+  SimConfig cfg = quick("par-mm", "placement", 0.35, /*h=*/3);
   cfg.placement_first_group = 0;
   cfg.placement_num_groups = cfg.topo.h + 1;
   const SimResult r = run_checked(cfg);

@@ -107,8 +107,7 @@ TEST(LatencyDecomposition, HoldsForEveryDeliveredPacket) {
   // The collector asserts the identity per packet and throws on drift —
   // run a mixed simulation to exercise it under congestion and
   // misrouting (an exception would fail the test).
-  const SimConfig cfg = testutil::quick(RoutingKind::kInTransitMm,
-                                        TrafficKind::kAdvConsecutive, 0.35);
+  const SimConfig cfg = testutil::quick("par-mm", "advc", 0.35);
   const SimResult r = testutil::run_checked(cfg);
   ASSERT_GT(r.delivered_packets, 500);
   const LatencyComponents& c = r.components;

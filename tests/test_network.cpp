@@ -13,8 +13,7 @@ namespace {
 using testutil::quick;
 
 TEST(Network, BuildsConfiguredTopology) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.1);
+  const SimConfig cfg = quick("min", "uniform", 0.1);
   Network net(cfg);
   EXPECT_EQ(net.num_routers(), cfg.topo.num_routers());
   EXPECT_EQ(net.num_nodes(), cfg.topo.num_nodes());
@@ -23,7 +22,7 @@ TEST(Network, BuildsConfiguredTopology) {
 }
 
 TEST(Network, PlacementLimitsGeneratingNodes) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kPlacement, 0.1);
+  SimConfig cfg = quick("min", "placement", 0.1);
   cfg.placement_first_group = 0;
   cfg.placement_num_groups = 2;
   Network net(cfg);
@@ -31,14 +30,13 @@ TEST(Network, PlacementLimitsGeneratingNodes) {
 }
 
 TEST(Network, StepAdvancesTime) {
-  Network net(quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1));
+  Network net(quick("min", "uniform", 0.1));
   for (int i = 0; i < 10; ++i) net.step();
   EXPECT_EQ(net.now(), 10);
 }
 
 TEST(Network, DeterministicAcrossIdenticalRuns) {
-  const SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3);
+  const SimConfig cfg = quick("par-mm", "advc", 0.3);
   Network a(cfg);
   Network b(cfg);
   for (int i = 0; i < 2'000; ++i) {
@@ -56,7 +54,7 @@ TEST(Network, DeterministicAcrossIdenticalRuns) {
 }
 
 TEST(Network, DifferentSeedsProduceDifferentTraffic) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.3);
+  SimConfig cfg = quick("min", "uniform", 0.3);
   Network a(cfg);
   cfg.seed = 999;
   Network b(cfg);
@@ -68,8 +66,7 @@ TEST(Network, DifferentSeedsProduceDifferentTraffic) {
 }
 
 TEST(Network, ConservationHoldsDuringAndAfterRun) {
-  const SimConfig cfg =
-      quick(RoutingKind::kObliviousRrg, TrafficKind::kAdvConsecutive, 0.4);
+  const SimConfig cfg = quick("val-rrg", "advc", 0.4);
   Network net(cfg);
   for (int chunk = 0; chunk < 5; ++chunk) {
     for (int i = 0; i < 600; ++i) net.step();
@@ -79,8 +76,7 @@ TEST(Network, ConservationHoldsDuringAndAfterRun) {
 }
 
 TEST(Network, MeasurementWindowGatesCounters) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
+  const SimConfig cfg = quick("min", "uniform", 0.2);
   Network net(cfg);
   for (int i = 0; i < 500; ++i) net.step();
   EXPECT_EQ(net.generated_packets_measured(), 0);
@@ -102,7 +98,7 @@ TEST(Network, MeasurementWindowGatesCounters) {
 }
 
 TEST(Network, ZeroLoadStaysIdle) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.0);
+  SimConfig cfg = quick("min", "uniform", 0.0);
   Network net(cfg);
   for (int i = 0; i < 300; ++i) net.step();
   EXPECT_EQ(net.generated_packets_total(), 0);
@@ -110,7 +106,7 @@ TEST(Network, ZeroLoadStaysIdle) {
 }
 
 TEST(Network, RejectsInvalidConfig) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  SimConfig cfg = quick("min", "uniform", 0.1);
   cfg.global_vcs = 1;
   EXPECT_THROW(Network net(cfg), std::invalid_argument);
 }
@@ -134,8 +130,7 @@ TEST(Network, ActiveAndScanKernelsAgreeCycleByCycle) {
   // The bit-identity contract at network level: the active-set kernel
   // and the dense reference scan make the same RNG draws and the same
   // state transitions every cycle (paranoid sweeps on, both kernels).
-  SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.35);
+  SimConfig cfg = quick("par-mm", "advc", 0.35);
   cfg.sim_paranoid = 64;
   cfg.kernel = SimKernel::kActive;
   Network active(cfg);
@@ -152,8 +147,7 @@ TEST(Network, CheckpointStreamsAreKernelIndependent) {
   // A checkpoint taken under one kernel resumes under the other: the
   // serialized state carries no kernel-specific structures (the
   // transmit calendar and activation sets are re-derived on load).
-  SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.35);
+  SimConfig cfg = quick("par-mm", "advc", 0.35);
   cfg.kernel = SimKernel::kActive;
   Network active(cfg);
   for (int i = 0; i < 1'200; ++i) active.step();

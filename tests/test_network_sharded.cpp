@@ -34,8 +34,7 @@ void expect_same_state(Network& a, Network& b) {
 }
 
 SimConfig sharded_cfg(int shards, SimKernel kernel) {
-  SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.35);
+  SimConfig cfg = quick("par-mm", "advc", 0.35);
   cfg.kernel = kernel;
   cfg.shards = shards;
   return cfg;

@@ -12,8 +12,7 @@ using testutil::quick;
 TEST(Node, GenerationRateMatchesBernoulliProcess) {
   // Aggregate generation over all nodes must match load/packet_size per
   // node per cycle.
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
+  const SimConfig cfg = quick("min", "uniform", 0.2);
   Network net(cfg);
   const int cycles = 4'000;
   for (int i = 0; i < cycles; ++i) net.step();
@@ -25,7 +24,7 @@ TEST(Node, GenerationRateMatchesBernoulliProcess) {
 TEST(Node, InjectionLinkLimitsRate) {
   // A node's link carries 1 phit/cycle: even at absurd load, at most one
   // packet every packet_size cycles enters the router.
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 7.9);
+  SimConfig cfg = quick("min", "uniform", 7.9);
   cfg.warmup_cycles = 0;
   Network net(cfg);
   const int cycles = 800;
@@ -43,8 +42,7 @@ TEST(Node, InjectionLinkLimitsRate) {
 TEST(Node, SourceQueueIsBounded) {
   // Oversaturated MIN/ADV: node queues must stay at their cap, not grow
   // without bound (memory safety at full scale).
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kAdversarial,
-                        1.0);
+  SimConfig cfg = quick("min", "adv", 1.0);
   cfg.warmup_cycles = 0;
   Network net(cfg);
   for (int i = 0; i < 5'000; ++i) net.step();
@@ -59,7 +57,7 @@ TEST(Node, SourceQueueIsBounded) {
 }
 
 TEST(Node, SilentNodesGenerateNothing) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kPlacement, 0.5);
+  SimConfig cfg = quick("min", "placement", 0.5);
   cfg.placement_first_group = 0;
   cfg.placement_num_groups = 1;
   Network net(cfg);
@@ -74,8 +72,7 @@ TEST(Node, SilentNodesGenerateNothing) {
 }
 
 TEST(Node, MeasuredCounterFollowsWindow) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.3);
+  const SimConfig cfg = quick("min", "uniform", 0.3);
   Network net(cfg);
   for (int i = 0; i < 500; ++i) net.step();
   EXPECT_EQ(net.node(0).generated_measured(), 0);
@@ -89,8 +86,7 @@ TEST(Node, MeasuredCounterFollowsWindow) {
 TEST(Node, InjectionBacklogStaysWithinOneBufferWindow) {
   // The node keeps at most ~one buffer's worth of standing packets in the
   // router's injection port (DESIGN.md §8.4).
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kAdversarial,
-                        1.0);
+  SimConfig cfg = quick("min", "adv", 1.0);
   cfg.warmup_cycles = 0;
   Network net(cfg);
   for (int i = 0; i < 3'000; ++i) net.step();

@@ -11,8 +11,8 @@ namespace {
 using testutil::quick;
 using testutil::run_checked;
 
-SimConfig shape(RoutingKind routing, TrafficKind traffic, double load,
-                bool priority) {
+SimConfig shape(const std::string& routing, const std::string& traffic,
+                double load, bool priority) {
   SimConfig cfg = quick(routing, traffic, load, /*h=*/3);
   cfg.warmup_cycles = 2'000;
   cfg.measure_cycles = 4'000;
@@ -23,24 +23,18 @@ SimConfig shape(RoutingKind routing, TrafficKind traffic, double load,
 TEST(PaperShapes, Fig2a_UniformAllMechanismsCompetitive) {
   // Fig. 2a: under UN every mechanism performs well; RRG latency is the
   // outlier but "can still be considered competitive".
-  for (RoutingKind kind :
-       {RoutingKind::kMinimal, RoutingKind::kSourceRrg,
-        RoutingKind::kInTransitMm}) {
-    const SimResult r =
-        run_checked(shape(kind, TrafficKind::kUniform, 0.5, true));
-    EXPECT_NEAR(r.accepted_load, 0.5, 0.03) << to_string(kind);
+  for (const char* kind : {"min", "pb-rrg", "par-mm"}) {
+    const SimResult r = run_checked(shape(kind, "uniform", 0.5, true));
+    EXPECT_NEAR(r.accepted_load, 0.5, 0.03) << kind;
   }
 }
 
 TEST(PaperShapes, Fig2b_MinCollapsesAdaptivesSurvive) {
   // Fig. 2b: ADV+1 caps MIN at 1/(a*p); non-minimal mechanisms do much
   // better, with in-transit best.
-  const SimResult min = run_checked(
-      shape(RoutingKind::kMinimal, TrafficKind::kAdversarial, 0.3, true));
-  const SimResult obl = run_checked(
-      shape(RoutingKind::kObliviousCrg, TrafficKind::kAdversarial, 0.3, true));
-  const SimResult it = run_checked(
-      shape(RoutingKind::kInTransitMm, TrafficKind::kAdversarial, 0.3, true));
+  const SimResult min = run_checked(shape("min", "adv", 0.3, true));
+  const SimResult obl = run_checked(shape("val-crg", "adv", 0.3, true));
+  const SimResult it = run_checked(shape("par-mm", "adv", 0.3, true));
   EXPECT_LT(min.accepted_load, 0.09);  // 1/(a*p) = 0.056 plus slack
   EXPECT_GT(obl.accepted_load, 0.25);
   EXPECT_GT(it.accepted_load, 0.2);
@@ -49,10 +43,8 @@ TEST(PaperShapes, Fig2b_MinCollapsesAdaptivesSurvive) {
 TEST(PaperShapes, Fig2c_AdvcMinCapAndObliviousEscape) {
   // Fig. 2c: ADVc caps MIN at h/(a*p) — milder than ADV — and
   // non-minimal routing escapes the cap.
-  const SimResult min = run_checked(
-      shape(RoutingKind::kMinimal, TrafficKind::kAdvConsecutive, 0.3, true));
-  const SimResult obl = run_checked(shape(
-      RoutingKind::kObliviousCrg, TrafficKind::kAdvConsecutive, 0.3, true));
+  const SimResult min = run_checked(shape("min", "advc", 0.3, true));
+  const SimResult obl = run_checked(shape("val-crg", "advc", 0.3, true));
   const double cap = 3.0 / 18.0;  // h/(a*p) at h=3
   EXPECT_LT(min.accepted_load, cap * 1.1);
   EXPECT_GT(min.accepted_load, 1.0 / 18.0);  // clearly above the ADV cap
@@ -62,12 +54,9 @@ TEST(PaperShapes, Fig2c_AdvcMinCapAndObliviousEscape) {
 TEST(PaperShapes, TableII_InTransitUnfairObliviousFair) {
   // Table II orderings at 0.3 load with priority: oblivious CoV tiny,
   // in-transit CoV large; min-inj collapses only for in-transit.
-  const SimResult obl = run_checked(shape(
-      RoutingKind::kObliviousRrg, TrafficKind::kAdvConsecutive, 0.3, true));
-  const SimResult src = run_checked(shape(
-      RoutingKind::kSourceCrg, TrafficKind::kAdvConsecutive, 0.3, true));
-  const SimResult it = run_checked(shape(
-      RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3, true));
+  const SimResult obl = run_checked(shape("val-rrg", "advc", 0.3, true));
+  const SimResult src = run_checked(shape("pb-crg", "advc", 0.3, true));
+  const SimResult it = run_checked(shape("par-mm", "advc", 0.3, true));
   EXPECT_LT(obl.fairness.cov, 0.08);
   EXPECT_GT(it.fairness.cov, 2.0 * obl.fairness.cov);
   EXPECT_LT(it.fairness.min_injections, 0.6 * obl.fairness.min_injections);
@@ -76,18 +65,14 @@ TEST(PaperShapes, TableII_InTransitUnfairObliviousFair) {
 }
 
 TEST(PaperShapes, TableIII_PriorityRemovalRepairsInTransit) {
-  const SimResult with = run_checked(shape(
-      RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3, true));
-  const SimResult without = run_checked(shape(
-      RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3, false));
+  const SimResult with = run_checked(shape("par-mm", "advc", 0.3, true));
+  const SimResult without = run_checked(shape("par-mm", "advc", 0.3, false));
   EXPECT_GT(with.fairness.cov, without.fairness.cov);
   EXPECT_GT(without.fairness.min_injections,
             2.0 * with.fairness.min_injections);
   // Identical improvement across the three policies (paper Sec. V-C).
-  const SimResult rrg = run_checked(shape(
-      RoutingKind::kInTransitRrg, TrafficKind::kAdvConsecutive, 0.3, false));
-  const SimResult crg = run_checked(shape(
-      RoutingKind::kInTransitCrg, TrafficKind::kAdvConsecutive, 0.3, false));
+  const SimResult rrg = run_checked(shape("par-rrg", "advc", 0.3, false));
+  const SimResult crg = run_checked(shape("par-crg", "advc", 0.3, false));
   EXPECT_NEAR(rrg.fairness.cov, without.fairness.cov, 0.05);
   EXPECT_NEAR(crg.fairness.cov, without.fairness.cov, 0.05);
 }
@@ -99,12 +84,9 @@ TEST(PaperShapes, Fig3_InjectionQueueComponentPeaksThenFalls) {
   // The peak sits near the starvation onset (~0.25 at h=3); the decline
   // is measured at the saturation point (~0.5, as in the paper where the
   // component shrinks "until reaching saturation" at 0.5).
-  const SimResult low = run_checked(shape(
-      RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.05, true));
-  const SimResult peak = run_checked(shape(
-      RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.25, true));
-  const SimResult sat = run_checked(shape(
-      RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.5, true));
+  const SimResult low = run_checked(shape("par-mm", "advc", 0.05, true));
+  const SimResult peak = run_checked(shape("par-mm", "advc", 0.25, true));
+  const SimResult sat = run_checked(shape("par-mm", "advc", 0.5, true));
   EXPECT_GT(peak.components.injection_queue,
             low.components.injection_queue + 5.0);
   EXPECT_GT(peak.components.injection_queue,
@@ -119,10 +101,8 @@ TEST(PaperShapes, Fig2a_InTransitUniformStableThroughSaturation) {
   // (fixed by the dwell filter), (b) same-VC local-misroute chains
   // (fixed by the empty-buffer misroute condition). In-transit UN
   // accepted load must be flat from saturation (~0.8) to offered 1.0.
-  const SimResult sat = run_checked(
-      shape(RoutingKind::kInTransitMm, TrafficKind::kUniform, 0.85, true));
-  const SimResult full = run_checked(
-      shape(RoutingKind::kInTransitMm, TrafficKind::kUniform, 1.0, true));
+  const SimResult sat = run_checked(shape("par-mm", "uniform", 0.85, true));
+  const SimResult full = run_checked(shape("par-mm", "uniform", 1.0, true));
   EXPECT_GT(sat.accepted_load, 0.7);
   EXPECT_GT(full.accepted_load, 0.7);
   EXPECT_NEAR(sat.accepted_load, full.accepted_load, 0.06);
@@ -132,8 +112,7 @@ TEST(PaperShapes, AgeArbitrationRestoresFairness) {
   // Paper Sec. VI (future work): an explicit fairness mechanism is
   // required; age arbitration is the candidate. Our ablation: with age
   // arbitration the bottleneck recovers most of its injection share.
-  SimConfig base = shape(RoutingKind::kInTransitMm,
-                         TrafficKind::kAdvConsecutive, 0.3, true);
+  SimConfig base = shape("par-mm", "advc", 0.3, true);
   SimConfig aged = base;
   aged.age_arbitration = true;
   const SimResult plain = run_checked(base);

@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/api.hpp"
 
@@ -16,11 +18,11 @@ TEST(Registry, BuiltinRoutingsRegisteredUnderPaperNames) {
   const auto keys = routing_registry().keys();
   ASSERT_EQ(keys.size(), 11u);
   for (const char* key :
-       {"min", "val-rrg", "val-crg", "val-nrg", "pb-rrg", "pb-crg",
-        "par-rrg", "par-crg", "par-mm", "ugal-rrg", "ugal-crg"}) {
+       {"min", "val-rrg", "val-crg", "val-nrg", "pb-rrg", "pb-crg", "par-rrg",
+        "par-crg", "par-mm", "ugal-rrg", "ugal-crg"}) {
     EXPECT_TRUE(routing_registry().contains(key)) << key;
   }
-  // Legacy enum spellings resolve as aliases to the canonical key.
+  // The paper's spellings resolve as aliases to the canonical key.
   EXPECT_EQ(routing_registry().resolve("In-Trns-MM"), "par-mm");
   EXPECT_EQ(routing_registry().resolve("MIN"), "min");
   EXPECT_EQ(routing_registry().resolve("Src-CRG"), "pb-crg");
@@ -79,72 +81,45 @@ TEST(Registry, DuplicateRegistrationThrows) {
       std::logic_error);
 }
 
-TEST(Registry, EnumShimsAndRegistryAgree) {
-  // Every built-in enum value maps onto a registered canonical key and
-  // constructs the same mechanism the registry builds.
+TEST(Registry, PaperSpellingsResolveToTheirKeys) {
+  // Each built-in routing registers exactly one alias, its paper legend
+  // spelling (the bench tables label rows with it), and the alias builds
+  // the same mechanism as the key.
   const SimConfig cfg = SimConfig::small(2);
   const DragonflyTopology topo(cfg.topo, make_arrangement(cfg.arrangement));
-  for (RoutingKind kind :
-       {RoutingKind::kMinimal, RoutingKind::kObliviousRrg,
-        RoutingKind::kObliviousCrg, RoutingKind::kObliviousNrg,
-        RoutingKind::kSourceRrg, RoutingKind::kSourceCrg,
-        RoutingKind::kInTransitRrg, RoutingKind::kInTransitCrg,
-        RoutingKind::kInTransitMm, RoutingKind::kUgalRrg,
-        RoutingKind::kUgalCrg}) {
-    const std::string key = registry_key(kind);
-    ASSERT_TRUE(routing_registry().contains(key)) << key;
-    SimConfig by_enum = cfg;
-    by_enum.routing = kind;
-    SimConfig by_name = cfg;
-    by_name.routing_name = key;
-    EXPECT_EQ(make_routing(topo, by_enum)->name(),
-              make_routing(topo, by_name)->name())
+  const std::pair<const char*, const char*> routings[] = {
+      {"min", "MIN"},          {"val-rrg", "Obl-RRG"},
+      {"val-crg", "Obl-CRG"},  {"val-nrg", "Obl-NRG"},
+      {"pb-rrg", "Src-RRG"},   {"pb-crg", "Src-CRG"},
+      {"par-rrg", "In-Trns-RRG"}, {"par-crg", "In-Trns-CRG"},
+      {"par-mm", "In-Trns-MM"},   {"ugal-rrg", "UGAL-RRG"},
+      {"ugal-crg", "UGAL-CRG"}};
+  for (const auto& [key, alias] : routings) {
+    EXPECT_EQ(routing_registry().resolve(alias), key);
+    EXPECT_EQ(routing_registry().aliases_of(key),
+              std::vector<std::string>{alias});
+    SimConfig by_alias = cfg;
+    by_alias.routing_name = alias;
+    SimConfig by_key = cfg;
+    by_key.routing_name = key;
+    EXPECT_EQ(make_routing(topo, by_alias)->name(),
+              make_routing(topo, by_key)->name())
         << key;
   }
-}
-
-TEST(Registry, LegacySpellingsAgreeBetweenShimAndRegistry) {
-  // The enum shim's name table (sim/config.cpp) and the per-TU
-  // Registrar alias lists must not drift: for every built-in, the
-  // legacy display spelling resolves to the same canonical key the
-  // shim reports.
-  for (RoutingKind kind :
-       {RoutingKind::kMinimal, RoutingKind::kObliviousRrg,
-        RoutingKind::kObliviousCrg, RoutingKind::kObliviousNrg,
-        RoutingKind::kSourceRrg, RoutingKind::kSourceCrg,
-        RoutingKind::kInTransitRrg, RoutingKind::kInTransitCrg,
-        RoutingKind::kInTransitMm, RoutingKind::kUgalRrg,
-        RoutingKind::kUgalCrg}) {
-    EXPECT_EQ(routing_registry().resolve(to_string(kind)),
-              registry_key(kind))
-        << to_string(kind);
-  }
-  for (TrafficKind kind :
-       {TrafficKind::kUniform, TrafficKind::kAdversarial,
-        TrafficKind::kAdvConsecutive, TrafficKind::kPlacement,
-        TrafficKind::kShift, TrafficKind::kHotspot}) {
-    EXPECT_EQ(traffic_registry().resolve(to_string(kind)),
-              registry_key(kind))
-        << to_string(kind);
-  }
+  EXPECT_EQ(traffic_registry().resolve("UN"), "uniform");
+  EXPECT_EQ(traffic_registry().resolve("ADV"), "adv");
+  EXPECT_EQ(traffic_registry().resolve("ADVc"), "advc");
+  EXPECT_TRUE(traffic_registry().aliases_of("placement").empty());
+  EXPECT_TRUE(routing_registry().aliases_of("no-such-key").empty());
 }
 
 TEST(Registry, EveryBuiltinKeyRoundTripsThroughStrings) {
-  // Satellite: every registry key resolves, and built-in keys round-trip
-  // through the enum shim's from_string/registry_key pair.
+  // Every registry key resolves to itself.
   for (const std::string& key : routing_registry().keys()) {
     EXPECT_EQ(routing_registry().resolve(key), key);
-    if (const auto kind = try_routing_kind(key)) {
-      EXPECT_EQ(std::string(registry_key(*kind)), key);
-      EXPECT_EQ(routing_kind_from_string(key), *kind);
-    }
   }
   for (const std::string& key : traffic_registry().keys()) {
     EXPECT_EQ(traffic_registry().resolve(key), key);
-    if (const auto kind = try_traffic_kind(key)) {
-      EXPECT_EQ(std::string(registry_key(*kind)), key);
-      EXPECT_EQ(traffic_kind_from_string(key), *kind);
-    }
   }
   for (const std::string& key : arrangement_registry().keys()) {
     EXPECT_EQ(arrangement_registry().resolve(key), key);

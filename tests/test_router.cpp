@@ -43,6 +43,22 @@ class MockSink final : public EventSink {
   std::vector<RecordedEvent> events;
 };
 
+/// What a Network owns for router 0: its HotState row and its
+/// statistics counters.
+struct RouterStorage {
+  RouterStorage(const Topology& topo, const SimConfig& cfg)
+      : hot(HotLayout::make(topo, cfg), /*num_routers=*/1) {}
+
+  RouterCounters counters() {
+    return {&injected_total, &injected_measured, &forwarded_total};
+  }
+
+  HotState hot;
+  std::int64_t injected_total = 0;
+  std::int64_t injected_measured = 0;
+  std::int64_t forwarded_total = 0;
+};
+
 /// One fully wired router of a tiny dragonfly, with minimal routing.
 class RouterFixture : public ::testing::Test {
  protected:
@@ -50,7 +66,9 @@ class RouterFixture : public ::testing::Test {
       : topo_(DragonflyTopology::balanced_palmtree(2)),
         cfg_(make_config()),
         routing_(topo_, cfg_),
-        router_(topo_, cfg_, /*id=*/0, &routing_, &store_, &sink_, Rng(1)) {
+        storage_(topo_, cfg_),
+        router_(topo_, cfg_, /*id=*/0, &routing_, &store_, &sink_, Rng(1),
+                storage_.hot, storage_.counters()) {
     wire_like_network(router_);
   }
 
@@ -82,7 +100,7 @@ class RouterFixture : public ::testing::Test {
 
   static SimConfig make_config() {
     SimConfig cfg = SimConfig::small(2);
-    cfg.routing = RoutingKind::kMinimal;
+    cfg.routing_name = "min";
     cfg.apply_vc_defaults();
     return cfg;
   }
@@ -104,6 +122,7 @@ class RouterFixture : public ::testing::Test {
   MinimalRouting routing_;
   PacketStore store_;
   MockSink sink_;
+  RouterStorage storage_;
   Router router_;
 };
 
@@ -258,33 +277,38 @@ TEST_F(RouterFixture, OccupancyQueries) {
   EXPECT_FALSE(router_.credits_exhausted(out, 0, 8));
 }
 
-TEST_F(RouterFixture, StandaloneCheckpointRoundTripsCountersAndHotState) {
-  // A router without a Network owns its HotState and statistics
-  // counters; save/load must round-trip them (Network-owned routers
-  // carry both in the Network stream instead).
+TEST_F(RouterFixture, CheckpointRoundTripsWithItsHotState) {
+  // The router serializes its cold state (FIFO and queue orderings,
+  // arbiters, RNG); its hot counters travel in the HotState block, as
+  // in a Network checkpoint.
   router_.set_measuring(true);
   router_.inject(0, 0, make_packet(0, 1), 0);
   router_.allocate(0);
   router_.inject(1, 0, make_packet(1, 9), 1);  // left buffered
-  ASSERT_EQ(router_.injected_packets_total(), 1);
   ASSERT_TRUE(router_.has_buffered());
 
   std::stringstream stream;
   CheckpointWriter writer(stream);
   router_.save(writer);
+  storage_.hot.save(writer);
 
-  Router fresh(topo_, cfg_, /*id=*/0, &routing_, &store_, &sink_, Rng(99));
+  RouterStorage storage(topo_, cfg_);
+  Router fresh(topo_, cfg_, /*id=*/0, &routing_, &store_, &sink_, Rng(99),
+               storage.hot, storage.counters());
   // Wire identically (the fixture's wiring), then restore.
   wire_like_network(fresh);
   CheckpointReader reader(stream);
   fresh.load(reader);
-  EXPECT_EQ(fresh.injected_packets_total(), 1);
-  EXPECT_EQ(fresh.injected_packets_measured(), 1);
-  EXPECT_EQ(fresh.forwarded_packets_total(), 1);
+  storage.hot.load(reader);
   EXPECT_TRUE(fresh.has_buffered());
   EXPECT_EQ(fresh.input(1).vcs[0].head(), router_.input(1).vcs[0].head());
+  EXPECT_EQ(fresh.input_occupancy(1), router_.input_occupancy(1));
   const PortId out = topo_.local_port_to(0, 1);
   EXPECT_EQ(fresh.output(out).credits(0), router_.output(out).credits(0));
+  EXPECT_EQ(fresh.output(1).queue_occupancy(),
+            router_.output(1).queue_occupancy());
+  EXPECT_EQ(storage.hot.all_in_occupancy(), storage_.hot.all_in_occupancy());
+  EXPECT_EQ(fresh.hot().in_mask(0)[0], router_.hot().in_mask(0)[0]);
 }
 
 }  // namespace

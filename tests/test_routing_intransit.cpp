@@ -11,10 +11,8 @@ using testutil::quick;
 using testutil::run_checked;
 
 TEST(InTransitRouting, BehavesLikeMinimalUnderUniformLowLoad) {
-  const SimResult it = run_checked(
-      quick(RoutingKind::kInTransitMm, TrafficKind::kUniform, 0.1));
-  const SimResult min =
-      run_checked(quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1));
+  const SimResult it = run_checked(quick("par-mm", "uniform", 0.1));
+  const SimResult min = run_checked(quick("min", "uniform", 0.1));
   EXPECT_NEAR(it.avg_latency, min.avg_latency, 10.0);
   EXPECT_LT(it.components.misroute, 5.0);
 }
@@ -22,14 +20,12 @@ TEST(InTransitRouting, BehavesLikeMinimalUnderUniformLowLoad) {
 TEST(InTransitRouting, KeepsMinimalThroughputUnderUniformHighLoad) {
   // Unlike oblivious Valiant, the adaptive mechanism must sustain high UN
   // throughput (it only misroutes when blocked).
-  const SimResult it = run_checked(
-      quick(RoutingKind::kInTransitMm, TrafficKind::kUniform, 0.7));
+  const SimResult it = run_checked(quick("par-mm", "uniform", 0.7));
   EXPECT_GT(it.accepted_load, 0.65);
 }
 
 TEST(InTransitRouting, DivertsUnderAdversarialTraffic) {
-  const SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdversarial, 0.3);
+  const SimConfig cfg = quick("par-mm", "adv", 0.3);
   const SimResult it = run_checked(cfg);
   const double min_cap =
       1.0 / (static_cast<double>(cfg.topo.a) * static_cast<double>(cfg.topo.p));
@@ -41,22 +37,19 @@ TEST(InTransitRouting, AdvcBottleneckStarvesWithPriority) {
   // The paper's headline result (Fig. 4 / Table II): with transit-over-
   // injection priority, the bottleneck router's injection collapses for
   // every global misrouting policy.
-  for (RoutingKind kind :
-       {RoutingKind::kInTransitRrg, RoutingKind::kInTransitCrg,
-        RoutingKind::kInTransitMm}) {
-    SimConfig cfg = quick(kind, TrafficKind::kAdvConsecutive, 0.3, /*h=*/3);
+  for (const char* kind : {"par-rrg", "par-crg", "par-mm"}) {
+    SimConfig cfg = quick(kind, "advc", 0.3, /*h=*/3);
     cfg.transit_priority = true;
     const SimResult r = run_checked(cfg);
     const double fair_share =
         r.fairness.mean;  // average injections per router
-    EXPECT_LT(r.fairness.min_injections, 0.55 * fair_share) << to_string(kind);
-    EXPECT_GT(r.fairness.cov, 0.05) << to_string(kind);
+    EXPECT_LT(r.fairness.min_injections, 0.55 * fair_share) << kind;
+    EXPECT_GT(r.fairness.cov, 0.05) << kind;
   }
 }
 
 TEST(InTransitRouting, BottleneckRouterIsTheStarvedOne) {
-  SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3, /*h=*/3);
+  SimConfig cfg = quick("par-mm", "advc", 0.3, /*h=*/3);
   const SimResult r = run_checked(cfg);
   // Find the minimum-injection router: it must be a group's last router
   // (the palmtree ADVc bottleneck).
@@ -72,8 +65,7 @@ TEST(InTransitRouting, BottleneckRouterIsTheStarvedOne) {
 TEST(InTransitRouting, RemovingPriorityRestoresFairness) {
   // Paper Sec. V-C (Fig. 6 / Table III): removing the priority vastly
   // improves in-transit fairness.
-  SimConfig with = quick(RoutingKind::kInTransitMm,
-                         TrafficKind::kAdvConsecutive, 0.3, /*h=*/3);
+  SimConfig with = quick("par-mm", "advc", 0.3, /*h=*/3);
   with.transit_priority = true;
   SimConfig without = with;
   without.transit_priority = false;
@@ -87,11 +79,8 @@ TEST(InTransitRouting, PolicyImpactOnStarvationIsSmall) {
   // Paper: "the impact of the global misrouting policy can be considered
   // trivial" for the starved router.
   std::vector<double> min_inj;
-  for (RoutingKind kind :
-       {RoutingKind::kInTransitRrg, RoutingKind::kInTransitCrg,
-        RoutingKind::kInTransitMm}) {
-    const SimResult r =
-        run_checked(quick(kind, TrafficKind::kAdvConsecutive, 0.3, /*h=*/3));
+  for (const char* kind : {"par-rrg", "par-crg", "par-mm"}) {
+    const SimResult r = run_checked(quick(kind, "advc", 0.3, /*h=*/3));
     min_inj.push_back(r.fairness.min_injections);
   }
   const double fair = 0.3 / 8 * 3000 * 3;  // load/pkt * cycles * p
@@ -99,12 +88,10 @@ TEST(InTransitRouting, PolicyImpactOnStarvationIsSmall) {
 }
 
 TEST(InTransitRouting, PathLengthsBounded) {
-  for (TrafficKind traffic :
-       {TrafficKind::kUniform, TrafficKind::kAdvConsecutive}) {
-    const SimResult r =
-        run_checked(quick(RoutingKind::kInTransitMm, traffic, 0.3));
-    EXPECT_LE(r.avg_global_hops, 2.0) << to_string(traffic);
-    EXPECT_LE(r.avg_local_hops, 4.0) << to_string(traffic);
+  for (const char* traffic : {"uniform", "advc"}) {
+    const SimResult r = run_checked(quick("par-mm", traffic, 0.3));
+    EXPECT_LE(r.avg_global_hops, 2.0) << traffic;
+    EXPECT_LE(r.avg_local_hops, 4.0) << traffic;
   }
 }
 

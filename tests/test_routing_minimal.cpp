@@ -13,8 +13,7 @@ using testutil::run_checked;
 TEST(MinimalRouting, ZeroLoadLatencyMatchesAnalyticBase) {
   // At near-zero load, the average latency must equal the average
   // analytic base latency (no queueing, no misrouting).
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              /*load=*/0.005);
+  const SimConfig cfg = quick("min", "uniform", /*load=*/0.005);
   const SimResult r = run_checked(cfg);
   ASSERT_GT(r.delivered_packets, 50);
   EXPECT_NEAR(r.avg_latency, r.components.base, 3.0);
@@ -24,8 +23,7 @@ TEST(MinimalRouting, ZeroLoadLatencyMatchesAnalyticBase) {
 }
 
 TEST(MinimalRouting, HopCountsNeverExceedMinimal) {
-  const SimConfig cfg =
-      quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  const SimConfig cfg = quick("min", "uniform", 0.1);
   const SimResult r = run_checked(cfg);
   // lgl worst case: <= 2 local, <= 1 global on average strictly less.
   EXPECT_LE(r.avg_local_hops, 2.0);
@@ -34,16 +32,14 @@ TEST(MinimalRouting, HopCountsNeverExceedMinimal) {
 }
 
 TEST(MinimalRouting, UniformLowLoadDeliversOfferedLoad) {
-  const SimConfig cfg =
-      quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.3);
+  const SimConfig cfg = quick("min", "uniform", 0.3);
   const SimResult r = run_checked(cfg);
   EXPECT_NEAR(r.accepted_load, 0.3, 0.02);
 }
 
 TEST(MinimalRouting, AdversarialThroughputCapIsOneOverAP) {
   // Paper Sec. III: MIN under ADV is limited to 1/(a*p) phits/node/cycle.
-  const SimConfig cfg =
-      quick(RoutingKind::kMinimal, TrafficKind::kAdversarial, 0.5);
+  const SimConfig cfg = quick("min", "adv", 0.5);
   const SimResult r = run_checked(cfg);
   const double cap =
       1.0 / (static_cast<double>(cfg.topo.a) * static_cast<double>(cfg.topo.p));
@@ -54,8 +50,7 @@ TEST(MinimalRouting, AdversarialThroughputCapIsOneOverAP) {
 TEST(MinimalRouting, AdvcThroughputCapIsHOverAP) {
   // Paper Sec. III: MIN under ADVc is limited to h/(a*p) — less severe
   // than ADV by a factor of h.
-  const SimConfig cfg =
-      quick(RoutingKind::kMinimal, TrafficKind::kAdvConsecutive, 0.5);
+  const SimConfig cfg = quick("min", "advc", 0.5);
   const SimResult r = run_checked(cfg);
   const double cap = static_cast<double>(cfg.topo.h) /
                      (static_cast<double>(cfg.topo.a) *
@@ -66,7 +61,7 @@ TEST(MinimalRouting, AdvcThroughputCapIsHOverAP) {
 
 TEST(MinimalRouting, IntraGroupTrafficStaysLocal) {
   // A placement covering exactly one group generates no global hops.
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kPlacement, 0.2);
+  SimConfig cfg = quick("min", "placement", 0.2);
   cfg.placement_first_group = 1;
   cfg.placement_num_groups = 1;
   const SimResult r = run_checked(cfg);

@@ -12,10 +12,8 @@ using testutil::run_checked;
 
 TEST(PiggybackRouting, BehavesLikeMinimalUnderUniformLowLoad) {
   // With no saturated links, PB always picks MIN: same latency profile.
-  const SimResult pb =
-      run_checked(quick(RoutingKind::kSourceRrg, TrafficKind::kUniform, 0.1));
-  const SimResult min =
-      run_checked(quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1));
+  const SimResult pb = run_checked(quick("pb-rrg", "uniform", 0.1));
+  const SimResult min = run_checked(quick("min", "uniform", 0.1));
   EXPECT_NEAR(pb.avg_latency, min.avg_latency, 20.0);
   EXPECT_LT(pb.components.misroute, 15.0);
   EXPECT_NEAR(pb.avg_global_hops, min.avg_global_hops, 0.1);
@@ -24,12 +22,10 @@ TEST(PiggybackRouting, BehavesLikeMinimalUnderUniformLowLoad) {
 TEST(PiggybackRouting, DivertsUnderAdversarialTraffic) {
   // ADV saturates the single minimal global link; the saturation bit
   // must fire and PB must route a large fraction through Valiant paths.
-  const SimResult pb = run_checked(
-      quick(RoutingKind::kSourceRrg, TrafficKind::kAdversarial, 0.35));
+  const SimResult pb = run_checked(quick("pb-rrg", "adv", 0.35));
   EXPECT_GT(pb.avg_global_hops, 1.5);  // mostly 2-global-hop paths
   // And it must clearly beat MIN's 1/(a*p) cap.
-  const SimConfig cfg =
-      quick(RoutingKind::kMinimal, TrafficKind::kAdversarial, 0.35);
+  const SimConfig cfg = quick("min", "adv", 0.35);
   const double min_cap =
       1.0 / (static_cast<double>(cfg.topo.a) * static_cast<double>(cfg.topo.p));
   EXPECT_GT(pb.accepted_load, 2.0 * min_cap);
@@ -38,8 +34,7 @@ TEST(PiggybackRouting, DivertsUnderAdversarialTraffic) {
 TEST(PiggybackRouting, CommitsAtInjectionNoMidRouteSwitch) {
   // Once injected, PB packets have exactly lgl (<=3 links) or lglgl
   // (<=5 links) shapes: global hops are 1 or 2, never more.
-  const SimResult pb = run_checked(
-      quick(RoutingKind::kSourceCrg, TrafficKind::kAdvConsecutive, 0.3));
+  const SimResult pb = run_checked(quick("pb-crg", "advc", 0.3));
   EXPECT_LE(pb.avg_global_hops, 2.0);
   EXPECT_GE(pb.avg_global_hops, 1.0);
 }
@@ -48,8 +43,7 @@ TEST(PiggybackRouting, SaturationBitsComputedOnBoard) {
   // Build a network directly and inspect the board after refresh under
   // heavy adversarial load: the bottleneck router's minimal link should
   // be flagged; an idle network should have no flags.
-  SimConfig cfg = quick(RoutingKind::kSourceRrg, TrafficKind::kAdversarial,
-                        /*load=*/0.4);
+  SimConfig cfg = quick("pb-rrg", "adv", /*load=*/0.4);
   Network net(cfg);
   auto& pb = dynamic_cast<PiggybackRouting&>(net.routing());
 
@@ -81,16 +75,13 @@ TEST(PiggybackRouting, AdvcPartialFailureSendsTrafficMinimally) {
   // Paper Sec. V-A: under ADVc PB fails to flag the bottleneck links
   // reliably, so a sizable share still routes minimally: global hops
   // clearly below the all-Valiant value of oblivious routing.
-  const SimResult pb = run_checked(
-      quick(RoutingKind::kSourceRrg, TrafficKind::kAdvConsecutive, 0.35));
-  const SimResult obl = run_checked(
-      quick(RoutingKind::kObliviousRrg, TrafficKind::kAdvConsecutive, 0.35));
+  const SimResult pb = run_checked(quick("pb-rrg", "advc", 0.35));
+  const SimResult obl = run_checked(quick("val-rrg", "advc", 0.35));
   EXPECT_LT(pb.avg_global_hops, obl.avg_global_hops - 0.1);
 }
 
 TEST(PiggybackRouting, NamesIdentifyPolicy) {
-  const SimConfig cfg = quick(RoutingKind::kSourceRrg, TrafficKind::kUniform,
-                              0.1);
+  const SimConfig cfg = quick("pb-rrg", "uniform", 0.1);
   const DragonflyTopology topo(cfg.topo, make_arrangement(cfg.arrangement));
   PiggybackRouting rrg(topo, cfg, MisroutePolicy::kRrg);
   PiggybackRouting crg(topo, cfg, MisroutePolicy::kCrg);

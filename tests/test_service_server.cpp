@@ -10,11 +10,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +47,8 @@ class TestClient {
   ~TestClient() {
     if (fd_ >= 0) ::close(fd_);
   }
+
+  int fd() const { return fd_; }
 
   void send_line(const std::string& line) {
     const std::string out = line + "\n";
@@ -184,6 +190,81 @@ TEST(SweepServer, ShutdownVerbReleasesWaiters) {
     EXPECT_EQ(client.read_line(), "BYE");
   }
   waiter.join();  // released by SHUTDOWN, not by stop()
+  server.stop();
+}
+
+/// Open file descriptors of this process.
+std::ptrdiff_t open_fds() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(SweepServer, FinishedConnectionsAreReaped) {
+  SweepService service(ServiceOptions{.workers = 1});
+  SweepServer server(service, 0);
+  const std::ptrdiff_t before = open_fds();
+  for (int i = 0; i < 200; ++i) {
+    TestClient client(server.port());
+    client.send_line("QUIT");
+    ASSERT_EQ(client.read_line(), "BYE");
+    ASSERT_EQ(client.read_line(), "");  // EOF
+  }
+  // The accept loop reaps each finished connection when the next one
+  // arrives, so at most the last one still holds its fd.
+  EXPECT_LE(open_fds() - before, 3);
+  server.stop();
+}
+
+TEST(SweepServer, RepliesAreNotHeldByNagle) {
+  // RESULT and DONE are two writes. A plain client (no TCP_QUICKACK)
+  // delays its ACK of RESULT, so without TCP_NODELAY on the server
+  // DONE waits ~40 ms for it on every reply.
+  SweepService service(ServiceOptions{.workers = 1});
+  SweepServer server(service, 0);
+  TestClient client(server.port());
+  const std::string request = "RUN " + small_request(0.2);
+  client.send_line(request);
+  ASSERT_EQ(client.read_reply().size(), 2u);  // now cached
+
+  std::vector<double> ms;
+  for (int i = 0; i < 10; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    client.send_line(request);
+    ASSERT_EQ(client.read_reply().size(), 2u);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 5, ms.end());
+  EXPECT_LT(ms[5], 20.0);
+  server.stop();
+}
+
+TEST(SweepServer, OverlongLineGetsAnErrorAndAClose) {
+  SweepService service(ServiceOptions{.workers = 1});
+  SweepServer server(service, 0);
+  {
+    TestClient client(server.port());
+    // Fail rather than hang if the server never answers.
+    const timeval timeout{10, 0};
+    ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof timeout);
+    // 2 MiB without a newline, from a second thread: the server stops
+    // reading after 1 MiB, so this send may block until the close.
+    std::thread sender([fd = client.fd()] {
+      const std::string chunk(64 * 1024, 'x');
+      for (int i = 0; i < 32; ++i) {
+        if (::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) <= 0) break;
+      }
+    });
+    EXPECT_EQ(client.read_line(), "ERR line too long");
+    EXPECT_EQ(client.read_line(), "");  // EOF
+    ::shutdown(client.fd(), SHUT_RDWR);
+    sender.join();
+  }
+  TestClient next(server.port());
+  next.send_line("PING");
+  EXPECT_EQ(next.read_line(), "PONG");
   server.stop();
 }
 

@@ -1,5 +1,5 @@
 // Session phase machine, streaming taps, adaptive stopping, scripted
-// phases, checkpoint/restore, and the Engine compatibility shim.
+// phases, checkpoint/restore and run_simulation().
 #include "sim/session.hpp"
 
 #include <gtest/gtest.h>
@@ -13,35 +13,8 @@
 namespace dragonfly {
 namespace {
 
+using testutil::expect_identical;
 using testutil::quick;
-
-/// Field-by-field *exact* comparison (doubles compared bitwise via ==):
-/// the determinism guarantees of this PR are bit-identity, not
-/// tolerance.
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.offered_load, b.offered_load);
-  EXPECT_EQ(a.accepted_load, b.accepted_load);
-  EXPECT_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_EQ(a.p99_latency, b.p99_latency);
-  EXPECT_EQ(a.max_latency, b.max_latency);
-  EXPECT_EQ(a.components.base, b.components.base);
-  EXPECT_EQ(a.components.misroute, b.components.misroute);
-  EXPECT_EQ(a.components.local_queue, b.components.local_queue);
-  EXPECT_EQ(a.components.global_queue, b.components.global_queue);
-  EXPECT_EQ(a.components.injection_queue, b.components.injection_queue);
-  EXPECT_EQ(a.avg_local_hops, b.avg_local_hops);
-  EXPECT_EQ(a.avg_global_hops, b.avg_global_hops);
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
-  EXPECT_EQ(a.generated_packets, b.generated_packets);
-  EXPECT_EQ(a.injections_per_router, b.injections_per_router);
-  EXPECT_EQ(a.fairness.min_injections, b.fairness.min_injections);
-  EXPECT_EQ(a.fairness.max_injections, b.fairness.max_injections);
-  EXPECT_EQ(a.fairness.cov, b.fairness.cov);
-  EXPECT_EQ(a.fairness.jain, b.fairness.jain);
-  EXPECT_EQ(a.measured_cycles, b.measured_cycles);
-  EXPECT_EQ(a.converged, b.converged);
-}
 
 /// Tap that records everything for assertions.
 class RecordingTap final : public MetricTap {
@@ -61,8 +34,7 @@ class RecordingTap final : public MetricTap {
 };
 
 TEST(Session, PhaseMachineProgression) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
+  const SimConfig cfg = quick("min", "uniform", 0.2);
   Session session(cfg);
   EXPECT_EQ(session.phase(), SessionPhase::kWarmup);
   EXPECT_EQ(session.now(), 0);
@@ -82,8 +54,7 @@ TEST(Session, PhaseMachineProgression) {
 }
 
 TEST(Session, StepCrossesPhaseBoundaries) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
+  const SimConfig cfg = quick("min", "uniform", 0.2);
   Session session(cfg);
   // One big step drives warmup AND part of the measurement window.
   session.step(cfg.warmup_cycles + 100);
@@ -98,25 +69,18 @@ TEST(Session, StepCrossesPhaseBoundaries) {
   EXPECT_EQ(session.now(), end);
 }
 
-TEST(Session, EngineShimMatchesSessionBitForBit) {
-  const SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3);
-  Engine engine(cfg);
-  const SimResult via_engine = engine.run();
-  const SimResult via_session = Session(cfg).run();
-  const SimResult via_helper = run_simulation(cfg);
-  expect_identical(via_engine, via_session);
-  expect_identical(via_engine, via_helper);
+TEST(Session, RunSimulationMatchesSessionBitForBit) {
+  const SimConfig cfg = quick("par-mm", "advc", 0.3);
+  expect_identical(run_simulation(cfg), Session(cfg).run());
 }
 
 TEST(Session, CollectBeforeAnyMeasurementIsWellDefined) {
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
+  const SimConfig cfg = quick("min", "uniform", 0.2);
   // Satellite bugfix: collect() before any stepping used to evaluate
   // aggregates over an empty window; now it is a well-defined zero
   // result.
-  Engine engine(cfg);
-  const SimResult r = engine.collect();
+  Session session(cfg);
+  const SimResult r = session.collect();
   EXPECT_EQ(r.offered_load, cfg.load);
   EXPECT_EQ(r.accepted_load, 0.0);
   EXPECT_EQ(r.avg_latency, 0.0);
@@ -132,8 +96,7 @@ TEST(Session, CollectBeforeAnyMeasurementIsWellDefined) {
 }
 
 TEST(Session, StreamingTapDoesNotPerturbResults) {
-  const SimConfig cfg = quick(RoutingKind::kSourceCrg,
-                              TrafficKind::kAdversarial, 0.3);
+  const SimConfig cfg = quick("pb-crg", "adv", 0.3);
   const SimResult silent = Session(cfg).run();
 
   Session streamed(cfg);
@@ -158,7 +121,7 @@ TEST(Session, StreamingTapDoesNotPerturbResults) {
 }
 
 TEST(Session, StreamSamplesCarryIntervalMetrics) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.2);
+  SimConfig cfg = quick("min", "uniform", 0.2);
   cfg.stream_interval = 500;
   Session session(cfg);
   RecordingTap tap;
@@ -184,7 +147,7 @@ TEST(Session, StreamSamplesCarryIntervalMetrics) {
 TEST(Session, CiStopConvergesEarlierThanFixedWindow) {
   // Low uniform load converges fast: the CI stop must cut the window
   // well short of the fixed cap while agreeing on the accepted load.
-  SimConfig fixed = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  SimConfig fixed = quick("min", "uniform", 0.1);
   fixed.measure_cycles = 12'000;
   const SimResult full = run_simulation(fixed);
   ASSERT_FALSE(full.converged);
@@ -206,7 +169,7 @@ TEST(Session, CiStopConvergesEarlierThanFixedWindow) {
 
 TEST(Session, CiStopRespectsTheCap) {
   // An unreachable half-width target must fall back to the fixed cap.
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.2);
+  SimConfig cfg = quick("min", "uniform", 0.2);
   cfg.stop.mode = StopMode::kCi;
   cfg.stop.batches = 4;
   cfg.stop.batch_cycles = 250;
@@ -217,8 +180,7 @@ TEST(Session, CiStopRespectsTheCap) {
 }
 
 TEST(Session, CheckpointRestoreRoundTripsBitIdentically) {
-  const SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3);
+  const SimConfig cfg = quick("par-mm", "advc", 0.3);
   const SimResult uninterrupted = run_simulation(cfg);
 
   // Checkpoint mid-Measure, then continue the original session.
@@ -242,8 +204,7 @@ TEST(Session, CheckpointRestoreRoundTripsBitIdentically) {
 TEST(Session, KernelsProduceIdenticalResults) {
   // sim.kernel=active (default) and the dense reference scan agree on
   // the final SimResult bit for bit.
-  SimConfig cfg =
-      quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3);
+  SimConfig cfg = quick("par-mm", "advc", 0.3);
   cfg.kernel = SimKernel::kActive;
   const SimResult active = run_simulation(cfg);
   cfg.kernel = SimKernel::kScan;
@@ -256,8 +217,7 @@ TEST(Session, CheckpointRoundTripsOnBothKernels) {
   // kernel, and a scan-kernel session restored from its own stream
   // lands on the same result — checkpoint state is kernel-independent.
   for (const SimKernel kernel : {SimKernel::kActive, SimKernel::kScan}) {
-    SimConfig cfg =
-        quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 0.3);
+    SimConfig cfg = quick("par-mm", "advc", 0.3);
     cfg.kernel = kernel;
     const SimResult uninterrupted = run_simulation(cfg);
 
@@ -275,8 +235,7 @@ TEST(Session, CheckpointRoundTripsOnBothKernels) {
 TEST(Session, CheckpointRestoreMatchesThreadedSweep) {
   // The satellite's "any thread count" clause: a restored session must
   // agree with the same point produced by the parallel runner.
-  const SimConfig cfg = quick(RoutingKind::kSourceRrg, TrafficKind::kUniform,
-                              0.25);
+  const SimConfig cfg = quick("pb-rrg", "uniform", 0.25);
   Session original(cfg);
   original.advance_to(SessionPhase::kMeasure);
   original.step(700);
@@ -285,8 +244,9 @@ TEST(Session, CheckpointRestoreMatchesThreadedSweep) {
   const SimResult restored = Session::restore(stream)->run();
 
   for (const int threads : {1, 4}) {
+    PoolRunner pool(threads);
     const std::vector<AveragedResult> sweep = run_configs(
-        std::span<const SimConfig>(&cfg, 1), /*num_seeds=*/1, threads);
+        std::span<const SimConfig>(&cfg, 1), /*num_seeds=*/1, pool);
     ASSERT_EQ(sweep.size(), 1u);
     EXPECT_EQ(sweep[0].accepted_load, restored.accepted_load);
     EXPECT_EQ(sweep[0].avg_latency, restored.avg_latency);
@@ -300,8 +260,7 @@ TEST(Session, CheckpointRejectsGarbageStreams) {
   EXPECT_THROW(Session::restore(garbage), std::runtime_error);
 
   // A truncated but well-prefixed stream must fail loudly too.
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.1);
+  const SimConfig cfg = quick("min", "uniform", 0.1);
   Session session(cfg);
   session.advance_to(SessionPhase::kMeasure);
   std::stringstream full;
@@ -313,7 +272,7 @@ TEST(Session, CheckpointRejectsGarbageStreams) {
 
 /// Bytes of a checkpoint taken at the Measure boundary.
 std::string measure_boundary_checkpoint() {
-  Session session(quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1));
+  Session session(quick("min", "uniform", 0.1));
   session.advance_to(SessionPhase::kMeasure);
   std::stringstream stream;
   session.checkpoint(stream);
@@ -370,7 +329,7 @@ TEST(Session, CheckpointRejectsAnOlderFormatVersion) {
 }
 
 TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  SimConfig cfg = quick("min", "uniform", 0.1);
   cfg.stream_interval = 500;
   cfg.phase_script = parse_phase_script(
       "calm:1000@load=0.1,burst:1000@load=0.5,shifted:500@traffic=adv");
@@ -410,7 +369,7 @@ TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {
 }
 
 TEST(Session, DrainEmptiesTheNetwork) {
-  SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform, 0.1);
+  SimConfig cfg = quick("min", "uniform", 0.1);
   cfg.drain_max_cycles = 50'000;
   Session session(cfg);
   const SimResult r = session.run();
@@ -420,23 +379,6 @@ TEST(Session, DrainEmptiesTheNetwork) {
   EXPECT_EQ(session.network().packets().live(), 0u);
   EXPECT_LT(session.now(), cfg.warmup_cycles + cfg.measure_cycles + 50'000);
   testutil::expect_conservation(session.network());
-}
-
-TEST(Session, RawSteppingKeepsEngineSemantics) {
-  // Engine::run_cycles + manual begin/end_measurement (the historical
-  // step-by-step API) must agree with Session::run on the same config.
-  const SimConfig cfg = quick(RoutingKind::kMinimal, TrafficKind::kUniform,
-                              0.2);
-  Engine engine(cfg);
-  engine.run_cycles(cfg.warmup_cycles);
-  engine.network().begin_measurement();
-  engine.run_cycles(cfg.measure_cycles);
-  engine.network().end_measurement();
-  const SimResult manual = engine.collect();
-  const SimResult automatic = Session(cfg).run();
-  EXPECT_EQ(manual.delivered_packets, automatic.delivered_packets);
-  EXPECT_EQ(manual.avg_latency, automatic.avg_latency);
-  EXPECT_EQ(manual.injections_per_router, automatic.injections_per_router);
 }
 
 }  // namespace

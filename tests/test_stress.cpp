@@ -13,7 +13,7 @@ namespace {
 using testutil::quick;
 
 class StressParam
-    : public ::testing::TestWithParam<std::tuple<RoutingKind, TrafficKind>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(StressParam, FullLoadRunsWithoutDeadlockOrCollapse) {
   const auto [routing, traffic] = GetParam();
@@ -25,25 +25,19 @@ TEST_P(StressParam, FullLoadRunsWithoutDeadlockOrCollapse) {
   // throws (failing ASSERT_NO_THROW) on any violation.
   cfg.sim_paranoid = 64;
   SimResult r;
-  ASSERT_NO_THROW(r = run_simulation(cfg)) << to_string(routing);
+  ASSERT_NO_THROW(r = run_simulation(cfg)) << routing;
   // Sustained delivery: at least the MIN/ADV worst-case capacity.
-  EXPECT_GT(r.accepted_load, 0.04) << to_string(routing);
+  EXPECT_GT(r.accepted_load, 0.04) << routing;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ExtremeLoad, StressParam,
-    ::testing::Combine(::testing::Values(RoutingKind::kMinimal,
-                                         RoutingKind::kObliviousRrg,
-                                         RoutingKind::kSourceCrg,
-                                         RoutingKind::kInTransitRrg,
-                                         RoutingKind::kInTransitCrg,
-                                         RoutingKind::kInTransitMm),
-                       ::testing::Values(TrafficKind::kUniform,
-                                         TrafficKind::kAdversarial,
-                                         TrafficKind::kAdvConsecutive)),
+    ::testing::Combine(::testing::Values("min", "val-rrg", "pb-crg", "par-rrg",
+                                         "par-crg", "par-mm"),
+                       ::testing::Values("uniform", "adv", "advc")),
     [](const auto& info) {
-      std::string name = std::string(to_string(std::get<0>(info.param))) +
-                         "_" + to_string(std::get<1>(info.param));
+      std::string name =
+          std::get<0>(info.param) + "_" + std::get<1>(info.param);
       for (char& c : name) {
         if (c == '-' || c == '+') c = '_';
       }
@@ -56,8 +50,7 @@ TEST(Stress, ShardedFullLoadRunsWithoutDeadlockOrCollapse) {
   // leans on to prove the shard phases are race-free). Uneven shard
   // counts included: 7 does not divide h=2's 36 routers.
   for (int shards : {4, 7}) {
-    SimConfig cfg =
-        quick(RoutingKind::kInTransitMm, TrafficKind::kAdvConsecutive, 1.0);
+    SimConfig cfg = quick("par-mm", "advc", 1.0);
     cfg.warmup_cycles = 3'000;
     cfg.measure_cycles = 3'000;
     cfg.sim_paranoid = 64;
@@ -70,24 +63,21 @@ TEST(Stress, ShardedFullLoadRunsWithoutDeadlockOrCollapse) {
 
 TEST(Stress, SmallestDragonflyFullMatrix) {
   // h=1: 2 routers/group, 3 groups, 6 nodes — degenerate corner sizes.
-  for (RoutingKind routing :
-       {RoutingKind::kMinimal, RoutingKind::kObliviousRrg,
-        RoutingKind::kObliviousCrg, RoutingKind::kSourceRrg,
-        RoutingKind::kInTransitMm}) {
-    SimConfig cfg = quick(routing, TrafficKind::kUniform, 0.6, /*h=*/1);
+  for (const char* routing :
+       {"min", "val-rrg", "val-crg", "pb-rrg", "par-mm"}) {
+    SimConfig cfg = quick(routing, "uniform", 0.6, /*h=*/1);
     cfg.warmup_cycles = 1'000;
     cfg.measure_cycles = 2'000;
     SimResult r;
-    ASSERT_NO_THROW(r = run_simulation(cfg)) << to_string(routing);
-    EXPECT_GT(r.delivered_packets, 50) << to_string(routing);
+    ASSERT_NO_THROW(r = run_simulation(cfg)) << routing;
+    EXPECT_GT(r.delivered_packets, 50) << routing;
   }
 }
 
 TEST(Stress, MinimumBufferConfiguration) {
   // Buffers of exactly one packet everywhere: the credit loop degrades
   // to stop-and-wait but must stay live.
-  SimConfig cfg = quick(RoutingKind::kInTransitMm, TrafficKind::kUniform,
-                        0.3);
+  SimConfig cfg = quick("par-mm", "uniform", 0.3);
   cfg.local_input_buffer = 8;
   cfg.global_input_buffer = 8;
   cfg.output_queue_size = 8;
@@ -100,8 +90,7 @@ TEST(Stress, MinimumBufferConfiguration) {
 }
 
 TEST(Stress, SingleIterationAllocator) {
-  SimConfig cfg = quick(RoutingKind::kInTransitMm,
-                        TrafficKind::kAdvConsecutive, 0.4);
+  SimConfig cfg = quick("par-mm", "advc", 0.4);
   cfg.allocator_iterations = 1;
   cfg.max_grants_per_input = 1;
   cfg.max_grants_per_output = 1;
@@ -113,8 +102,7 @@ TEST(Stress, SingleIterationAllocator) {
 TEST(Stress, LongLatencyLinks) {
   // 10x link latencies stress the credit round-trip (in-flight windows
   // larger than buffers).
-  SimConfig cfg = quick(RoutingKind::kInTransitMm, TrafficKind::kUniform,
-                        0.2);
+  SimConfig cfg = quick("par-mm", "uniform", 0.2);
   cfg.local_latency = 100;
   cfg.global_latency = 1000;
   cfg.warmup_cycles = 5'000;
@@ -127,8 +115,7 @@ TEST(Stress, LongLatencyLinks) {
 }
 
 TEST(Stress, BigPackets) {
-  SimConfig cfg = quick(RoutingKind::kObliviousCrg,
-                        TrafficKind::kAdvConsecutive, 0.3);
+  SimConfig cfg = quick("val-crg", "advc", 0.3);
   cfg.packet_size = 32;  // one packet fills a whole local VC buffer
   SimResult r;
   ASSERT_NO_THROW(r = run_simulation(cfg));
@@ -136,8 +123,7 @@ TEST(Stress, BigPackets) {
 }
 
 TEST(Stress, AgeArbitrationUnderExtremeLoad) {
-  SimConfig cfg = quick(RoutingKind::kInTransitMm,
-                        TrafficKind::kAdvConsecutive, 1.0);
+  SimConfig cfg = quick("par-mm", "advc", 1.0);
   cfg.age_arbitration = true;
   cfg.warmup_cycles = 2'000;
   cfg.measure_cycles = 3'000;
@@ -155,8 +141,7 @@ TEST(Stress, ParanoidEveryCycleStaysUsableOnLargerShapes) {
   // expected time on slow hardware); it exists to catch an accidental
   // return to O(all ports x VCs x occupancy) sweeps, which would blow
   // far past it.
-  SimConfig cfg = quick(RoutingKind::kInTransitMm, TrafficKind::kUniform,
-                        0.3, /*h=*/3);
+  SimConfig cfg = quick("par-mm", "uniform", 0.3, /*h=*/3);
   cfg.warmup_cycles = 500;
   cfg.measure_cycles = 1'000;
   cfg.sim_paranoid = 1;

@@ -203,19 +203,19 @@ TEST_F(TrafficFixture, HotspotNeverSelfAndValidates) {
 TEST_F(TrafficFixture, FactoryBuildsConfiguredKind) {
   SimConfig cfg;
   cfg.topo = topo_.params();
-  cfg.traffic = TrafficKind::kUniform;
+  cfg.traffic_name = "uniform";
   EXPECT_EQ(make_traffic(topo_, cfg)->name(), "UN");
-  cfg.traffic = TrafficKind::kAdversarial;
+  cfg.traffic_name = "adv";
   cfg.adversarial_offset = 2;
   EXPECT_EQ(make_traffic(topo_, cfg)->name(), "ADV+2");
-  cfg.traffic = TrafficKind::kAdvConsecutive;
+  cfg.traffic_name = "advc";
   EXPECT_EQ(make_traffic(topo_, cfg)->name(), "ADVc");
-  cfg.traffic = TrafficKind::kPlacement;
+  cfg.traffic_name = "placement";
   cfg.placement_first_group = 1;
   EXPECT_EQ(make_traffic(topo_, cfg)->name(), "placement[1+4]");
-  cfg.traffic = TrafficKind::kShift;
+  cfg.traffic_name = "shift";
   EXPECT_EQ(make_traffic(topo_, cfg)->name(), "shift+18");
-  cfg.traffic = TrafficKind::kHotspot;
+  cfg.traffic_name = "hotspot";
   cfg.hotspot_node = 3;
   EXPECT_EQ(make_traffic(topo_, cfg)->name(), "hotspot[3]");
 }

@@ -21,7 +21,7 @@ namespace {
 /// windows, nonminimal adaptive routing.
 SimConfig workload_base(const std::string& mode) {
   SimConfig cfg = SimConfig::small(2);
-  cfg.routing = RoutingKind::kInTransitMm;
+  cfg.routing_name = "par-mm";
   cfg.load = 0.4;
   cfg.warmup_cycles = 800;
   cfg.measure_cycles = 2'500;
