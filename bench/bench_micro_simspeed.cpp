@@ -258,15 +258,16 @@ BENCHMARK(BM_ServiceRequestHit)->Unit(benchmark::kMicrosecond);
 
 /// Warm-start path: alternate two refined windows through a one-entry
 /// result cache, so every iteration misses the result cache but
-/// resumes the cached Measure-boundary checkpoint (restore + ~300
-/// measured cycles, no warmup).
+/// resumes the 300-cycle window's checkpoint, taken one cycle before it
+/// closed, and simulates only what the longer window adds (restore +
+/// 51 or 52 cycles per replica; service_mix's refine adds 50).
 void BM_ServiceRequestWarm(benchmark::State& state) {
   SweepService service(ServiceOptions{.workers = 1, .result_entries = 1});
   service.execute(service_items(300));  // prime the warm checkpoint
   bool flip = false;
   for (auto _ : state) {
     flip = !flip;
-    const RequestReport rep = service.execute(service_items(flip ? 301 : 302));
+    const RequestReport rep = service.execute(service_items(flip ? 350 : 351));
     benchmark::DoNotOptimize(rep.points[0].result.accepted_load);
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,8 +1,5 @@
 #include "common/checkpoint.hpp"
 
-#include <cstring>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace dragonfly {
@@ -11,91 +8,24 @@ namespace {
 constexpr std::size_t kMaxString = 1u << 20;  ///< sanity bound on lengths
 }  // namespace
 
-void CheckpointWriter::raw(const void* data, std::size_t n) {
-  os_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-  if (!os_) throw std::runtime_error("checkpoint: write failed");
+void CheckpointReader::truncated() {
+  throw std::runtime_error("checkpoint: truncated stream");
 }
 
-void CheckpointWriter::u8(std::uint8_t v) { raw(&v, 1); }
-
-void CheckpointWriter::u32(std::uint32_t v) {
-  std::uint8_t buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(buf, sizeof buf);
-}
-
-void CheckpointWriter::u64(std::uint64_t v) {
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  raw(buf, sizeof buf);
-}
-
-void CheckpointWriter::f64(double v) {
-  // Bit-exact round trip: transport the IEEE-754 representation.
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void CheckpointWriter::str(const std::string& v) {
-  u64(v.size());
-  if (!v.empty()) raw(v.data(), v.size());
-}
-
-void CheckpointWriter::tag(const char* name) { str(name); }
-
-void CheckpointReader::raw(void* data, std::size_t n) {
-  is_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-  if (is_.gcount() != static_cast<std::streamsize>(n)) {
-    throw std::runtime_error("checkpoint: truncated stream");
-  }
-}
-
-std::uint8_t CheckpointReader::u8() {
-  std::uint8_t v = 0;
-  raw(&v, 1);
-  return v;
-}
-
-std::uint32_t CheckpointReader::u32() {
-  std::uint8_t buf[4];
-  raw(buf, sizeof buf);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t CheckpointReader::u64() {
-  std::uint8_t buf[8];
-  raw(buf, sizeof buf);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return v;
-}
-
-double CheckpointReader::f64() {
-  const std::uint64_t bits = u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-std::string CheckpointReader::str() {
+std::string_view CheckpointReader::str_view() {
   const std::uint64_t n = u64();
   if (n > kMaxString) {
     throw std::runtime_error("checkpoint: implausible string length");
   }
-  std::string v(static_cast<std::size_t>(n), '\0');
-  if (n > 0) raw(v.data(), static_cast<std::size_t>(n));
-  return v;
+  return {take(static_cast<std::size_t>(n)), static_cast<std::size_t>(n)};
 }
 
 void CheckpointReader::tag(const char* name) {
-  const std::string got = str();
+  const std::string_view got = str_view();
   if (got != name) {
     throw std::runtime_error("checkpoint: expected section \"" +
-                             std::string(name) + "\", found \"" + got + "\"");
+                             std::string(name) + "\", found \"" +
+                             std::string(got) + "\"");
   }
 }
 

@@ -1,5 +1,6 @@
 #include "router/packet.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -134,7 +135,9 @@ void PacketStore::load(CheckpointReader& ck) {
     }
     const std::uint64_t frees = ck.u64();
     a.free.clear();
-    a.free.reserve(static_cast<std::size_t>(frees));
+    // A free list never outgrows its arena; a corrupt count must not
+    // size the reservation.
+    a.free.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(frees, a.size)));
     for (std::uint64_t i = 0; i < frees; ++i) a.free.push_back(ck.u32());
   }
 }

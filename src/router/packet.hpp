@@ -167,7 +167,10 @@ class PacketStore {
   void load(CheckpointReader& ck);
 
  private:
-  static constexpr int kBlockShift = 12;  ///< 4096 packets per block
+  /// 256 packets (~30 KB) per block: blocks are value-initialized as
+  /// they materialize, so a small network (a few hundred live packets)
+  /// pays for a few of them instead of one 4,096-slot block.
+  static constexpr int kBlockShift = 8;
   static constexpr std::uint32_t kBlockSize = 1u << kBlockShift;
   static constexpr std::uint32_t kBlockMask = kBlockSize - 1;
   static constexpr std::size_t kMaxBlocks = std::size_t{1}

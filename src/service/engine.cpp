@@ -1,7 +1,6 @@
 #include "service/engine.hpp"
 
 #include <condition_variable>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -247,45 +246,46 @@ void SweepService::run_point(InFlight* flight) {
     std::shared_ptr<const Topology> topo;
     if (opts_.share_topologies) topo = topologies_.acquire(flight->cfg);
 
-    std::shared_ptr<const std::vector<std::string>> warm;
-    if (opts_.capture_warm_checkpoints) warm = warm_.get(flight->warm_key);
+    // Only a fixed, unscripted window has a deadline a refinement can
+    // move: such a point warm-starts from a cached window that is no
+    // longer than its own, and its cold run (re)captures one.
+    const std::size_t seeds = static_cast<std::size_t>(flight->seeds);
+    const bool warmable = opts_.capture_warm_checkpoints &&
+                          flight->cfg.stop.mode == StopMode::kFixed &&
+                          flight->cfg.phase_script.empty();
+    std::shared_ptr<const WarmEntry> warm;
+    if (warmable) warm = warm_.get(flight->warm_key);
     if (warm != nullptr &&
-        warm->size() != static_cast<std::size_t>(flight->seeds)) {
+        (warm->checkpoints.size() != seeds ||
+         warm->measure_cycles > flight->cfg.measure_cycles)) {
       warm = nullptr;
     }
 
-    std::vector<SimResult> runs(static_cast<std::size_t>(flight->seeds));
-    auto fresh = std::make_shared<std::vector<std::string>>();
+    std::vector<SimResult> runs(seeds);
+    auto fresh = std::make_shared<WarmEntry>();
+    fresh->measure_cycles = flight->cfg.measure_cycles;
     std::int64_t cycles = 0;
-    for (int s = 0; s < flight->seeds; ++s) {
+    for (std::size_t s = 0; s < seeds; ++s) {
       SimConfig rcfg = flight->cfg;
-      rcfg.seed = derive_seed(flight->cfg.seed, static_cast<std::uint64_t>(s));
-      InFlight::Tap tap(flight, static_cast<std::size_t>(s));
+      rcfg.seed = derive_seed(flight->cfg.seed, s);
+      InFlight::Tap tap(flight, s);
       if (warm != nullptr) {
-        // Warm start: resume the cached Measure-boundary checkpoint
-        // under the refined window. restore() re-validates that rcfg
-        // only differs in refinement keys.
-        std::istringstream is((*warm)[static_cast<std::size_t>(s)]);
-        std::unique_ptr<Session> session =
-            Session::restore(is, /*shards_override=*/0, &rcfg, topo);
+        // Warm start: resume the cached window one cycle before it
+        // closed; restore() re-validates that rcfg only differs in
+        // refinement keys and moves the deadline to the refined window.
+        std::unique_ptr<Session> session = Session::restore(
+            warm->checkpoints[s], /*shards_override=*/0, &rcfg, topo);
         const Cycle resumed_at = session->now();
         session->set_tap(&tap);
-        runs[static_cast<std::size_t>(s)] = session->run();
+        runs[s] = session->run();
         cycles += session->now() - resumed_at;
       } else {
         Session session(rcfg, topo);
         session.set_tap(&tap);
-        // Checkpoint at the Warmup->Measure boundary: the phase is not
-        // armed yet, so a restore under a refined config opens the
-        // refined measurement window over identical warm state.
-        session.advance_to(SessionPhase::kMeasure);
-        if (opts_.capture_warm_checkpoints &&
-            session.phase() == SessionPhase::kMeasure) {
-          std::ostringstream os;
-          session.checkpoint(os);
-          fresh->push_back(std::move(os).str());
+        if (warmable && session.advance_to_measure_close()) {
+          fresh->checkpoints.push_back(session.checkpoint());
         }
-        runs[static_cast<std::size_t>(s)] = session.run();
+        runs[s] = session.run();
         cycles += session.now();
       }
     }
@@ -298,10 +298,9 @@ void SweepService::run_point(InFlight* flight) {
         sizeof(AveragedResult) +
         value->injections_per_router.size() * sizeof(double);
     results_.put(flight->hash, std::move(value), bytes);
-    if (warm == nullptr &&
-        fresh->size() == static_cast<std::size_t>(flight->seeds)) {
+    if (warm == nullptr && fresh->checkpoints.size() == seeds) {
       std::size_t warm_bytes = 0;
-      for (const std::string& ck : *fresh) warm_bytes += ck.size();
+      for (const std::string& ck : fresh->checkpoints) warm_bytes += ck.size();
       warm_.put(flight->warm_key, std::move(fresh), warm_bytes);
     }
   } catch (const std::exception& e) {

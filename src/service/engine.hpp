@@ -7,11 +7,18 @@
 //   * result cache  — points are keyed by SimConfig::canonical_hash()
 //     (+ replica count); a re-request of an already-computed point is
 //     answered from the LRU without simulating a cycle.
-//   * warm starts   — every cold point run checkpoints at the Measure
-//     boundary; a *refinement* request (same physics, different
-//     measurement window / stop rule — see SimConfig::warm_hash)
-//     restores those checkpoints instead of re-warming, and
-//     Session::restore re-validates compatibility before resuming.
+//   * warm starts   — a cold run of a fixed, unscripted window
+//     (stop.mode=fixed, no phase script) checkpoints one cycle before
+//     its window closes and caches the bytes under its refinement
+//     family (SimConfig::warm_hash) together with the window length. A
+//     later point of that family with a fixed, unscripted window at
+//     least as long restores the checkpoint and simulates only the
+//     cycles its window adds (Session::restore re-validates
+//     compatibility and moves the deadline); a kernel/shards/stream
+//     refinement of the same window simulates one cycle. Every other
+//     refinement — a stop-rule change, a shorter window — runs cold,
+//     and a shorter fixed window's cold run replaces the cached one.
+//     A warm STREAM emits samples only for the cycles it simulates.
 //   * shared topologies — concurrent sessions on one shape share a
 //     TopologyCache entry instead of rebuilding wiring/oracle tables.
 //
@@ -43,14 +50,16 @@ struct ServiceOptions {
   std::size_t result_entries = 4096;       ///< result LRU budget (count)
   std::size_t warm_entries = 64;           ///< warm-checkpoint LRU (count)
   std::size_t warm_bytes = 256 << 20;      ///< warm-checkpoint LRU (bytes)
-  bool capture_warm_checkpoints = true;    ///< checkpoint cold runs at Measure
+  /// Checkpoint cold fixed-window runs one cycle before their window
+  /// closes, and warm-start longer-window refinements from them.
+  bool capture_warm_checkpoints = true;
   bool share_topologies = true;            ///< share Topology across sessions
 };
 
 /// How a point's result was obtained.
 enum class PointSource : std::uint8_t {
   kMiss,       ///< simulated cold (warmup + measurement)
-  kWarm,       ///< warm-started from a cached Measure-boundary checkpoint
+  kWarm,       ///< resumed a cached window one cycle before it closed
   kHit,        ///< answered from the result cache
   kCoalesced,  ///< joined another request's identical in-flight run
 };
@@ -76,6 +85,13 @@ struct RequestReport {
   bool ok() const;    ///< no request error and no point errors
 };
 
+/// One warm-start cache entry: per-replica checkpoint bytes, each taken
+/// one cycle before a fixed window of `measure_cycles` closed.
+struct WarmEntry {
+  std::vector<std::string> checkpoints;
+  Cycle measure_cycles = 0;
+};
+
 struct ServiceStats {
   std::int64_t requests = 0;
   std::int64_t points = 0;
@@ -86,7 +102,7 @@ struct ServiceStats {
   std::int64_t cycles_simulated = 0;
   std::int64_t errors = 0;
   LruCache<AveragedResult>::Stats result_cache;
-  LruCache<std::vector<std::string>>::Stats warm_cache;
+  LruCache<WarmEntry>::Stats warm_cache;
   TopologyCache::Stats topologies;
 };
 
@@ -127,7 +143,7 @@ class SweepService {
 
   ServiceOptions opts_;
   LruCache<AveragedResult> results_;
-  LruCache<std::vector<std::string>> warm_;  ///< per-replica checkpoints
+  LruCache<WarmEntry> warm_;
   TopologyCache topologies_;
 
   mutable std::mutex mu_;

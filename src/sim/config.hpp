@@ -249,14 +249,14 @@ struct SimConfig {
   std::string canonical_hash() const;
 
   /// True for knobs a *refinement* request may change while still
-  /// resuming from a warm-start checkpoint taken at the Measure
-  /// boundary: the measurement window and stop rule (measure_cycles,
-  /// stop.*), post-measure concerns (drain.max_cycles,
-  /// stream.interval), and the execution-only knobs that are
-  /// bit-identity-neutral by construction (sim.kernel, sim.shards,
-  /// sim.paranoid). Everything else — topology, routing, traffic,
-  /// load, seed, buffers, warmup — defines the warmed-up state and
-  /// must match exactly.
+  /// resuming from a warm-start checkpoint (Session::restore says
+  /// which ones a checkpoint inside an open window accepts): the
+  /// measurement window and stop rule (measure_cycles, stop.*),
+  /// post-measure concerns (drain.max_cycles, stream.interval), and
+  /// the execution-only knobs that are bit-identity-neutral by
+  /// construction (sim.kernel, sim.shards, sim.paranoid). Everything
+  /// else — topology, routing, traffic, load, seed, buffers, warmup —
+  /// defines the warmed-up state and must match exactly.
   static bool refinement_key(const std::string& key);
 
   /// canonical_hash() over the non-refinement keys only — the

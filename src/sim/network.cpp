@@ -225,7 +225,7 @@ void Network::build() {
     nodes_.emplace_back(n, routers_[static_cast<std::size_t>(r)].get(),
                         traffic_.get(), routing_.get(), &store_, &cfg_,
                         root.child(static_cast<std::uint64_t>(n)),
-                        &node_hot_);
+                        node_hot_);
     nodes_.back().set_arena(shard_of_router_[static_cast<std::size_t>(r)]);
     router_of_node_.push_back(r);
   }

@@ -9,10 +9,14 @@ namespace dragonfly {
 
 Node::Node(NodeId id, Router* router, const TrafficPattern* pattern,
            RoutingAlgorithm* routing, PacketStore* store, const SimConfig* cfg,
-           Rng rng, NodeHot* hot)
-    : gen_prob_(cfg->load / static_cast<double>(cfg->packet_size)),
+           Rng rng, NodeHot& hot)
+    : rng_(hot.s0() + id, hot.s1() + id, hot.s2() + id, hot.s3() + id),
+      gen_prob_(cfg->load / static_cast<double>(cfg->packet_size)),
       queue_cap_(cfg->node_queue_capacity),
       generates_(pattern->generates(id)),
+      threshold_slot_(hot.threshold() + id),
+      mode_slot_(hot.mode() + id),
+      blocked_slot_(hot.blocked() + id),
       id_(id),
       inj_port_(router->topology().injection_port(
           router->topology().node_index_in_router(id))),
@@ -21,19 +25,6 @@ Node::Node(NodeId id, Router* router, const TrafficPattern* pattern,
       routing_(routing),
       store_(store),
       cfg_(cfg) {
-  if (hot != nullptr) {
-    const auto lane = static_cast<std::size_t>(id);
-    rng_ = RngView(hot->s0() + lane, hot->s1() + lane, hot->s2() + lane,
-                   hot->s3() + lane);
-    threshold_slot_ = hot->threshold() + lane;
-    mode_slot_ = hot->mode() + lane;
-    blocked_slot_ = hot->blocked() + lane;
-  } else {
-    rng_ = RngView(&own_rng_[0], &own_rng_[1], &own_rng_[2], &own_rng_[3]);
-    threshold_slot_ = &own_threshold_;
-    mode_slot_ = &own_mode_;
-    blocked_slot_ = &own_blocked_;
-  }
   rng_.set_state(rng.state());
   sync_gen_params();
   sync_blocked();

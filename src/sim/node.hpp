@@ -18,14 +18,13 @@ class NodeHot;
 
 class Node {
  public:
-  /// `hot` (with this node's id as the lane index) binds the RNG lane,
-  /// Bernoulli threshold/mode and queue-full byte into the Network's
-  /// NodeHot SoA bank so the batched generation phase can read them
-  /// contiguously; null falls back to private storage (standalone use).
-  /// Like VcFifo, only the storage moves — behaviour is identical.
+  /// `hot` (with this node's id as the lane index) holds the RNG lane,
+  /// Bernoulli threshold/mode and queue-full byte: the Network's NodeHot
+  /// SoA bank, so the batched generation phase can read them
+  /// contiguously. A standalone node binds a small NodeHot of its own.
   Node(NodeId id, Router* router, const TrafficPattern* pattern,
        RoutingAlgorithm* routing, PacketStore* store, const SimConfig* cfg,
-       Rng rng, NodeHot* hot = nullptr);
+       Rng rng, NodeHot& hot);
 
   NodeId id() const { return id_; }
   bool generates() const { return generates_; }
@@ -147,7 +146,7 @@ class Node {
   // Hot fields first: the step() gate runs for every active node every
   // cycle and should touch one cache line in the common case (no
   // Bernoulli hit, empty source queue). The RNG state itself lives in
-  // the NodeHot lane rng_ points into (own_rng_ standalone).
+  // the NodeHot lane rng_ points into.
   RngView rng_;
   /// Per-cycle Bernoulli generation probability load/packet_size, hoisted
   /// out of the hot step() loop.
@@ -159,7 +158,7 @@ class Node {
   /// cfg_->node_queue_capacity, cached to skip the config pointer chase.
   std::int32_t queue_cap_;
   bool generates_;
-  // NodeHot slots (private fallback storage when unbound).
+  // This node's NodeHot slots.
   std::uint64_t* threshold_slot_;
   std::uint8_t* mode_slot_;
   std::uint8_t* blocked_slot_;
@@ -182,11 +181,6 @@ class Node {
   Ring<PacketRef> queue_;
   std::int64_t generated_total_ = 0;
   std::int64_t generated_measured_ = 0;
-  // Fallback storage for the NodeHot slots (standalone construction).
-  std::uint64_t own_rng_[4] = {0, 0, 0, 0};
-  std::uint64_t own_threshold_ = 0;
-  std::uint8_t own_mode_ = 1;
-  std::uint8_t own_blocked_ = 0;
 };
 
 }  // namespace dragonfly

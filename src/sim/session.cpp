@@ -377,6 +377,17 @@ void Session::advance_to(SessionPhase target) {
   }
 }
 
+bool Session::advance_to_measure_close() {
+  if (cfg_.stop.mode != StopMode::kFixed || !cfg_.phase_script.empty()) {
+    return false;
+  }
+  advance_to(SessionPhase::kMeasure);
+  if (phase_ != SessionPhase::kMeasure) return false;
+  if (!phase_armed_) arm_phase();
+  step(phase_end_ - 1 - net_.now());
+  return true;
+}
+
 SimResult Session::run() {
   advance_to(SessionPhase::kDone);
   return collect();
@@ -469,8 +480,8 @@ SimResult Session::collect() const {
 
 // --- checkpoint / restore ---------------------------------------------------
 
-void Session::checkpoint(std::ostream& os) const {
-  CheckpointWriter ck(os);
+std::string Session::checkpoint() const {
+  CheckpointWriter ck;
   ck.str(kCheckpointMagic);
   ck.u32(kCheckpointVersion);
   cfg_.write_to(ck);
@@ -498,13 +509,30 @@ void Session::checkpoint(std::ostream& os) const {
   ck.i64(last_progress_);
   ck.u64(last_live_);
   net_.save(ck);
+  return ck.take();
+}
+
+void Session::checkpoint(std::ostream& os) const {
+  const std::string bytes = checkpoint();
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!os) throw std::runtime_error("checkpoint: write failed");
 }
 
 std::unique_ptr<Session> Session::restore(std::istream& is,
                                           int shards_override,
                                           const SimConfig* refine,
                                           std::shared_ptr<const Topology> topo) {
-  CheckpointReader ck(is);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return restore(std::move(bytes).str(), shards_override, refine,
+                 std::move(topo));
+}
+
+std::unique_ptr<Session> Session::restore(std::string_view bytes,
+                                          int shards_override,
+                                          const SimConfig* refine,
+                                          std::shared_ptr<const Topology> topo) {
+  CheckpointReader ck(bytes);
   if (ck.str() != kCheckpointMagic) {
     throw std::runtime_error("checkpoint: not a session checkpoint stream");
   }
@@ -515,6 +543,7 @@ std::unique_ptr<Session> Session::restore(std::istream& is,
   }
   SimConfig cfg;
   cfg.read_from(ck);
+  const StopRule saved_stop = cfg.stop;
   // Warm-start refinement: the caller wants this checkpoint's state but
   // a different measurement window / stop rule. Anything beyond the
   // refinement keys would make the resumed run a physically different
@@ -564,11 +593,37 @@ std::unique_ptr<Session> Session::restore(std::istream& is,
   session->last_progress_ = ck.i64();
   session->last_live_ = static_cast<std::size_t>(ck.u64());
   session->net_.load(ck);
+  if (refine != nullptr && session->phase_ == SessionPhase::kMeasure &&
+      session->phase_armed_) {
+    session->refine_open_window(saved_stop);
+  }
   // The stream carries the collector's streaming flag from save time,
   // but a restored session starts with no tap attached; re-attaching
   // one re-enables the P² updates.
   session->net_.collector().set_streaming(false);
   return session;
+}
+
+void Session::refine_open_window(const StopRule& saved) {
+  // The window opened under the saved stop rule: its batch boundaries
+  // (stop.mode=ci) are already laid out, so only the deadline may move.
+  if (cfg_.stop.mode != saved.mode ||
+      (saved.mode == StopMode::kCi &&
+       cfg_.stop.batch_cycles != saved.batch_cycles)) {
+    throw std::runtime_error(
+        "checkpoint: warm start rejected: the checkpoint is inside an open "
+        "measure window, where the stop rule may not change");
+  }
+  if (!cfg_.phase_script.empty()) return;  // scripted: a physical deadline
+  const Cycle deadline = measure_begin_ + cfg_.measure_cycles;
+  if (deadline <= net_.now()) {
+    throw std::runtime_error(
+        "checkpoint: warm start rejected: the refined measure window (" +
+        std::to_string(cfg_.measure_cycles) + " cycles from cycle " +
+        std::to_string(measure_begin_) + ") does not end after the "
+        "checkpoint's cycle " + std::to_string(net_.now()));
+  }
+  phase_end_ = deadline;
 }
 
 void Session::checkpoint_file(const std::string& path) const {

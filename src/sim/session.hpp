@@ -27,6 +27,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/fairness.hpp"
@@ -118,6 +119,14 @@ class Session {
   /// at or past it).
   void advance_to(SessionPhase target);
 
+  /// Under a fixed, unscripted window (stop.mode=fixed, no phase
+  /// script): run into Measure and stop one cycle before the window
+  /// closes, leaving it open — a checkpoint taken here can be restored
+  /// under a longer refined window that then simulates only the cycles
+  /// it adds. Returns false, without stepping, for any other stop rule
+  /// or when the session is already past Measure.
+  bool advance_to_measure_close();
+
   /// Drive the machine to Done and collect.
   SimResult run();
 
@@ -156,6 +165,7 @@ class Session {
   /// instead of the one embedded at save time — still bit-identical,
   /// so a run can be checkpointed on a laptop at sim.shards=1 and
   /// resumed on a many-core box at sim.shards=8 (or vice versa).
+  ///
   /// `refine`, when non-null, is a *warm-start refinement*: the restored
   /// session adopts the refinement keys (measurement window, stop rule,
   /// drain cap, stream interval, kernel/shards/paranoid — see
@@ -164,10 +174,31 @@ class Session {
   /// the embedded config's canonical form; any mismatch throws
   /// std::runtime_error carrying SimConfig::warm_incompatibility's
   /// diagnostic, so a service can never silently resume a checkpoint
-  /// into a physically different experiment. `topo` optionally supplies
-  /// the shared topology for the rebuilt network (nullptr = private).
+  /// into a physically different experiment. Where the refinement lands
+  /// depends on where the checkpoint was taken:
+  ///   * at the Warmup->Measure boundary (the Measure phase entered but
+  ///     not armed, as `simulate_cli --checkpoint` writes it), the
+  ///     refined window and stop rule open over identical warm state;
+  ///   * inside an open, unscripted Measure window (e.g. one cycle
+  ///     before a fixed window closes, advance_to_measure_close()), the
+  ///     window's deadline is re-derived as measure_begin + the refined
+  ///     measure_cycles, so a longer window simulates only the cycles
+  ///     it adds. A deadline not after the checkpoint's cycle, or a
+  ///     changed stop mode or batch length, throws
+  ///     "checkpoint: warm start rejected: ...".
+  /// Without `refine` the saved deadline is kept. `topo` optionally
+  /// supplies the shared topology for the rebuilt network (nullptr =
+  /// private).
+  std::string checkpoint() const;
   void checkpoint(std::ostream& os) const;
   void checkpoint_file(const std::string& path) const;
+  /// Restore from checkpoint bytes (the caller keeps them alive for the
+  /// call only).
+  static std::unique_ptr<Session> restore(
+      std::string_view bytes, int shards_override = 0,
+      const SimConfig* refine = nullptr,
+      std::shared_ptr<const Topology> topo = nullptr);
+  /// Restore from the rest of `is`.
   static std::unique_ptr<Session> restore(
       std::istream& is, int shards_override = 0,
       const SimConfig* refine = nullptr,
@@ -185,6 +216,9 @@ class Session {
   void close_batch();
   bool intervals_converged() const;
   void emit_sample();
+  /// restore() with a refinement, checkpoint inside an open Measure
+  /// window: re-derive its deadline (see restore()).
+  void refine_open_window(const StopRule& saved);
 
   SimConfig cfg_;
   Network net_;

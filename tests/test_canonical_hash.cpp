@@ -13,7 +13,6 @@
 //     knobs, and warm_incompatibility diagnoses everything else.
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -232,17 +231,15 @@ TEST(CanonicalHash, CheckpointSectionRoundTripsEveryKnob) {
   }
   configs.push_back(every);
   for (const SimConfig& cfg : configs) {
-    std::stringstream first;
-    CheckpointWriter writer(first);
+    CheckpointWriter writer;
     cfg.write_to(writer);
     SimConfig copy;
-    CheckpointReader reader(first);
+    CheckpointReader reader(writer.bytes());
     copy.read_from(reader);
     EXPECT_EQ(copy.canonical_hash(), cfg.canonical_hash());
-    std::stringstream second;
-    CheckpointWriter rewriter(second);
+    CheckpointWriter rewriter;
     copy.write_to(rewriter);
-    EXPECT_EQ(second.str(), first.str());
+    EXPECT_EQ(rewriter.bytes(), writer.bytes());
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -391,11 +390,10 @@ TEST(Config, SimKernelKnobRoundTrips) {
   EXPECT_EQ(sim_kernel_from_string("scan"), SimKernel::kScan);
 
   cfg.kernel = SimKernel::kScan;
-  std::stringstream buffer;
-  CheckpointWriter writer(buffer);
+  CheckpointWriter writer;
   cfg.write_to(writer);
   SimConfig copy;
-  CheckpointReader reader(buffer);
+  CheckpointReader reader(writer.bytes());
   copy.read_from(reader);
   EXPECT_EQ(copy.kernel, SimKernel::kScan);
 }
@@ -420,11 +418,10 @@ TEST(Config, CheckpointRoundTripsEveryField) {
   cfg.stream_interval = 123;
   cfg.phase_script = parse_phase_script("x:10@load=0.3");
 
-  std::stringstream buffer;
-  CheckpointWriter writer(buffer);
+  CheckpointWriter writer;
   cfg.write_to(writer);
   SimConfig copy;
-  CheckpointReader reader(buffer);
+  CheckpointReader reader(writer.bytes());
   copy.read_from(reader);
 
   EXPECT_EQ(copy.routing_name, "par-mm");
@@ -452,11 +449,10 @@ TEST(Config, CheckpointKeepsCodeBuiltSelections) {
   cfg.vcs_explicit = true;
   cfg.topo_a_explicit = true;
 
-  std::stringstream buffer;
-  CheckpointWriter writer(buffer);
+  CheckpointWriter writer;
   cfg.write_to(writer);
   SimConfig copy;
-  CheckpointReader reader(buffer);
+  CheckpointReader reader(writer.bytes());
   copy.read_from(reader);
 
   EXPECT_EQ(copy.routing_key(), "par-mm");

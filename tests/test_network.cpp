@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "common/checkpoint.hpp"
 #include "sim_test_util.hpp"
@@ -151,13 +150,12 @@ TEST(Network, CheckpointStreamsAreKernelIndependent) {
   cfg.kernel = SimKernel::kActive;
   Network active(cfg);
   for (int i = 0; i < 1'200; ++i) active.step();
-  std::stringstream stream;
-  CheckpointWriter writer(stream);
+  CheckpointWriter writer;
   active.save(writer);
 
   cfg.kernel = SimKernel::kScan;
   Network resumed(cfg);
-  CheckpointReader reader(stream);
+  CheckpointReader reader(writer.bytes());
   resumed.load(reader);
   ASSERT_NO_THROW(resumed.check_invariants());
   for (int i = 0; i < 1'000; ++i) {

@@ -133,12 +133,11 @@ TEST(NetworkSharded, CheckpointsArePartitionIndependent) {
   for (const auto& c : cases) {
     Network source(sharded_cfg(c.save_shards, c.save_kernel));
     for (int i = 0; i < 1'200; ++i) source.step();
-    std::stringstream stream;
-    CheckpointWriter writer(stream);
+    CheckpointWriter writer;
     source.save(writer);
 
     Network resumed(sharded_cfg(c.load_shards, c.load_kernel));
-    CheckpointReader reader(stream);
+    CheckpointReader reader(writer.bytes());
     resumed.load(reader);
     ASSERT_NO_THROW(resumed.check_invariants());
     for (int i = 0; i < 1'000; ++i) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/hot_state.hpp"
 #include "sim_test_util.hpp"
 
 namespace dragonfly {
@@ -96,6 +97,42 @@ TEST(Node, InjectionBacklogStaysWithinOneBufferWindow) {
                 cfg.local_input_buffer + cfg.packet_size);
     }
   }
+}
+
+TEST(Node, StandaloneNodeKeepsItsHotStateInTheBoundLanes) {
+  // A node outside a Network binds a small NodeHot of its own, as the
+  // router fixtures bind a HotState: RNG lane, Bernoulli threshold/mode
+  // and the queue-full byte all live in lane `id`.
+  SimConfig cfg = quick("min", "uniform", 0.2);
+  cfg.node_queue_capacity = 2;
+  Network net(cfg);  // supplies the router, routing and pattern
+  constexpr NodeId kId = 1;
+  NodeHot hot;
+  hot.init(kId + 1);
+  PacketStore store;
+  const Rng rng(42);
+  Node node(kId, &net.router(net.topology().router_of_node(kId)),
+            &net.traffic(), &net.routing(), &store, &cfg, rng, hot);
+
+  EXPECT_EQ(hot.s0()[kId], rng.state()[0]);
+  EXPECT_EQ(hot.s3()[kId], rng.state()[3]);
+  EXPECT_EQ(hot.mode()[kId], 0);
+  EXPECT_EQ(hot.threshold()[kId], Rng::bernoulli_threshold(0.2 / 8.0));
+  node.set_offered_load(0.0, cfg.packet_size);
+  EXPECT_EQ(hot.mode()[kId], 1);
+
+  // Directed sends fill the two-packet source queue; the blocked byte
+  // follows.
+  EXPECT_EQ(hot.blocked()[kId], 0);
+  EXPECT_TRUE(node.post_send(0, 0, false, -1));
+  EXPECT_TRUE(node.post_send(0, 0, false, -1));
+  EXPECT_FALSE(node.post_send(0, 0, false, -1));
+  EXPECT_EQ(hot.blocked()[kId], 1);
+  EXPECT_EQ(node.queue_length(), 2u);
+  EXPECT_EQ(store.live(), 2u);
+  // Untouched lanes keep NodeHot's defaults.
+  EXPECT_EQ(hot.mode()[0], 1);
+  EXPECT_EQ(hot.blocked()[0], 0);
 }
 
 }  // namespace

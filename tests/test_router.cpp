@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "common/checkpoint.hpp"
@@ -287,8 +286,7 @@ TEST_F(RouterFixture, CheckpointRoundTripsWithItsHotState) {
   router_.inject(1, 0, make_packet(1, 9), 1);  // left buffered
   ASSERT_TRUE(router_.has_buffered());
 
-  std::stringstream stream;
-  CheckpointWriter writer(stream);
+  CheckpointWriter writer;
   router_.save(writer);
   storage_.hot.save(writer);
 
@@ -297,7 +295,7 @@ TEST_F(RouterFixture, CheckpointRoundTripsWithItsHotState) {
                storage.hot, storage.counters());
   // Wire identically (the fixture's wiring), then restore.
   wire_like_network(fresh);
-  CheckpointReader reader(stream);
+  CheckpointReader reader(writer.bytes());
   fresh.load(reader);
   storage.hot.load(reader);
   EXPECT_TRUE(fresh.has_buffered());

@@ -99,9 +99,10 @@ TEST(SweepService, WarmStartIsBitIdenticalToColdRunOfLongerWindow) {
   ASSERT_EQ(warmed.points[0].source, PointSource::kWarm);
   EXPECT_EQ(warmed.points[0].warm_hash, cold_short.points[0].warm_hash);
   EXPECT_NE(warmed.points[0].hash, cold_short.points[0].hash);
-  // The warm start skipped the warmup: strictly fewer cycles than
-  // warmup + measure over both replicas.
-  EXPECT_EQ(warmed.points[0].cycles_simulated, 2 * 700);
+  // The warm start resumed one cycle before the cached 300-cycle window
+  // closed and simulated only what the 700-cycle window adds, per
+  // replica.
+  EXPECT_EQ(warmed.points[0].cycles_simulated, 2 * (700 - 300 + 1));
 
   // Service B: the same refined request cold, in a fresh process-like
   // state. Results must match byte for byte.
@@ -113,13 +114,66 @@ TEST(SweepService, WarmStartIsBitIdenticalToColdRunOfLongerWindow) {
   EXPECT_EQ(row_of(warmed.points[0]), row_of(cold_long.points[0]));
 }
 
-TEST(SweepService, TighterStopRuleWarmStartsToo) {
+/// `items` executed on a service that has seen nothing before.
+RequestReport fresh_run(const std::vector<std::string>& items) {
+  SweepService service(ServiceOptions{.workers = 2});
+  return service.execute(items);
+}
+
+TEST(SweepService, StopRuleRefinementRunsColdAndMatches) {
+  // Same refinement family, but a CI stop rule has no fixed deadline to
+  // move: the point runs cold and captures nothing.
   SweepService service(ServiceOptions{.workers = 2});
   ASSERT_TRUE(service.execute(base_items()).ok());
-  const RequestReport rep = service.execute(with(
-      with(base_items(), "stop.mode=ci"), "stop.batch_cycles=100"));
+  const std::vector<std::string> ci =
+      with(with(base_items(), "stop.mode=ci"), "stop.batch_cycles=100");
+  const RequestReport rep = service.execute(ci);
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  EXPECT_EQ(rep.points[0].source, PointSource::kMiss);
+  const RequestReport fresh = fresh_run(ci);
+  ASSERT_TRUE(fresh.ok()) << fresh.error;
+  EXPECT_EQ(row_of(rep.points[0]), row_of(fresh.points[0]));
+  EXPECT_EQ(service.stats().warm_cache.entries, 1u);
+}
+
+TEST(SweepService, ShorterWindowRefinementRunsColdAndMatches) {
+  SweepService service(ServiceOptions{.workers = 2});
+  ASSERT_TRUE(service.execute(base_items()).ok());
+  const std::vector<std::string> shorter =
+      with(base_items(), "measure_cycles=250");
+  const RequestReport rep = service.execute(shorter);
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  EXPECT_EQ(rep.points[0].source, PointSource::kMiss);
+  EXPECT_EQ(rep.points[0].cycles_simulated, 2 * (200 + 250));
+  const RequestReport fresh = fresh_run(shorter);
+  ASSERT_TRUE(fresh.ok()) << fresh.error;
+  EXPECT_EQ(row_of(rep.points[0]), row_of(fresh.points[0]));
+
+  // That cold run re-captured its own window: a 280-cycle window now
+  // resumes from the 250-cycle one.
+  const RequestReport next =
+      service.execute(with(base_items(), "measure_cycles=280"));
+  ASSERT_TRUE(next.ok()) << next.error;
+  EXPECT_EQ(next.points[0].source, PointSource::kWarm);
+  EXPECT_EQ(next.points[0].cycles_simulated, 2 * (280 - 250 + 1));
+}
+
+TEST(SweepService, LongerWindowOnTwoShardsAndTheScanKernelWarmStarts) {
+  SweepService service(ServiceOptions{.workers = 2});
+  ASSERT_TRUE(service.execute(base_items()).ok());
+  const std::vector<std::string> refined = with(
+      with(with(base_items(), "measure_cycles=450"), "sim.shards=2"),
+      "sim.kernel=scan");
+  const RequestReport rep = service.execute(refined);
   ASSERT_TRUE(rep.ok()) << rep.error;
   EXPECT_EQ(rep.points[0].source, PointSource::kWarm);
+  EXPECT_EQ(rep.points[0].cycles_simulated, 2 * (450 - 300 + 1));
+  // Bit-identical to the plain cold run of the longer window: shards
+  // and kernel change how, not what, the network computes.
+  const RequestReport cold = fresh_run(with(base_items(), "measure_cycles=450"));
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_EQ(cold.points[0].source, PointSource::kMiss);
+  EXPECT_EQ(row_of(rep.points[0]), row_of(cold.points[0]));
 }
 
 TEST(SweepService, ConcurrentIdenticalRequestsSimulateOnce) {

@@ -317,15 +317,113 @@ TEST(Session, CheckpointRejectsACorruptConfigValue) {
 
 TEST(Session, CheckpointRejectsAnOlderFormatVersion) {
   std::string bytes = measure_boundary_checkpoint();
-  std::stringstream stream(bytes);
-  CheckpointReader reader(stream);
+  CheckpointReader reader(bytes);
   (void)reader.str();  // magic; the format version follows
-  const auto version_at = static_cast<std::size_t>(stream.tellg());
-  std::stringstream v5;
-  CheckpointWriter writer(v5);
-  writer.u32(5);
-  bytes.replace(version_at, v5.str().size(), v5.str());
+  const std::size_t version_at = reader.offset();
+  CheckpointWriter v5;
+  v5.u32(5);
+  bytes.replace(version_at, v5.bytes().size(), v5.bytes());
   EXPECT_EQ(restore_error(bytes), "checkpoint: unsupported version 5");
+}
+
+// --- checkpoints inside an open window (the service's warm starts) ---------
+
+/// A fixed-window config with traffic in flight at the window's end.
+SimConfig window_cfg() {
+  SimConfig cfg = quick("par-mm", "advc", 0.3);
+  cfg.warmup_cycles = 400;
+  cfg.measure_cycles = 600;
+  return cfg;
+}
+
+/// Bytes of a checkpoint taken one cycle before `cfg`'s window closes.
+std::string window_end_checkpoint(const SimConfig& cfg) {
+  Session session(cfg);
+  EXPECT_TRUE(session.advance_to_measure_close());
+  return session.checkpoint();
+}
+
+TEST(Session, AdvanceToMeasureCloseStopsOneCycleShort) {
+  const SimConfig cfg = window_cfg();
+  Session session(cfg);
+  RecordingTap tap;
+  session.set_tap(&tap);
+  ASSERT_TRUE(session.advance_to_measure_close());
+  EXPECT_EQ(session.phase(), SessionPhase::kMeasure);
+  EXPECT_EQ(session.now(), cfg.warmup_cycles + cfg.measure_cycles - 1);
+  // The window is still open: only Warmup -> Measure has happened.
+  EXPECT_EQ(tap.transitions.size(), 1u);
+  expect_identical(run_simulation(cfg), session.run());
+
+  // CI stopping and phase scripts have no fixed deadline to stop short
+  // of: nothing is stepped.
+  SimConfig ci = cfg;
+  ci.stop.mode = StopMode::kCi;
+  Session adaptive(ci);
+  EXPECT_FALSE(adaptive.advance_to_measure_close());
+  EXPECT_EQ(adaptive.now(), 0);
+  SimConfig scripted = cfg;
+  scripted.phase_script = parse_phase_script("a:300,b:300");
+  Session script(scripted);
+  EXPECT_FALSE(script.advance_to_measure_close());
+  EXPECT_EQ(script.now(), 0);
+}
+
+TEST(Session, WindowEndCheckpointWithoutRefineKeepsItsDeadline) {
+  const SimConfig cfg = window_cfg();
+  std::unique_ptr<Session> restored =
+      Session::restore(window_end_checkpoint(cfg));
+  EXPECT_EQ(restored->phase(), SessionPhase::kMeasure);
+  expect_identical(run_simulation(cfg), restored->run());
+  EXPECT_EQ(restored->collect().measured_cycles, cfg.measure_cycles);
+}
+
+TEST(Session, WindowEndCheckpointRefinedLongerSimulatesOnlyTheAddedCycles) {
+  const SimConfig cfg = window_cfg();
+  SimConfig longer = cfg;
+  longer.measure_cycles = cfg.measure_cycles + 50;
+  std::unique_ptr<Session> restored =
+      Session::restore(window_end_checkpoint(cfg), 0, &longer);
+  const Cycle resumed_at = restored->now();
+  const SimResult warm = restored->run();
+  EXPECT_EQ(restored->now() - resumed_at, 51);
+  expect_identical(run_simulation(longer), warm);
+}
+
+TEST(Session, WindowEndCheckpointRejectsAShorterRefinedWindow) {
+  const SimConfig cfg = window_cfg();
+  const std::string bytes = window_end_checkpoint(cfg);
+  // Closing at or before the checkpoint's cycle cannot be honoured.
+  for (const Cycle window : {cfg.measure_cycles - 1, Cycle{100}}) {
+    SimConfig shorter = cfg;
+    shorter.measure_cycles = window;
+    try {
+      Session::restore(bytes, 0, &shorter);
+      ADD_FAILURE() << "restored a " << window << "-cycle window";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("warm start rejected"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Nor can the stop rule change inside the open window.
+  SimConfig ci = cfg;
+  ci.stop.mode = StopMode::kCi;
+  EXPECT_THROW(Session::restore(bytes, 0, &ci), std::runtime_error);
+}
+
+TEST(Session, CheckpointCutAtAnyPrefixThrows) {
+  // A window-end checkpoint carries every section (config, session,
+  // in-flight packets, queues, events, metrics): cut it at 64 evenly
+  // spaced lengths and every restore must fail with a runtime_error.
+  const std::string bytes = window_end_checkpoint(window_cfg());
+  constexpr std::size_t kCuts = 64;
+  for (std::size_t i = 0; i < kCuts; ++i) {
+    const std::size_t len = bytes.size() * i / kCuts;
+    EXPECT_THROW(Session::restore(std::string_view(bytes).substr(0, len)),
+                 std::runtime_error)
+        << "cut at " << len << " of " << bytes.size();
+  }
 }
 
 TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {

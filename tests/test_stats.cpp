@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "common/checkpoint.hpp"
@@ -239,11 +238,10 @@ TEST(P2Quantile, CheckpointRoundTripContinuesIdentically) {
   P2Quantile a(0.99);
   for (int i = 0; i < 1'000; ++i) a.add(static_cast<double>((i * 13) % 97));
 
-  std::stringstream buffer;
-  CheckpointWriter writer(buffer);
+  CheckpointWriter writer;
   a.save(writer);
   P2Quantile b(0.5);  // deliberately different: load overwrites q
-  CheckpointReader reader(buffer);
+  CheckpointReader reader(writer.bytes());
   b.load(reader);
 
   EXPECT_DOUBLE_EQ(a.value(), b.value());
@@ -276,11 +274,10 @@ TEST(RunningStats, VarianceNeverNegativeUnderCancellation) {
 TEST(RunningStats, CheckpointRoundTrip) {
   RunningStats a;
   for (double v : {3.0, 1.0, 4.0, 1.0, 5.0}) a.add(v);
-  std::stringstream buffer;
-  CheckpointWriter writer(buffer);
+  CheckpointWriter writer;
   a.save(writer);
   RunningStats b;
-  CheckpointReader reader(buffer);
+  CheckpointReader reader(writer.bytes());
   b.load(reader);
   EXPECT_EQ(a.count(), b.count());
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
