@@ -192,8 +192,7 @@ class Session {
   std::string checkpoint() const;
   void checkpoint(std::ostream& os) const;
   void checkpoint_file(const std::string& path) const;
-  /// Restore from checkpoint bytes (the caller keeps them alive for the
-  /// call only).
+  /// Restore from checkpoint bytes; they need to outlive only the call.
   static std::unique_ptr<Session> restore(
       std::string_view bytes, int shards_override = 0,
       const SimConfig* refine = nullptr,

@@ -412,6 +412,27 @@ TEST(Session, WindowEndCheckpointRejectsAShorterRefinedWindow) {
   EXPECT_THROW(Session::restore(bytes, 0, &ci), std::runtime_error);
 }
 
+TEST(Session, OpenCiWindowMovesOnlyItsCap) {
+  // Inside an open stop.mode=ci window the batches are laid out: a
+  // refinement may move the cap, not the batch length.
+  SimConfig cfg = window_cfg();
+  cfg.stop.mode = StopMode::kCi;
+  cfg.stop.batch_cycles = 100;
+  cfg.stop.rel_hw = 1e-6;  // never converges: the cap ends the window
+  Session session(cfg);
+  session.advance_to(SessionPhase::kMeasure);
+  session.step(250);
+  const std::string bytes = session.checkpoint();
+
+  SimConfig longer = cfg;
+  longer.measure_cycles = cfg.measure_cycles + 200;
+  expect_identical(run_simulation(longer),
+                   Session::restore(bytes, 0, &longer)->run());
+  SimConfig rebatched = cfg;
+  rebatched.stop.batch_cycles = 50;
+  EXPECT_THROW(Session::restore(bytes, 0, &rebatched), std::runtime_error);
+}
+
 TEST(Session, CheckpointCutAtAnyPrefixThrows) {
   // A window-end checkpoint carries every section (config, session,
   // in-flight packets, queues, events, metrics): cut it at 64 evenly
