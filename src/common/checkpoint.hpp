@@ -39,8 +39,6 @@ using PacketRefXlat = std::function<std::int32_t(std::int32_t)>;
 /// Appends primitives to an in-memory byte buffer.
 class CheckpointWriter {
  public:
-  CheckpointWriter() = default;
-
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) { put<4>(v); }
   void u64(std::uint64_t v) { put<8>(v); }
@@ -79,7 +77,7 @@ class CheckpointWriter {
   /// The bytes written so far.
   const std::string& bytes() const { return buf_; }
   /// Hand the buffer over (the writer is left empty).
-  std::string take() { return std::move(buf_); }
+  std::string take() { return std::exchange(buf_, {}); }
 
  private:
   template <int N, class U>
