@@ -137,7 +137,8 @@ void PacketStore::load(CheckpointReader& ck) {
     a.free.clear();
     // A free list never outgrows its arena; a corrupt count must not
     // size the reservation.
-    a.free.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(frees, a.size)));
+    a.free.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(frees, a.size)));
     for (std::uint64_t i = 0; i < frees; ++i) a.free.push_back(ck.u32());
   }
 }
