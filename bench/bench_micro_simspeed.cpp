@@ -126,6 +126,27 @@ void BM_NetworkStepAdvc(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkStepAdvc)->Arg(3);
 
+/// PiggyBack's per-cycle congestion broadcast (phase 1, refresh) on top
+/// of a step. Arg: radix h. The near-idle case (uniform at 0.1%) is the
+/// refresh floor: few links change per cycle, so the change-driven
+/// refresh has almost nothing to recompute. The ADV case at 30% is a
+/// loaded step with the saturation bits in play.
+void BM_NetworkStepPiggyback(benchmark::State& state, const char* traffic,
+                             double load) {
+  const int h = static_cast<int>(state.range(0));
+  SimConfig cfg = SimConfig::small(h);
+  cfg.routing_name = "pb-rrg";
+  cfg.traffic_name = traffic;
+  cfg.load = load;
+  cfg.apply_vc_defaults();
+  Network net(cfg);
+  for (int i = 0; i < 500; ++i) net.step();
+  for (auto _ : state) net.step();
+  state.SetItemsProcessed(state.iterations() * net.num_routers());
+}
+BENCHMARK_CAPTURE(BM_NetworkStepPiggyback, idle, "uniform", 0.001)->Arg(3);
+BENCHMARK_CAPTURE(BM_NetworkStepPiggyback, adv30, "adv", 0.3)->Arg(3);
+
 /// Workload-driver cost, collective mode: a 16-rank ring allreduce
 /// dependency-stepped by the serial driver on top of the active
 /// kernel; the other nodes idle. Arg: radix h. run_baseline.sh derives

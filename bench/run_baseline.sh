@@ -13,7 +13,7 @@ set -euo pipefail
 
 BUILD_DIR=${1:?usage: run_baseline.sh <build_dir> <out_json> [filter]}
 OUT=${2:?usage: run_baseline.sh <build_dir> <out_json> [filter]}
-FILTER=${3:-'BM_NetworkStepUniform|BM_NetworkStepUniformScan|BM_NetworkStepUniformSharded|BM_NetworkStepAllreduce|BM_NetworkStepChurn|BM_SessionStep|BM_ServiceRequest'}
+FILTER=${3:-'BM_NetworkStepUniform|BM_NetworkStepUniformScan|BM_NetworkStepUniformSharded|BM_NetworkStepAllreduce|BM_NetworkStepChurn|BM_NetworkStepPiggyback|BM_SessionStep|BM_ServiceRequest'}
 
 BIN="$BUILD_DIR/bench_micro_simspeed"
 if [[ ! -x "$BIN" ]]; then

@@ -116,6 +116,7 @@ void Router::packet_arrival(PortId in_port, VcId vc, PacketRef ref,
 
 void Router::credit_arrival(PortId out_port, VcId vc, int phits) {
   outputs_[static_cast<std::size_t>(out_port)].return_credits(vc, phits);
+  mark_port(out_port);
 }
 
 bool Router::can_accept_injection(PortId inj_port, VcId vc, int phits) const {
@@ -142,7 +143,6 @@ void Router::allocate(Cycle now) {
   if (buffered_packets_ == 0) return;  // nothing to arbitrate
   requests_.clear();
   decisions_.clear();
-  considered_.clear();
 
   // Walk only the non-empty input VCs: the per-router bitmask visits
   // them in flat (port, vc) order — the exact order of the old dense
@@ -166,8 +166,12 @@ void Router::allocate(Cycle now) {
                                        in_port)]);
       const PacketRef head = heads[flat];
       Packet& pkt = (*store_)[head];
-      considered_.push_back(head);
       const RoutingDecision d = routing_->route(*this, pkt);
+      // Denial feedback for opportunistic misrouting: every considered
+      // head accumulates a denial, and execute_grant zeroes the counters
+      // of the heads that move. route() reads only its own head's
+      // counter, so counting right after it is exact.
+      ++pkt.denied_cycles;
       if (!d.valid()) continue;
       if (credits[l.out_vc_index(d.out_port, d.out_vc)] < pkt.size_phits) {
         continue;
@@ -184,8 +188,6 @@ void Router::allocate(Cycle now) {
       decisions_.push_back(d);
     }
   }
-  if (considered_.empty()) return;
-
   allocator_.allocate(requests_);
 
 #ifdef DRAGONFLY_DEBUG_ALLOC
@@ -201,12 +203,6 @@ void Router::allocate(Cycle now) {
     }
   }
 #endif
-
-  // Denial feedback for opportunistic misrouting: every considered head
-  // that did not move this cycle accumulates a denial; granted packets
-  // were reset inside execute_grant *after* this pass would have run, so
-  // increment first, then execute grants (which zero the counter).
-  for (const PacketRef ref : considered_) ++(*store_)[ref].denied_cycles;
 
   for (std::size_t i = 0; i < requests_.size(); ++i) {
     if (requests_[i].granted) execute_grant(requests_[i], decisions_[i], now);
@@ -278,6 +274,7 @@ void Router::execute_grant(const AllocRequest& req, const RoutingDecision& d,
 
   out.take_credits(d.out_vc, pkt.size_phits);
   out.enqueue(ref, d.out_vc, now + cfg_.pipeline_latency, pkt.size_phits);
+  mark_port(d.out_port);
   ++pending_tx_;
   if (event_tx_ && out.pending().size() == 1) {
     // The queue was empty, so no fire is outstanding for this port. The
@@ -302,6 +299,7 @@ void Router::transmit_due(PortId port, Cycle now) {
   const PendingTx head = out.queue_head();
   Packet& pkt = (*store_)[head.pkt];
   const PendingTx tx = out.begin_transmission(now, pkt.size_phits);
+  mark_port(port);
   --pending_tx_;
 
   // Waiting in the output queue for the link (serialization backlog):
@@ -330,17 +328,6 @@ void Router::transmit_due(PortId port, Cycle now) {
 double Router::mean_local_occupancy() const {
   const int first = topo_.first_local_port();
   const int last = topo_.first_global_port();
-  if (first == last) return 0.0;
-  double sum = 0.0;
-  for (PortId p = first; p < last; ++p) {
-    sum += outputs_[static_cast<std::size_t>(p)].occupancy_fraction();
-  }
-  return sum / static_cast<double>(last - first);
-}
-
-double Router::mean_global_occupancy() const {
-  const int first = topo_.first_global_port();
-  const int last = topo_.ports_per_router();
   if (first == last) return 0.0;
   double sum = 0.0;
   for (PortId p = first; p < last; ++p) {

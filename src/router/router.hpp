@@ -128,8 +128,9 @@ class Router {
   }
   /// Mean reserved fraction over this router's local output ports.
   double mean_local_occupancy() const;
-  /// Mean reserved fraction over this router's global output ports.
-  double mean_global_occupancy() const;
+  /// This router's row of HotState::port_marks: the global output ports
+  /// whose output_occupancy() inputs changed since the row was cleared.
+  std::uint64_t* port_marks() { return hot_->port_marks(id_); }
   const OutputPort& output(PortId port) const {
     return outputs_[static_cast<std::size_t>(port)];
   }
@@ -183,6 +184,13 @@ class Router {
   void clear_in_mask(int flat_vc) {
     hot_->in_mask(id_)[flat_vc >> 6] &= ~(1ull << (flat_vc & 63));
   }
+  /// Called wherever an output's queue occupancy or credits change; one
+  /// OR for a global port, nothing for the others.
+  void mark_port(PortId port) {
+    if (port >= topo_.first_global_port()) {
+      hot_->port_marks(id_)[port >> 6] |= 1ull << (port & 63);
+    }
+  }
 
   const Topology& topo_;
   const SimConfig& cfg_;
@@ -199,7 +207,6 @@ class Router {
   SeparableAllocator allocator_;
   std::vector<AllocRequest> requests_;
   std::vector<RoutingDecision> decisions_;
-  std::vector<PacketRef> considered_;
 
   bool measuring_ = false;
   bool event_tx_ = false;

@@ -11,52 +11,53 @@ PiggybackRouting::PiggybackRouting(const Topology& topo,
       policy_(policy),
       saturated_(static_cast<std::size_t>(topo.num_routers()) *
                      static_cast<std::size_t>(topo.global_slots()),
-                 0) {}
+                 0),
+      occupancy_(saturated_.size(), 0.0) {}
 
 void PiggybackRouting::refresh(
     std::span<const std::unique_ptr<Router>> routers) {
-  const int h = topo_.global_slots();
-  occupancy_.assign(routers.size() * static_cast<std::size_t>(h), 0.0);
-  // Pass 1: per-link occupancy over the *connected* global links,
-  // accumulated into per-group means (the piggybacked state is shared
-  // group-wide). Dead slots of trimmed shapes stay at zero and are never
-  // consulted: they appear in no minimal route and no candidate set.
-  group_mean_.assign(static_cast<std::size_t>(topo_.num_groups()), 0.0);
-  for (const auto& router : routers) {
-    const std::size_t base = static_cast<std::size_t>(router->id()) *
-                             static_cast<std::size_t>(h);
-    const int links = topo_.router_link_count(router->id());
-    for (int i = 0; i < links; ++i) {
-      const PortId port = topo_.router_link(router->id(), i).port;
-      const double occ = router->output_occupancy(port);
-      occupancy_[base +
-                 static_cast<std::size_t>(topo_.global_index_of_port(port))] =
-          occ;
-      group_mean_[static_cast<std::size_t>(router->group())] += occ;
-    }
-  }
+  const int a = topo_.routers_per_group();
+  const int words = routers.front()->hot().layout().port_mask_words();
+  // Only the connected global links are visited: dead slots of trimmed
+  // shapes stay at zero and are never consulted (they appear in no
+  // minimal route and no candidate set).
   for (GroupId g = 0; g < topo_.num_groups(); ++g) {
-    const int links = topo_.group_link_count(g);
-    if (links > 0) {
-      group_mean_[static_cast<std::size_t>(g)] /= static_cast<double>(links);
+    // Pass 1: recompute the links whose router marked them (their queue
+    // occupancy or credits moved since the last refresh).
+    bool changed = false;
+    const RouterId first = topo_.router_id(g, 0);
+    for (RouterId r = first; r < first + a; ++r) {
+      Router& router = *routers[static_cast<std::size_t>(r)];
+      std::uint64_t* marks = router.port_marks();
+      bool any = false;
+      for (int w = 0; w < words; ++w) any = any || marks[w] != 0;
+      if (!any) continue;
+      for (int i = 0; i < topo_.router_link_count(r); ++i) {
+        const GlobalLinkRef& link = topo_.router_link(r, i);
+        if (((marks[link.port >> 6] >> (link.port & 63)) & 1) == 0) continue;
+        occupancy_[slot(link)] = router.output_occupancy(link.port);
+        changed = true;
+      }
+      for (int w = 0; w < words; ++w) marks[w] = 0;
     }
-  }
-  // Pass 2: a link is saturated when it exceeds T times its group's mean.
-  // This is self-balancing (partial diversion raises the mean back), which
-  // reproduces the paper's partial-failure behaviour under ADVc.
-  for (const auto& router : routers) {
-    const std::size_t base = static_cast<std::size_t>(router->id()) *
-                             static_cast<std::size_t>(h);
-    const double mean = group_mean_[static_cast<std::size_t>(router->group())];
-    const int links = topo_.router_link_count(router->id());
+    // A group without a moved link keeps its mean and its bits.
+    if (!changed) continue;
+    // Pass 2: the group's mean over its connected links, summed in
+    // enumeration (router, slot) order so the double is exactly that of
+    // a from-scratch pass; a link is saturated when it exceeds T times
+    // the mean. This is self-balancing (partial diversion raises the
+    // mean back), which reproduces the paper's partial-failure
+    // behaviour under ADVc.
+    const int links = topo_.group_link_count(g);
+    double mean = 0.0;
     for (int i = 0; i < links; ++i) {
-      const int k = topo_.global_index_of_port(
-          topo_.router_link(router->id(), i).port);
-      saturated_[base + static_cast<std::size_t>(k)] =
-          occupancy_[base + static_cast<std::size_t>(k)] >
-                  cfg_.pb_threshold_global * mean
-              ? 1
-              : 0;
+      mean += occupancy_[slot(topo_.group_link(g, i))];
+    }
+    if (links > 0) mean /= static_cast<double>(links);
+    const double threshold = cfg_.pb_threshold_global * mean;
+    for (int i = 0; i < links; ++i) {
+      const std::size_t s = slot(topo_.group_link(g, i));
+      saturated_[s] = occupancy_[s] > threshold ? 1 : 0;
     }
   }
 }
@@ -76,14 +77,9 @@ bool PiggybackRouting::minimal_path_saturated(const Router& at,
   const GlobalLinkRef link =
       topo_.minimal_global_link(at.id(), topo_.router_of_node(pkt.dst));
   const RouterId exit = link.router;
-  const int k = topo_.global_index_of_port(link.port);
 
   // Saturation bit of the minimal global link (piggybacked in-group state).
-  if (saturated_[static_cast<std::size_t>(exit) *
-                     static_cast<std::size_t>(topo_.global_slots()) +
-                 static_cast<std::size_t>(k)] != 0) {
-    return true;
-  }
+  if (saturated_[slot(link)] != 0) return true;
 
   // Local leg towards the exit router, judged against this router's own
   // local outputs (T = pb_threshold_local).

@@ -8,13 +8,21 @@
 //  * the occupancy of the local output towards the exit router, when the
 //    minimal path starts with a local hop.
 //
-// Saturation rule (see DESIGN.md): a link is saturated iff its reserved
-// occupancy exceeds T times the mean occupancy of the links of the SAME
-// router (T = pb_threshold_global for global links, pb_threshold_local
-// for local ones). The relative-to-own-router form is what reproduces the
-// paper's observed ADVc failure: at the bottleneck router all h global
-// links carry the same load, the ratio stays ~1, and PB keeps sending
-// minimally.
+// Saturation rule (see DESIGN.md): a global link is saturated iff its
+// occupancy (Router::output_occupancy) exceeds T times the mean occupancy
+// over all connected global links of its router's GROUP (T =
+// pb_threshold_global). The local leg is judged against the router's own
+// local outputs instead (T = pb_threshold_local). The group-relative rule
+// is self-balancing: under ADVc the bottleneck router's links stand out,
+// PB diverts, the Valiant traffic raises the other links and so the mean,
+// and the bits drop again; the bits oscillate, and a sizable share of the
+// traffic keeps routing minimally, as in the paper.
+//
+// The broadcast is change-driven: a router marks a global port
+// (HotState::port_marks) wherever its queue occupancy or credits change,
+// and refresh() recomputes only the marked links and re-thresholds only
+// the groups that hold one. Every occupancy, mean and bit equals what a
+// from-scratch pass gives.
 #pragma once
 
 #include <vector>
@@ -47,19 +55,24 @@ class PiggybackRouting final : public RoutingAlgorithm {
   }
 
  private:
+  /// Index of a global link in saturated_/occupancy_: router * h + k.
+  std::size_t slot(const GlobalLinkRef& link) const {
+    return static_cast<std::size_t>(link.router) *
+               static_cast<std::size_t>(topo_.global_slots()) +
+           static_cast<std::size_t>(topo_.global_index_of_port(link.port));
+  }
   bool minimal_path_saturated(const Router& at, const Packet& pkt) const;
   RoutingDecision valiant_decision(Router& at, Packet& pkt);
 
   MisroutePolicy policy_;
-  /// Saturation bits, indexed [router * h + k]; rebuilt every cycle by
-  /// refresh() (we model the in-group broadcast as instantaneous; the
-  /// real mechanism piggybacks the bits on regular traffic).
+  /// Saturation bits, indexed [router * h + k]; refresh() rewrites a
+  /// group's bits in the cycles where one of its links changed (we model
+  /// the in-group broadcast as instantaneous; the real mechanism
+  /// piggybacks the bits on regular traffic).
   std::vector<char> saturated_;
-  /// Scratch: per-link occupancy, same indexing.
+  /// Cached per-link occupancy, same indexing; a link's entry is
+  /// recomputed when its router marks it. Dead slots stay at zero.
   std::vector<double> occupancy_;
-  /// Scratch: per-group mean occupancy, reused across refresh() calls so
-  /// the per-cycle broadcast does no allocation.
-  std::vector<double> group_mean_;
 };
 
 }  // namespace dragonfly

@@ -56,7 +56,8 @@ HotState::HotState(HotLayout layout, int num_routers)
       ports_(static_cast<std::size_t>(layout_.ports)),
       in_stride_(static_cast<std::size_t>(layout_.in_stride())),
       out_stride_(static_cast<std::size_t>(layout_.out_stride())),
-      mask_words_(static_cast<std::size_t>(layout_.in_mask_words())) {
+      mask_words_(static_cast<std::size_t>(layout_.in_mask_words())),
+      port_words_(static_cast<std::size_t>(layout_.port_mask_words())) {
   const auto R = static_cast<std::size_t>(num_routers);
   credits_.assign(R * out_stride_, 0);
   credit_capacity_.assign(R * out_stride_, 0);
@@ -65,6 +66,7 @@ HotState::HotState(HotLayout layout, int num_routers)
   in_occupancy_.assign(R * in_stride_, 0);
   in_head_.assign(R * in_stride_, kNoPacket);
   in_mask_.assign(R * mask_words_, 0);
+  port_marks_.assign(R * port_words_, ~std::uint64_t{0});
 }
 
 void HotState::save(CheckpointWriter& ck) const {
@@ -90,6 +92,7 @@ void HotState::load(CheckpointReader& ck) {
     throw std::runtime_error(
         "checkpoint: hot-state array size mismatch (config drift)");
   }
+  port_marks_.assign(port_marks_.size(), ~std::uint64_t{0});
 }
 
 }  // namespace dragonfly

@@ -54,6 +54,8 @@ struct HotLayout {
   int out_stride() const { return out_vc_off.empty() ? 0 : out_vc_off.back(); }
   /// 64-bit words per router in the non-empty input-VC bitmask.
   int in_mask_words() const { return (in_stride() + 63) / 64; }
+  /// 64-bit words per router in the output-port change marks.
+  int port_mask_words() const { return (ports + 63) / 64; }
 
   int in_vc_index(PortId port, VcId vc) const {
     return in_vc_off[static_cast<std::size_t>(port)] + vc;
@@ -118,6 +120,16 @@ class HotState {
     return in_mask_.data() + static_cast<std::size_t>(r) * mask_words_;
   }
 
+  /// Change marks of one router's output ports, laid out like in_mask
+  /// (bit k of word w is port w*64+k). The router sets a global port's
+  /// bit wherever that port's queue occupancy or credits change;
+  /// PiggyBack's serial refresh recomputes the marked links and clears
+  /// the row. Not checkpointed: construction and load() set every bit,
+  /// so the first refresh after either rebuilds the whole board.
+  std::uint64_t* port_marks(RouterId r) {
+    return port_marks_.data() + static_cast<std::size_t>(r) * port_words_;
+  }
+
   /// Whole-array views for contiguous scans (invariants, checkpoint).
   const std::vector<std::int32_t>& all_credits() const { return credits_; }
   const std::vector<std::int32_t>& all_credit_capacity() const {
@@ -134,7 +146,8 @@ class HotState {
   /// Checkpoint the mutable arrays (credits, occupancies, link deadlines)
   /// as contiguous blocks. Capacities, heads and masks are derived state:
   /// capacities come from wiring, heads/masks are rebuilt from the FIFO
-  /// contents after the owning routers load.
+  /// contents after the owning routers load, and load() sets every
+  /// port mark.
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
 
@@ -146,6 +159,7 @@ class HotState {
   std::size_t in_stride_ = 0;
   std::size_t out_stride_ = 0;
   std::size_t mask_words_ = 0;
+  std::size_t port_words_ = 0;
 
   std::vector<std::int32_t> credits_;
   std::vector<std::int32_t> credit_capacity_;
@@ -154,6 +168,7 @@ class HotState {
   std::vector<std::int32_t> in_occupancy_;
   std::vector<PacketRef> in_head_;
   std::vector<std::uint64_t> in_mask_;
+  std::vector<std::uint64_t> port_marks_;
 };
 
 /// SoA bank of per-node generation state for the batched Bernoulli

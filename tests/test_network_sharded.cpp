@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/checkpoint.hpp"
 #include "common/parallel.hpp"
@@ -33,22 +34,26 @@ void expect_same_state(Network& a, Network& b) {
   }
 }
 
-SimConfig sharded_cfg(int shards, SimKernel kernel) {
-  SimConfig cfg = quick("par-mm", "advc", 0.35);
+SimConfig sharded_cfg(int shards, SimKernel kernel,
+                      const std::string& routing = "par-mm",
+                      const std::string& traffic = "advc") {
+  SimConfig cfg = quick(routing, traffic, 0.35);
   cfg.kernel = kernel;
   cfg.shards = shards;
   return cfg;
 }
 
-TEST(NetworkSharded, ShardCountsAgreeCycleByCycle) {
-  // The tentpole contract: any shard count is bit-identical to serial
-  // stepping, under paranoid invariant sweeps. 7 does not divide the 36
-  // routers of h=2, so uneven partitions are covered too.
-  SimConfig serial = sharded_cfg(1, SimKernel::kActive);
+/// Steps 2, 4 and 7 shards for 2,000 cycles each under paranoid
+/// invariant sweeps and compares every one with serial stepping. 7 does
+/// not divide the 36 routers of h=2, so uneven partitions are covered
+/// too.
+void expect_shard_counts_agree(const std::string& routing,
+                               const std::string& traffic) {
+  SimConfig serial = sharded_cfg(1, SimKernel::kActive, routing, traffic);
   serial.sim_paranoid = 128;
   Network reference(serial);
   for (int shards : {2, 4, 7}) {
-    SimConfig cfg = sharded_cfg(shards, SimKernel::kActive);
+    SimConfig cfg = sharded_cfg(shards, SimKernel::kActive, routing, traffic);
     cfg.sim_paranoid = 128;
     Network net(cfg);
     EXPECT_EQ(net.num_shards(), shards);
@@ -58,6 +63,19 @@ TEST(NetworkSharded, ShardCountsAgreeCycleByCycle) {
     }
     expect_same_state(net, reference);
   }
+}
+
+TEST(NetworkSharded, ShardCountsAgreeCycleByCycle) {
+  // The tentpole contract: any shard count is bit-identical to serial
+  // stepping. par-mm takes the fused single fan-out.
+  expect_shard_counts_agree("par-mm", "advc");
+}
+
+TEST(NetworkSharded, PiggybackShardCountsAgreeCycleByCycle) {
+  // PiggyBack takes the split fan-out around its serial refresh: shards
+  // mark their routers' global ports during the phases, and the refresh
+  // reads and clears the marks after the fan-out has joined.
+  expect_shard_counts_agree("pb-rrg", "adv");
 }
 
 TEST(NetworkSharded, ScanKernelShardsAgreeWithSerialScan) {

@@ -270,7 +270,6 @@ TEST_F(RouterFixture, MeasuredInjectionCounter) {
 
 TEST_F(RouterFixture, OccupancyQueries) {
   EXPECT_DOUBLE_EQ(router_.mean_local_occupancy(), 0.0);
-  EXPECT_DOUBLE_EQ(router_.mean_global_occupancy(), 0.0);
   const PortId out = topo_.local_port_to(0, 1);
   EXPECT_FALSE(router_.output_congested(out, 0));
   EXPECT_FALSE(router_.credits_exhausted(out, 0, 8));

@@ -2,13 +2,143 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "router/router.hpp"
 #include "sim_test_util.hpp"
 
 namespace dragonfly {
 namespace {
 
+using testutil::expect_identical;
 using testutil::quick;
 using testutil::run_checked;
+
+/// PiggyBack wrapped so that every in-step refresh is checked: after the
+/// wrapped refresh() runs, the probe recomputes the whole board from
+/// scratch (Router::output_occupancy and the group-mean rule) and counts
+/// the bits that disagree. Registered as "pb-probe-rrg"/"pb-probe-crg";
+/// it routes exactly like the mechanism it wraps.
+class ProbeRouting final : public RoutingAlgorithm {
+ public:
+  ProbeRouting(const Topology& topo, const SimConfig& cfg,
+               MisroutePolicy policy)
+      : RoutingAlgorithm(topo, cfg), pb_(topo, cfg, policy) {}
+
+  std::string name() const override { return "probe-" + pb_.name(); }
+  void on_inject(Router& source, Packet& pkt, Rng& rng) override {
+    pb_.on_inject(source, pkt, rng);
+  }
+  RoutingDecision route(Router& at, Packet& pkt) override {
+    return pb_.route(at, pkt);
+  }
+  void on_grant(Router& at, Packet& pkt, const RoutingDecision& d) override {
+    pb_.on_grant(at, pkt, d);
+  }
+  void on_arrival(Router& at, Packet& pkt, GroupId previous_group) override {
+    pb_.on_arrival(at, pkt, previous_group);
+  }
+  void refresh(std::span<const std::unique_ptr<Router>> routers) override {
+    pb_.refresh(routers);
+    ++refreshes;
+    for (GroupId g = 0; g < topo_.num_groups(); ++g) {
+      double mean = 0.0;
+      std::vector<double> occ;
+      for (int j = 0; j < topo_.routers_per_group(); ++j) {
+        const RouterId r = topo_.router_id(g, j);
+        for (int i = 0; i < topo_.router_link_count(r); ++i) {
+          occ.push_back(routers[static_cast<std::size_t>(r)]->output_occupancy(
+              topo_.router_link(r, i).port));
+          mean += occ.back();
+        }
+      }
+      if (topo_.group_link_count(g) > 0) {
+        mean /= static_cast<double>(topo_.group_link_count(g));
+      }
+      std::size_t next = 0;
+      for (int j = 0; j < topo_.routers_per_group(); ++j) {
+        const RouterId r = topo_.router_id(g, j);
+        for (int i = 0; i < topo_.router_link_count(r); ++i) {
+          const bool want = occ[next++] > cfg_.pb_threshold_global * mean;
+          const int k =
+              topo_.global_index_of_port(topo_.router_link(r, i).port);
+          if (pb_.global_link_saturated(r, k) != want) ++mismatches;
+          if (want) ++saturated_bits;
+        }
+      }
+    }
+  }
+
+  std::int64_t refreshes = 0;
+  std::int64_t mismatches = 0;
+  std::int64_t saturated_bits = 0;
+
+ private:
+  PiggybackRouting pb_;
+};
+
+const RoutingRegistry::Registrar kRegisterProbeRrg{
+    routing_registry(), "pb-probe-rrg",
+    [](const Topology& topo, const SimConfig& cfg)
+        -> std::unique_ptr<RoutingAlgorithm> {
+      return std::make_unique<ProbeRouting>(topo, cfg, MisroutePolicy::kRrg);
+    }};
+const RoutingRegistry::Registrar kRegisterProbeCrg{
+    routing_registry(), "pb-probe-crg",
+    [](const Topology& topo, const SimConfig& cfg)
+        -> std::unique_ptr<RoutingAlgorithm> {
+      return std::make_unique<ProbeRouting>(topo, cfg, MisroutePolicy::kCrg);
+    }};
+
+TEST(PiggybackRouting, RefreshMatchesAFromScratchBoard) {
+  // The change-driven refresh recomputes only the links whose router
+  // marked them; after every cycle's refresh the board must equal a
+  // from-scratch recompute, bit for bit, while the bits actually fire.
+  SimConfig rrg_adv = quick("pb-probe-rrg", "adv", 0.35);
+  SimConfig crg_advc = quick("pb-probe-crg", "advc", 0.3, 3);
+  // Trimmed shape: 8 of 10 groups, so some global slots are dead.
+  SimConfig trimmed = quick("pb-probe-crg", "advc", 0.3);
+  trimmed.apply_kv("topology", "dfly:2,3,3,8");
+  for (const SimConfig& cfg : {rrg_adv, crg_advc, trimmed}) {
+    const std::string label = cfg.routing_name + "/" + cfg.traffic_name +
+                              " h=" + std::to_string(cfg.topo.h) + " " +
+                              cfg.topology;
+    Network net(cfg);
+    const auto& probe = dynamic_cast<const ProbeRouting&>(net.routing());
+    for (int i = 0; i < 1'500; ++i) net.step();
+    EXPECT_EQ(probe.refreshes, 1'500) << label;
+    EXPECT_EQ(probe.mismatches, 0) << label;
+    EXPECT_GT(probe.saturated_bits, 0) << label;
+  }
+  // The trimmed shape really has dead slots.
+  Network net(trimmed);
+  const Topology& topo = net.topology();
+  int connected = 0;
+  for (GroupId g = 0; g < topo.num_groups(); ++g) {
+    connected += topo.group_link_count(g);
+  }
+  EXPECT_LT(connected, topo.num_routers() * topo.global_slots());
+}
+
+TEST(PiggybackRouting, RestoredSessionRebuildsTheBoard) {
+  // The change marks are not checkpointed: a restored session must
+  // rebuild the whole board on its first refresh and finish with the
+  // uninterrupted run's result.
+  const SimConfig cfg = quick("pb-crg", "advc", 0.3);
+  const SimResult uninterrupted = run_simulation(cfg);
+
+  Session original(cfg);
+  original.advance_to(SessionPhase::kMeasure);
+  original.step(cfg.measure_cycles / 2);
+  ASSERT_EQ(original.phase(), SessionPhase::kMeasure);
+  std::stringstream stream;
+  original.checkpoint(stream);
+  const SimResult restored = Session::restore(stream)->run();
+  expect_identical(uninterrupted, restored);
+}
 
 TEST(PiggybackRouting, BehavesLikeMinimalUnderUniformLowLoad) {
   // With no saturated links, PB always picks MIN: same latency profile.
