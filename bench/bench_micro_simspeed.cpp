@@ -17,6 +17,7 @@ using namespace dragonfly;
 void BM_SeparableAllocator(benchmark::State& state) {
   const int ports = static_cast<int>(state.range(0));
   SeparableAllocator alloc(ports, ports, {});
+  AllocatorScratch scratch(ports, ports, 3 * ports);
   Rng rng(7);
   std::vector<AllocRequest> requests;
   for (auto _ : state) {
@@ -34,7 +35,7 @@ void BM_SeparableAllocator(benchmark::State& state) {
       }
     }
     state.ResumeTiming();
-    alloc.allocate(requests);
+    alloc.allocate(requests, scratch);
     benchmark::DoNotOptimize(requests.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -236,6 +237,55 @@ void BM_SessionCheckpoint(benchmark::State& state) {
   state.counters["checkpoint_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_SessionCheckpoint)->Arg(2)->Arg(3);
+
+/// The session the build/restore benches use: Table II's ADVc point.
+SimConfig session_bench_config(int h) {
+  SimConfig cfg = SimConfig::small(h);
+  cfg.routing_name = "par-mm";
+  cfg.traffic_name = "advc";
+  cfg.load = 0.3;
+  cfg.apply_vc_defaults();
+  return cfg;
+}
+
+/// Session construction (and teardown). Args: (radix h, topology: 0 =
+/// a private make_topology() per session, 1 = one shared instance, as
+/// Session(cfg) takes from the process cache). The shared rows time the
+/// network build alone; the gap to the private rows is the topology.
+void BM_SessionBuild(benchmark::State& state) {
+  const SimConfig cfg = session_bench_config(static_cast<int>(state.range(0)));
+  const bool shared = state.range(1) != 0;
+  const std::shared_ptr<const Topology> topo =
+      shared ? make_topology(cfg) : nullptr;
+  for (auto _ : state) {
+    Session session(cfg, shared ? topo : make_topology(cfg));
+    benchmark::DoNotOptimize(session.now());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SessionBuild)
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+/// Warm-start restore: rebuild a session from a checkpoint taken at the
+/// start of Measure (queues populated), over the process-wide topology —
+/// the service's warm path minus the cycles it then simulates.
+void BM_SessionRestore(benchmark::State& state) {
+  const SimConfig cfg = session_bench_config(static_cast<int>(state.range(0)));
+  Session session(cfg);
+  session.advance_to(SessionPhase::kMeasure);
+  const std::string bytes = session.checkpoint();
+  for (auto _ : state) {
+    std::unique_ptr<Session> restored = Session::restore(bytes);
+    benchmark::DoNotOptimize(restored->now());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["checkpoint_bytes"] = static_cast<double>(bytes.size());
+}
+BENCHMARK(BM_SessionRestore)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // --- sweep-service request paths --------------------------------------------
 

@@ -29,4 +29,14 @@ void CheckpointReader::tag(const char* name) {
   }
 }
 
+std::uint64_t CheckpointReader::count(std::uint64_t bound, const char* what) {
+  const std::uint64_t n = u64();
+  if (n > bound) {
+    throw std::runtime_error("checkpoint: " + std::string(what) + " holds " +
+                             std::to_string(n) + " entries, above its bound of " +
+                             std::to_string(bound));
+  }
+  return n;
+}
+
 }  // namespace dragonfly

@@ -114,6 +114,11 @@ class CheckpointReader {
 
   void tag(const char* name);
 
+  /// An element count (u64) that may not exceed `bound`: a fixed-size
+  /// container refuses a longer stored length before reading any entry.
+  /// `what` names the container in the error.
+  std::uint64_t count(std::uint64_t bound, const char* what);
+
   /// Read a packet reference through the installed translator (raw when
   /// none is installed — standalone fixtures).
   std::int32_t pkt() {

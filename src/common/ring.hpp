@@ -1,20 +1,21 @@
-// Flat FIFO ring over a power-of-two array.
+// Fixed-capacity FIFO ring over caller-owned power-of-two storage.
 //
 // The three hottest queues in the cycle kernel — input-VC FIFOs, output
 // transmit queues and node source queues — are strict FIFOs of small
-// trivially-copyable records with bounded steady-state depth (buffer
-// capacity in packets). std::deque pays block-map indirection and
-// boundary branches on every push/pop, which shows up at the top of the
-// saturated-load profile; this ring replaces those with an index
-// increment and a mask. Growth doubles the array and re-packs the live
-// window, so a transient overshoot is amortized and steady state never
-// allocates.
+// trivially-copyable records whose depth the config bounds (buffer
+// capacity in packets, the source-queue cap). std::deque pays block-map
+// indirection and boundary branches on every push/pop; this ring is an
+// index increment and a mask. It never allocates: the owner carves
+// `slots(capacity)` elements for it out of one array at build time (see
+// DESIGN.md "Memory layout"), and a push past `capacity` is a logic
+// error, like the credit overflow the owners already check for.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <vector>
+#include <stdexcept>
 
 namespace dragonfly {
 
@@ -30,7 +31,7 @@ class Ring {
     using reference = const T&;
 
     const_iterator() = default;
-    const_iterator(const Ring* ring, std::size_t pos)
+    const_iterator(const Ring* ring, std::uint32_t pos)
         : ring_(ring), pos_(pos) {}
     reference operator*() const {
       return ring_->buf_[(ring_->head_ + pos_) & ring_->mask_];
@@ -50,11 +51,26 @@ class Ring {
 
    private:
     const Ring* ring_ = nullptr;
-    std::size_t pos_ = 0;
+    std::uint32_t pos_ = 0;
   };
+
+  /// Storage elements a ring of `capacity` needs: the next power of two.
+  static std::size_t slots(std::size_t capacity) {
+    return std::bit_ceil(capacity);
+  }
+
+  /// A ring that holds nothing (every push throws).
+  Ring() = default;
+  /// A view over `slots(capacity)` elements at `storage`, holding at most
+  /// `capacity` of them.
+  Ring(T* storage, std::size_t capacity)
+      : buf_(storage),
+        cap_(static_cast<std::uint32_t>(capacity)),
+        mask_(static_cast<std::uint32_t>(slots(capacity) - 1)) {}
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return cap_; }
 
   const T& front() const { return buf_[head_]; }
   T& front() { return buf_[head_]; }
@@ -64,7 +80,9 @@ class Ring {
   }
 
   void push_back(const T& v) {
-    if (size_ == buf_.size()) [[unlikely]] grow();
+    if (size_ == cap_) [[unlikely]] {
+      throw std::logic_error("Ring overflow: push past the configured bound");
+    }
     buf_[(head_ + size_) & mask_] = v;
     ++size_;
   }
@@ -83,21 +101,11 @@ class Ring {
   const_iterator end() const { return const_iterator(this, size_); }
 
  private:
-  void grow() {
-    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-    std::vector<T> fresh(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      fresh[i] = buf_[(head_ + i) & mask_];
-    }
-    buf_ = std::move(fresh);
-    head_ = 0;
-    mask_ = cap - 1;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
+  T* buf_ = nullptr;
+  std::uint32_t cap_ = 0;
+  std::uint32_t mask_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace dragonfly

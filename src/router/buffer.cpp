@@ -32,26 +32,25 @@ int InputPort::total_occupancy() const {
 }
 
 void OutputPort::configure(PortKind kind, RouterId peer, PortId peer_port,
-                           Cycle link_latency, int queue_capacity,
-                           const std::vector<int>& credits_per_vc,
-                           OutputHotSlots slots) {
+                           Cycle link_latency, int queue_capacity, int num_vcs,
+                           int credits_per_vc, OutputHotSlots slots) {
   kind_ = kind;
   peer_ = peer;
   peer_port_ = peer_port;
   link_latency_ = link_latency;
   queue_capacity_ = queue_capacity;
-  num_vcs_ = static_cast<int>(credits_per_vc.size());
+  num_vcs_ = num_vcs;
   credits_ = slots.credits;
   credit_capacity_ = slots.credit_capacity;
   queue_occupancy_ = slots.queue_occupancy;
   link_free_ = slots.link_free;
   for (int v = 0; v < num_vcs_; ++v) {
-    credits_[v] = credits_per_vc[static_cast<std::size_t>(v)];
-    credit_capacity_[v] = credits_per_vc[static_cast<std::size_t>(v)];
+    credits_[v] = credits_per_vc;
+    credit_capacity_[v] = credits_per_vc;
   }
   *queue_occupancy_ = 0;
   *link_free_ = 0;
-  queue_.clear();
+  queue_ = slots.queue;
 }
 
 void OutputPort::take_credits(VcId vc, int phits) {
@@ -125,7 +124,7 @@ void VcFifo::save(CheckpointWriter& ck) const {
 }
 
 void VcFifo::load(CheckpointReader& ck) {
-  const std::uint64_t n = ck.u64();
+  const std::uint64_t n = ck.count(fifo_.capacity(), "input VC");
   fifo_.clear();
   for (std::uint64_t i = 0; i < n; ++i) fifo_.push_back(ck.pkt());
   refresh_head();
@@ -141,14 +140,13 @@ void OutputPort::save(CheckpointWriter& ck) const {
 }
 
 void OutputPort::load(CheckpointReader& ck) {
-  const std::uint64_t n = ck.u64();
+  const std::uint64_t n = ck.count(queue_.capacity(), "output queue");
   queue_.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
-    PendingTx tx;
-    tx.pkt = ck.pkt();
-    tx.out_vc = ck.i32();
-    tx.ready = ck.i64();
-    queue_.push_back(tx);
+    const PacketRef pkt = ck.pkt();
+    const VcId out_vc = ck.i32();
+    const Cycle ready = ck.i64();
+    queue_.push_back(PendingTx{pkt, out_vc, ready});
   }
 }
 

@@ -6,13 +6,14 @@
 // granted out of that buffer, delayed by the upstream link latency.
 //
 // The *hot* counters (credits, queue occupancy, link busy-until, FIFO
-// occupancy, head-of-line packet) live in a HotState structure-of-arrays
-// (sim/hot_state.hpp); VcFifo and OutputPort hold pointers into it,
-// bound at wiring time. Copies share those slots, so a container of
-// them may relocate but each slot has exactly one live owner.
+// occupancy, head-of-line packet) and the FIFO/queue storage itself live
+// in a HotState structure-of-arrays (sim/hot_state.hpp); VcFifo and
+// OutputPort hold pointers into it, bound at wiring time. Copies share
+// those slots, so a container of them may relocate but each slot has
+// exactly one live owner.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "common/ring.hpp"
 #include "common/types.hpp"
@@ -26,10 +27,17 @@ class CheckpointReader;
 /// FIFO of arrived packets for one virtual channel of an input port.
 class VcFifo {
  public:
-  /// Occupancy and head live in the HotState slots passed here.
+  /// Unbound; Router wiring assigns a bound one.
+  VcFifo() = default;
+  /// Occupancy, head and the packet storage (`fifo`, sized to the most
+  /// packets `capacity_phits` can hold) live in the HotState slots
+  /// passed here.
   VcFifo(int capacity_phits, std::int32_t* occupancy_slot,
-         PacketRef* head_slot)
-      : capacity_(capacity_phits), occ_(occupancy_slot), head_(head_slot) {
+         PacketRef* head_slot, Ring<PacketRef> fifo)
+      : capacity_(capacity_phits),
+        occ_(occupancy_slot),
+        head_(head_slot),
+        fifo_(fifo) {
     *occ_ = 0;
     *head_ = kNoPacket;
   }
@@ -49,7 +57,8 @@ class VcFifo {
   int pop(int size_phits);
 
   /// Checkpoint the FIFO ordering only; the occupancy counter lives in
-  /// the HotState arrays and is serialized there.
+  /// the HotState arrays and is serialized there. load() rejects a
+  /// stored length above the FIFO's packet bound.
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
   /// Re-derive the head slot from the FIFO contents (checkpoint load).
@@ -62,26 +71,29 @@ class VcFifo {
   Ring<PacketRef> fifo_;
 };
 
-/// One input port: per-VC FIFOs plus the upstream endpoint needed to
-/// return credits (invalid for injection ports, where the node observes
-/// buffer space directly).
+/// One input port: its VC FIFOs (a span of the router's flat VcFifo
+/// array, indexed like HotLayout::in_vc_index) plus the upstream
+/// endpoint needed to return credits (invalid for injection ports, where
+/// the node observes buffer space directly).
 struct InputPort {
   PortKind kind = PortKind::kLocal;
   RouterId upstream_router = kInvalidRouter;
   PortId upstream_port = kInvalidPort;
   Cycle credit_latency = 0;
-  std::vector<VcFifo> vcs;
+  std::span<const VcFifo> vcs;
 
   int total_occupancy() const;
 };
 
 /// A packet sitting in an output queue, not yet on the wire. `ready`
 /// models the router pipeline: the packet may start transmission only
-/// pipeline_latency cycles after its grant.
+/// pipeline_latency cycles after its grant. Trivial (no member
+/// initializers), so HotState can carve queue storage without writing
+/// it.
 struct PendingTx {
-  PacketRef pkt = kNoPacket;
-  VcId out_vc = 0;
-  Cycle ready = 0;
+  PacketRef pkt;
+  VcId out_vc;
+  Cycle ready;
 };
 
 /// Hot-state slots of one output port (see HotState).
@@ -90,18 +102,19 @@ struct OutputHotSlots {
   std::int32_t* credit_capacity = nullptr;  ///< [num_vcs]
   std::int32_t* queue_occupancy = nullptr;
   Cycle* link_free = nullptr;
+  /// Queue storage, sized to the most packets the queue can hold.
+  Ring<PendingTx> queue;
 };
 
 /// One output port: downstream credit counters, the post-crossbar output
 /// queue and link serialization state.
 class OutputPort {
  public:
-  /// Bind the port to `slots` and reset them: full credits per VC, an
-  /// empty queue, an idle link.
+  /// Bind the port to `slots` and reset them: `credits_per_vc` on each
+  /// of `num_vcs` VCs, an empty queue, an idle link.
   void configure(PortKind kind, RouterId peer, PortId peer_port,
-                 Cycle link_latency, int queue_capacity,
-                 const std::vector<int>& credits_per_vc,
-                 OutputHotSlots slots);
+                 Cycle link_latency, int queue_capacity, int num_vcs,
+                 int credits_per_vc, OutputHotSlots slots);
 
   PortKind kind() const { return kind_; }
   RouterId peer() const { return peer_; }
@@ -148,7 +161,8 @@ class OutputPort {
 
   /// Checkpoint the queue ordering only; the hot counters (credits,
   /// queue occupancy, link deadline) live in the HotState arrays and
-  /// are serialized there.
+  /// are serialized there. load() rejects a stored length above the
+  /// queue's packet bound.
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
 

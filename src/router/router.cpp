@@ -21,10 +21,16 @@ AllocatorConfig allocator_config(const SimConfig& cfg) {
 }
 }  // namespace
 
+RouterScratch::RouterScratch(const HotLayout& layout)
+    : allocator(layout.ports, layout.ports, layout.in_stride()) {
+  requests.reserve(static_cast<std::size_t>(layout.in_stride()));
+  decisions.reserve(static_cast<std::size_t>(layout.in_stride()));
+}
+
 Router::Router(const Topology& topo, const SimConfig& cfg,
                RouterId id, RoutingAlgorithm* routing, PacketStore* store,
                EventSink* sink, Rng rng, HotState& hot,
-               const RouterCounters& counters)
+               RouterScratch& scratch, const RouterCounters& counters)
     : topo_(topo),
       cfg_(cfg),
       id_(id),
@@ -35,14 +41,13 @@ Router::Router(const Topology& topo, const SimConfig& cfg,
       hot_(&hot),
       inputs_(static_cast<std::size_t>(topo.ports_per_router())),
       outputs_(static_cast<std::size_t>(topo.ports_per_router())),
+      vcs_(static_cast<std::size_t>(hot.layout().in_stride())),
       allocator_(topo.ports_per_router(), topo.ports_per_router(),
                  allocator_config(cfg)),
+      scratch_(&scratch),
       injected_measured_(counters.injected_measured),
       injected_total_(counters.injected_total),
-      forwarded_total_(counters.forwarded_total) {
-  requests_.reserve(64);
-  decisions_.reserve(64);
-}
+      forwarded_total_(counters.forwarded_total) {}
 
 // The VC-count / buffer-capacity rules live next to HotLayout::make
 // (sim/hot_state.cpp) so the SoA slot spans and the wiring below can
@@ -61,13 +66,10 @@ int Router::num_vcs_for_output(PortKind kind) const {
 
 void Router::wire_output(PortId port, PortKind kind, RouterId peer,
                          PortId peer_port, Cycle link_latency) {
-  const int vcs = num_vcs_for_output(kind);
-  std::vector<int> credits(static_cast<std::size_t>(vcs));
-  for (auto& c : credits) {
-    // Ejection consumes at link rate with no backpressure: model as an
-    // effectively unbounded credit pool.
-    c = kind == PortKind::kEjection ? 1 << 28 : input_buffer_capacity(kind);
-  }
+  // Ejection consumes at link rate with no backpressure: model as an
+  // effectively unbounded credit pool.
+  const int credits =
+      kind == PortKind::kEjection ? 1 << 28 : input_buffer_capacity(kind);
   const HotLayout& l = hot_->layout();
   OutputHotSlots slots;
   slots.credits = hot_->credits(id_) + l.out_vc_index(port, 0);
@@ -75,9 +77,10 @@ void Router::wire_output(PortId port, PortKind kind, RouterId peer,
       hot_->credit_capacity(id_) + l.out_vc_index(port, 0);
   slots.queue_occupancy = hot_->queue_occupancy(id_) + port;
   slots.link_free = hot_->link_free(id_) + port;
+  slots.queue = hot_->queue_ring(id_, port, output_queue_packets_for(cfg_));
   outputs_[static_cast<std::size_t>(port)].configure(
       kind, peer, peer_port, link_latency, cfg_.output_queue_size,
-      credits, slots);
+      num_vcs_for_output(kind), credits, slots);
 }
 
 void Router::wire_input(PortId port, PortKind kind, RouterId upstream,
@@ -87,16 +90,17 @@ void Router::wire_input(PortId port, PortKind kind, RouterId upstream,
   in.upstream_router = upstream;
   in.upstream_port = upstream_port;
   in.credit_latency = credit_latency;
-  const int vcs = num_vcs_for_input(kind);
   const HotLayout& l = hot_->layout();
-  in.vcs.clear();
-  in.vcs.reserve(static_cast<std::size_t>(vcs));
-  for (int v = 0; v < vcs; ++v) {
-    const int flat = l.in_vc_index(port, v);
-    in.vcs.emplace_back(input_buffer_capacity(kind),
-                        hot_->in_occupancy(id_) + flat,
-                        hot_->in_head(id_) + flat);
+  const int first = l.in_vc_index(port, 0);
+  const int vcs = num_vcs_for_input(kind);
+  for (int flat = first; flat < first + vcs; ++flat) {
+    vcs_[static_cast<std::size_t>(flat)] =
+        VcFifo(input_buffer_capacity(kind), hot_->in_occupancy(id_) + flat,
+               hot_->in_head(id_) + flat,
+               hot_->fifo_ring(id_, flat, input_fifo_packets_for(cfg_, kind)));
   }
+  in.vcs = std::span<const VcFifo>(vcs_).subspan(
+      static_cast<std::size_t>(first), static_cast<std::size_t>(vcs));
 }
 
 void Router::packet_arrival(PortId in_port, VcId vc, PacketRef ref,
@@ -108,9 +112,9 @@ void Router::packet_arrival(PortId in_port, VcId vc, PacketRef ref,
   pkt.in_vc = vc;
   pkt.t_arrival = now;
   routing_->on_arrival(*this, pkt, prev_group);
-  inputs_[static_cast<std::size_t>(in_port)].vcs[static_cast<std::size_t>(vc)]
-      .push(ref, pkt.size_phits);
-  set_in_mask(hot_->layout().in_vc_index(in_port, vc));
+  const int flat = hot_->layout().in_vc_index(in_port, vc);
+  vcs_[static_cast<std::size_t>(flat)].push(ref, pkt.size_phits);
+  set_in_mask(flat);
   ++buffered_packets_;
 }
 
@@ -133,16 +137,18 @@ void Router::inject(PortId inj_port, VcId vc, PacketRef ref, Cycle now) {
   // into the injection queue at the source router".
   pkt.t_net = now;
   pkt.t_arrival = now;
-  inputs_[static_cast<std::size_t>(inj_port)].vcs[static_cast<std::size_t>(vc)]
-      .push(ref, pkt.size_phits);
-  set_in_mask(hot_->layout().in_vc_index(inj_port, vc));
+  const int flat = hot_->layout().in_vc_index(inj_port, vc);
+  vcs_[static_cast<std::size_t>(flat)].push(ref, pkt.size_phits);
+  set_in_mask(flat);
   ++buffered_packets_;
 }
 
 void Router::allocate(Cycle now) {
   if (buffered_packets_ == 0) return;  // nothing to arbitrate
-  requests_.clear();
-  decisions_.clear();
+  std::vector<AllocRequest>& requests = scratch_->requests;
+  std::vector<RoutingDecision>& decisions = scratch_->decisions;
+  requests.clear();
+  decisions.clear();
 
   // Walk only the non-empty input VCs: the per-router bitmask visits
   // them in flat (port, vc) order — the exact order of the old dense
@@ -184,19 +190,19 @@ void Router::allocate(Cycle now) {
       req.out_vc = d.out_vc;
       req.is_injection = in_port < inj_end;
       req.age = pkt.t_gen;
-      requests_.push_back(req);
-      decisions_.push_back(d);
+      requests.push_back(req);
+      decisions.push_back(d);
     }
   }
-  allocator_.allocate(requests_);
+  allocator_.allocate(requests, scratch_->allocator);
 
 #ifdef DRAGONFLY_DEBUG_ALLOC
   if (id_ == 0) {
     int g = 0;
-    for (const auto& r : requests_) g += r.granted ? 1 : 0;
+    for (const auto& r : requests) g += r.granted ? 1 : 0;
     std::fprintf(stderr, "[r0 @%lld] req=%zu granted=%d\n", (long long)now,
-                 requests_.size(), g);
-    for (const auto& r : requests_) {
+                 requests.size(), g);
+    for (const auto& r : requests) {
       std::fprintf(stderr, "   in=%d vc=%d -> out=%d ovc=%d inj=%d g=%d\n",
                    r.in_port, r.in_vc, r.out_port, r.out_vc,
                    (int)r.is_injection, (int)r.granted);
@@ -204,15 +210,16 @@ void Router::allocate(Cycle now) {
   }
 #endif
 
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
-    if (requests_[i].granted) execute_grant(requests_[i], decisions_[i], now);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].granted) execute_grant(requests[i], decisions[i], now);
   }
 }
 
 void Router::execute_grant(const AllocRequest& req, const RoutingDecision& d,
                            Cycle now) {
-  InputPort& in = inputs_[static_cast<std::size_t>(req.in_port)];
-  VcFifo& fifo = in.vcs[static_cast<std::size_t>(req.in_vc)];
+  const InputPort& in = inputs_[static_cast<std::size_t>(req.in_port)];
+  const int flat = hot_->layout().in_vc_index(req.in_port, req.in_vc);
+  VcFifo& fifo = vcs_[static_cast<std::size_t>(flat)];
   const PacketRef ref = fifo.head();
   Packet& pkt = (*store_)[ref];
 
@@ -227,9 +234,7 @@ void Router::execute_grant(const AllocRequest& req, const RoutingDecision& d,
     }
   }
   fifo.pop(pkt.size_phits);
-  if (fifo.empty()) {
-    clear_in_mask(hot_->layout().in_vc_index(req.in_port, req.in_vc));
-  }
+  if (fifo.empty()) clear_in_mask(flat);
   --buffered_packets_;
   pkt.denied_cycles = 0;
 
@@ -356,12 +361,16 @@ void Router::load(CheckpointReader& ck) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = ck.u64();
   rng_.set_state(rng_state);
-  for (InputPort& in : inputs_) {
-    if (ck.u64() != in.vcs.size()) {
+  const HotLayout& l = hot_->layout();
+  for (PortId port = 0; port < l.ports; ++port) {
+    const std::size_t first =
+        static_cast<std::size_t>(l.in_vc_index(port, 0));
+    const std::size_t vcs = inputs_[static_cast<std::size_t>(port)].vcs.size();
+    if (ck.u64() != vcs) {
       throw std::runtime_error(
           "checkpoint: input-port VC count mismatch (config drift)");
     }
-    for (VcFifo& vc : in.vcs) vc.load(ck);
+    for (std::size_t v = first; v < first + vcs; ++v) vcs_[v].load(ck);
   }
   for (OutputPort& out : outputs_) out.load(ck);
   allocator_.load(ck);
@@ -370,16 +379,10 @@ void Router::load(CheckpointReader& ck) {
   pending_tx_ = ck.i32();
   // Re-derive the non-empty-VC mask from the restored FIFOs (VcFifo::load
   // already refreshed the head slots).
-  const HotLayout& l = hot_->layout();
   std::uint64_t* mask = hot_->in_mask(id_);
   for (int w = 0; w < l.in_mask_words(); ++w) mask[w] = 0;
-  for (PortId port = 0; port < l.ports; ++port) {
-    const InputPort& in = inputs_[static_cast<std::size_t>(port)];
-    for (VcId vc = 0; vc < static_cast<VcId>(in.vcs.size()); ++vc) {
-      if (!in.vcs[static_cast<std::size_t>(vc)].empty()) {
-        set_in_mask(l.in_vc_index(port, vc));
-      }
-    }
+  for (std::size_t flat = 0; flat < vcs_.size(); ++flat) {
+    if (!vcs_[flat].empty()) set_in_mask(static_cast<int>(flat));
   }
 }
 

@@ -58,12 +58,30 @@ struct RouterCounters {
   std::int64_t* forwarded_total = nullptr;
 };
 
+/// Working storage of Router::allocate: the cycle's requests, the
+/// routing decisions behind them and the allocator's arrays. Nothing in
+/// it outlives one call, so all the routers one thread steps share an
+/// instance (the Network keeps one per shard). Sized for a HotLayout:
+/// at most one request per input VC.
+struct RouterScratch {
+  explicit RouterScratch(const HotLayout& layout);
+
+  std::vector<AllocRequest> requests;
+  std::vector<RoutingDecision> decisions;
+  AllocatorScratch allocator;
+};
+
 class Router {
  public:
-  /// `hot` is the Network-owned SoA; the router uses row `id`.
+  /// `hot` is the Network-owned SoA; the router uses row `id`. `scratch`
+  /// must be sized for hot's layout and used by one thread at a time.
   Router(const Topology& topo, const SimConfig& cfg, RouterId id,
          RoutingAlgorithm* routing, PacketStore* store, EventSink* sink,
-         Rng rng, HotState& hot, const RouterCounters& counters);
+         Rng rng, HotState& hot, RouterScratch& scratch,
+         const RouterCounters& counters);
+  /// Each InputPort::vcs views this router's own VcFifo array.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   RouterId id() const { return id_; }
   GroupId group() const { return topo_.group_of_router(id_); }
@@ -204,9 +222,11 @@ class Router {
 
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
+  /// Every input VC's FIFO, indexed by HotLayout::in_vc_index; each
+  /// InputPort::vcs is a span of it.
+  std::vector<VcFifo> vcs_;
   SeparableAllocator allocator_;
-  std::vector<AllocRequest> requests_;
-  std::vector<RoutingDecision> decisions_;
+  RouterScratch* scratch_;
 
   bool measuring_ = false;
   bool event_tx_ = false;

@@ -243,9 +243,13 @@ RequestReport SweepService::execute(const std::vector<std::string>& items,
 void SweepService::run_point(InFlight* flight) {
   PointReport& pr = flight->report;
   try {
+    // Every seed of a built-in shape runs over one shared entry (the
+    // key leaves the seed out). A user-registered family's factory may
+    // read the seed, so each run builds its own from its own config.
     std::shared_ptr<const Topology> topo;
-    if (opts_.share_topologies) topo = topologies_.acquire(flight->cfg);
-
+    if (TopologyCache::shares(flight->cfg)) {
+      topo = topologies_.acquire(flight->cfg);
+    }
     // Only a fixed, unscripted window has a deadline a refinement can
     // move: such a point warm-starts from a cached window that is no
     // longer than its own, and its cold run (re)captures one.

@@ -19,8 +19,9 @@
 //     refinement — a stop-rule change, a shorter window — runs cold,
 //     and a shorter fixed window's cold run replaces the cached one.
 //     A warm STREAM emits samples only for the cycles it simulates.
-//   * shared topologies — concurrent sessions on one shape share a
-//     TopologyCache entry instead of rebuilding wiring/oracle tables.
+//   * shared topologies — concurrent sessions on one built-in shape
+//     share a TopologyCache entry instead of rebuilding wiring/oracle
+//     tables (a user-registered family builds per session).
 //
 // Identical points requested concurrently are coalesced: the second
 // request subscribes to the first's in-flight run and both receive the
@@ -53,7 +54,6 @@ struct ServiceOptions {
   /// Checkpoint cold fixed-window runs one cycle before their window
   /// closes, and warm-start longer-window refinements from them.
   bool capture_warm_checkpoints = true;
-  bool share_topologies = true;            ///< share Topology across sessions
 };
 
 /// How a point's result was obtained.

@@ -83,8 +83,10 @@ void SweepServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // listener closed or unrecoverable
     }
-    // RESULT and DONE go out as separate writes; without TCP_NODELAY,
-    // Nagle holds the second until the client's delayed ACK (~40 ms).
+    // Replies go out in one write each, but a STREAM's SAMPLE lines and
+    // its closing RESULT/DONE write are separate sends; without
+    // TCP_NODELAY, Nagle holds a small send behind an unacknowledged
+    // one until the client's delayed ACK (~40 ms).
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     reap_finished();
@@ -180,10 +182,13 @@ void SweepServer::handle_line(Connection* conn, const std::string& line) {
         send_line(conn, protocol::format_error(rep.error));
         return;
       }
+      std::string reply;
       for (const PointReport& p : rep.points) {
-        send_line(conn, protocol::format_hash(p));
+        reply += protocol::format_hash(p);
+        reply += '\n';
       }
-      send_line(conn, protocol::format_done(rep));
+      reply += protocol::format_done(rep);
+      send_line(conn, reply);
       return;
     }
     case protocol::Verb::kRun:
@@ -204,24 +209,30 @@ void SweepServer::handle_line(Connection* conn, const std::string& line) {
         send_line(conn, protocol::format_error(rep.error));
         return;
       }
+      // The RESULT lines and DONE (or the first point's ERR) go out in
+      // one write, after any streamed SAMPLE lines.
+      std::string reply;
       for (const PointReport& p : rep.points) {
         if (!p.error.empty()) {
-          send_line(conn, protocol::format_error(
-                              "point " + p.label + " @" +
-                              std::to_string(p.offered_load) + ": " + p.error));
+          reply += protocol::format_error("point " + p.label + " @" +
+                                          std::to_string(p.offered_load) +
+                                          ": " + p.error);
+          send_line(conn, reply);
           return;
         }
-        send_line(conn, protocol::format_result(p));
+        reply += protocol::format_result(p);
+        reply += '\n';
       }
-      send_line(conn, protocol::format_done(rep));
+      reply += protocol::format_done(rep);
+      send_line(conn, reply);
       return;
     }
   }
 }
 
-bool SweepServer::send_line(Connection* conn, const std::string& line) {
+bool SweepServer::send_line(Connection* conn, const std::string& text) {
   std::lock_guard<std::mutex> lock(conn->write_mu);
-  std::string out = line;
+  std::string out = text;
   out += '\n';
   std::size_t sent = 0;
   while (sent < out.size()) {

@@ -60,7 +60,9 @@ class SweepServer {
   void reap_finished();
   void handle_connection(Connection* conn);
   void handle_line(Connection* conn, const std::string& line);
-  bool send_line(Connection* conn, const std::string& line);
+  /// Write `text` plus a newline in one locked send loop; `text` may
+  /// hold several newline-separated lines (a whole reply).
+  bool send_line(Connection* conn, const std::string& text);
 
   SweepService& service_;
   int listen_fd_ = -1;

@@ -530,7 +530,7 @@ const std::vector<const Knob*>& sorted_knobs() {
   return sorted;
 }
 
-std::string canonical_value(const Knob& k, const SimConfig& c) {
+std::string canonical_form(const Knob& k, const SimConfig& c) {
   return k.canon != nullptr ? k.canon(c) : k.field.format(c);
 }
 
@@ -549,7 +549,7 @@ std::string hash_knobs(const SimConfig& c, bool skip_refinement) {
     if (skip_refinement && k->cls == HashClass::kRefinement) continue;
     h = fnv1a64(h, k->key);
     h = fnv1a64(h, "=");
-    h = fnv1a64(h, canonical_value(*k, c));
+    h = fnv1a64(h, canonical_form(*k, c));
     h = fnv1a64(h, "\n");
   }
   char buf[17];
@@ -758,9 +758,18 @@ std::vector<std::pair<std::string, std::string>> SimConfig::canonical_kv()
     const {
   std::vector<std::pair<std::string, std::string>> out;
   for (const Knob* k : sorted_knobs()) {
-    out.emplace_back(k->key, canonical_value(*k, *this));
+    out.emplace_back(k->key, canonical_form(*k, *this));
   }
   return out;
+}
+
+std::string SimConfig::canonical_value(std::string_view key) const {
+  const Knob* k = find_knob(std::string(key));
+  if (k == nullptr) {
+    throw std::invalid_argument("unknown config key \"" + std::string(key) +
+                                "\"");
+  }
+  return canonical_form(*k, *this);
 }
 
 std::string SimConfig::canonical_hash() const {
@@ -779,8 +788,8 @@ std::string SimConfig::warm_hash() const {
 std::string SimConfig::warm_incompatibility(const SimConfig& refined) const {
   for (const Knob* k : sorted_knobs()) {
     if (k->cls == HashClass::kRefinement) continue;
-    const std::string mine = canonical_value(*k, *this);
-    const std::string theirs = canonical_value(*k, refined);
+    const std::string mine = canonical_form(*k, *this);
+    const std::string theirs = canonical_form(*k, refined);
     if (mine != theirs) {
       return "knob \"" + std::string(k->key) + "\" is \"" + mine +
              "\" in the warm-start checkpoint but \"" + theirs +

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -241,6 +242,9 @@ struct SimConfig {
   /// knob of the table is hashed: its canonical form comes from the
   /// same descriptor that applies it.
   std::vector<std::pair<std::string, std::string>> canonical_kv() const;
+  /// canonical_kv()'s value for one key, formatting only that knob
+  /// (std::invalid_argument for an unknown key).
+  std::string canonical_value(std::string_view key) const;
 
   /// FNV-1a 64-bit hash of canonical_kv(), as a 16-digit hex string —
   /// the sweep-service result-cache key. Every knob in the kv table

@@ -11,16 +11,21 @@
 // `Topology` port tables, so the kernel walks cache-dense memory and the
 // checkpoint writer serializes it in a few block writes.
 //
-// The cold state (the FIFO orderings themselves, wiring, arbiter
-// pointers) stays in the owning objects; `VcFifo`/`OutputPort` receive
-// pointers into these arrays at wiring time (unit fixtures bind a
-// small HotState of their own the same way).
+// The storage of every input-VC FIFO and output queue lives here too:
+// each has a fixed packet bound derived from the config, so its ring is
+// a slice carved out of one array at build time and the kernel never
+// allocates. The cold state (wiring, arbiter pointers, the ring
+// head/size indices) stays in the owning objects; `VcFifo`/`OutputPort`
+// receive pointers into these arrays at wiring time (unit fixtures bind
+// a small HotState of their own the same way).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
+#include "router/buffer.hpp"
 #include "router/packet.hpp"
 
 namespace dragonfly {
@@ -37,6 +42,18 @@ int input_vcs_for(const SimConfig& cfg, PortKind kind);
 int output_vcs_for(const SimConfig& cfg, PortKind kind);
 int input_buffer_capacity_for(const SimConfig& cfg, PortKind kind);
 
+/// Packet bounds of the fixed-capacity queues (validate() makes every
+/// buffer hold at least one packet, so each is >= 1):
+///  - an input VC holds at most its buffer's phits / packet_size
+///    packets (VcFifo::push throws past the phits);
+///  - an output queue at most output_queue_size / packet_size
+///    (OutputPort::enqueue throws past it);
+///  - a node's source queue at most node_queue_capacity (the blocked
+///    gate and Node::post_send enforce it).
+int input_fifo_packets_for(const SimConfig& cfg, PortKind kind);
+int output_queue_packets_for(const SimConfig& cfg);
+int source_queue_packets_for(const SimConfig& cfg);
+
 /// Flat-index layout shared by every router of one network: per-port VC
 /// offsets for the input and output directions (VC counts differ by port
 /// kind), plus reverse tables for mask iteration. Derived once from
@@ -49,6 +66,11 @@ struct HotLayout {
   std::vector<int> out_vc_off;
   /// Reverse map: flat input-VC index within a router -> port id.
   std::vector<PortId> port_of_in_vc;
+  /// Ring storage: offset of each flat input VC's FIFO slice within the
+  /// router's PacketRef row (size in_stride()+1; the last entry is the
+  /// row length), and the slice length of every output queue.
+  std::vector<int> fifo_off;
+  int queue_slots = 0;
 
   int in_stride() const { return in_vc_off.empty() ? 0 : in_vc_off.back(); }
   int out_stride() const { return out_vc_off.empty() ? 0 : out_vc_off.back(); }
@@ -63,6 +85,8 @@ struct HotLayout {
   int out_vc_index(PortId port, VcId vc) const {
     return out_vc_off[static_cast<std::size_t>(port)] + vc;
   }
+  /// PacketRef elements per router in the FIFO storage.
+  int fifo_stride() const { return fifo_off.empty() ? 0 : fifo_off.back(); }
 
   static HotLayout make(const Topology& topo, const SimConfig& cfg);
 };
@@ -130,6 +154,14 @@ class HotState {
     return port_marks_.data() + static_cast<std::size_t>(r) * port_words_;
   }
 
+  // --- queue storage (carved into fixed rings at wiring) -------------------
+  /// The FIFO ring of one flat input VC of router `r`, holding at most
+  /// `packets` (at most the slice HotLayout::fifo_off gave it).
+  Ring<PacketRef> fifo_ring(RouterId r, int flat_vc, int packets);
+  /// The output-queue ring of (router `r`, `port`), holding at most
+  /// `packets` (at most HotLayout::queue_slots).
+  Ring<PendingTx> queue_ring(RouterId r, PortId port, int packets);
+
   /// Whole-array views for contiguous scans (invariants, checkpoint).
   const std::vector<std::int32_t>& all_credits() const { return credits_; }
   const std::vector<std::int32_t>& all_credit_capacity() const {
@@ -160,6 +192,7 @@ class HotState {
   std::size_t out_stride_ = 0;
   std::size_t mask_words_ = 0;
   std::size_t port_words_ = 0;
+  std::size_t fifo_stride_ = 0;
 
   std::vector<std::int32_t> credits_;
   std::vector<std::int32_t> credit_capacity_;
@@ -169,6 +202,10 @@ class HotState {
   std::vector<PacketRef> in_head_;
   std::vector<std::uint64_t> in_mask_;
   std::vector<std::uint64_t> port_marks_;
+  // Ring storage. Left uninitialized: a slot is read only after its
+  // ring wrote it, so a page the run never reaches is never touched.
+  std::unique_ptr<PacketRef[]> fifo_slots_;
+  std::unique_ptr<PendingTx[]> queue_slots_;
 };
 
 /// SoA bank of per-node generation state for the batched Bernoulli
@@ -182,13 +219,17 @@ class HotState {
 /// mirroring Rng::bernoulli's short-circuits) and a
 /// source-queue-full byte. Arrays are padded to a whole 64-lane window
 /// so whole-word vector loads never run off the end (pad lanes carry
-/// mode 1 and never enter a draw mask). Nodes bind per-lane pointers at
-/// build time and fall back to private storage standalone (see Node).
+/// mode 1 and never enter a draw mask). It also holds every node's
+/// source-queue storage, one fixed ring slice per node. Nodes bind
+/// per-lane pointers at build time (see Node); a standalone node binds
+/// a small NodeHot of its own.
 class NodeHot {
  public:
   NodeHot() = default;
 
-  void init(int nodes) {
+  /// Size the bank for `nodes` nodes whose source queues hold at most
+  /// `queue_packets` packets each.
+  void init(int nodes, int queue_packets) {
     const auto padded =
         (static_cast<std::size_t>(nodes) + 63) / 64 * 64;
     s0_.assign(padded, 0);
@@ -198,6 +239,12 @@ class NodeHot {
     threshold_.assign(padded, 0);
     mode_.assign(padded, 1);
     blocked_.assign(padded, 0);
+    queue_packets_ = queue_packets;
+    queue_stride_ = Ring<PacketRef>::slots(
+        static_cast<std::size_t>(queue_packets));
+    // Uninitialized, as HotState's ring storage.
+    queue_slots_ = std::make_unique_for_overwrite<PacketRef[]>(
+        static_cast<std::size_t>(nodes) * queue_stride_);
   }
 
   std::uint64_t* s0() { return s0_.data(); }
@@ -207,10 +254,19 @@ class NodeHot {
   std::uint64_t* threshold() { return threshold_.data(); }
   std::uint8_t* mode() { return mode_.data(); }
   std::uint8_t* blocked() { return blocked_.data(); }
+  /// Node `n`'s source-queue ring (empty, at most init's queue_packets).
+  Ring<PacketRef> source_queue(NodeId n) {
+    return Ring<PacketRef>(
+        queue_slots_.get() + static_cast<std::size_t>(n) * queue_stride_,
+        static_cast<std::size_t>(queue_packets_));
+  }
 
  private:
   std::vector<std::uint64_t> s0_, s1_, s2_, s3_, threshold_;
   std::vector<std::uint8_t> mode_, blocked_;
+  std::unique_ptr<PacketRef[]> queue_slots_;
+  int queue_packets_ = 0;
+  std::size_t queue_stride_ = 0;
 };
 
 }  // namespace dragonfly

@@ -10,6 +10,7 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
+#include "topology/topology_cache.hpp"
 #include "workload/workload.hpp"
 
 namespace dragonfly {
@@ -24,13 +25,15 @@ const SimConfig& validated(const SimConfig& cfg) {
   return cfg;
 }
 
-/// Use the injected shared topology, or build a private one. An injected
-/// topology must match the shape the config selects: a shared instance
-/// of the wrong shape would mis-wire every router silently, so when the
-/// family exposes a cheap shape the dimensions are cross-checked here.
+/// Use the injected shared topology, or acquire one from the process
+/// cache (shared for the built-in families, private for user-registered
+/// ones). An injected topology must match the shape the config selects:
+/// a shared instance of the wrong shape would mis-wire every router
+/// silently, so when the family exposes a cheap shape the dimensions
+/// are cross-checked here.
 std::shared_ptr<const Topology> adopt_topology(
     const SimConfig& cfg, std::shared_ptr<const Topology> topo) {
-  if (topo == nullptr) return make_topology(cfg);
+  if (topo == nullptr) return TopologyCache::process_cache().acquire(cfg);
   if (const auto shape = try_topology_shape(cfg)) {
     if (shape->num_routers() != topo->num_routers() ||
         shape->num_nodes() != topo->num_nodes()) {
@@ -128,6 +131,7 @@ void Network::build_shards() {
         0);
     sh.out_credits.resize(static_cast<std::size_t>(S));
     sh.out_packets.resize(static_cast<std::size_t>(S));
+    sh.scratch = std::make_unique<RouterScratch>(hot_.layout());
     // Size the event ring past the largest scheduling delay (packet and
     // credit link latencies) so it never grows in steady state; the
     // transmit calendar only spans pipeline + serialization delays.
@@ -166,14 +170,14 @@ void Network::build() {
     // With one shard the Network itself is the sink (events go straight
     // into the calendar, no mailbox hop); sharded routers emit through
     // their shard's proxy so everything lands in shard-owned storage.
-    EventSink* sink =
-        sharded ? static_cast<EventSink*>(
-                      &shard_sinks_[static_cast<std::size_t>(
-                          shard_of_router_[static_cast<std::size_t>(r)])])
-                : static_cast<EventSink*>(this);
+    const auto shard =
+        static_cast<std::size_t>(shard_of_router_[static_cast<std::size_t>(r)]);
+    EventSink* sink = sharded ? static_cast<EventSink*>(&shard_sinks_[shard])
+                              : static_cast<EventSink*>(this);
     routers_.push_back(std::make_unique<Router>(
         *topo_, cfg_, r, routing_.get(), &store_, sink,
         root.child(0x1000000ull + static_cast<std::uint64_t>(r)), hot_,
+        *shards_[shard].scratch,
         RouterCounters{collector_.router_injected_total(r),
                        collector_.router_injected_measured(r),
                        collector_.router_forwarded_total(r)}));
@@ -217,7 +221,7 @@ void Network::build() {
     }
   }
 
-  node_hot_.init(N);
+  node_hot_.init(N, source_queue_packets_for(cfg_));
   nodes_.reserve(static_cast<std::size_t>(N));
   router_of_node_.reserve(static_cast<std::size_t>(N));
   for (NodeId n = 0; n < N; ++n) {

@@ -75,13 +75,15 @@ class Network final : public EventSink {
  public:
   explicit Network(const SimConfig& cfg);
 
-  /// Build over a pre-constructed shared topology (nullptr builds a
-  /// private one from cfg). Topologies are immutable after finalize(),
-  /// so one instance may back any number of concurrent networks — the
-  /// sweep service shares them through TopologyCache to amortize the
-  /// O(links²) construction on big shapes. The injected topology must
-  /// describe the shape cfg selects (checked against try_topology_shape
-  /// when the family provides one; mismatch throws).
+  /// Build over a pre-constructed shared topology. nullptr acquires
+  /// one from TopologyCache::process_cache(): the shape's shared entry
+  /// for the built-in families, a private build for a user-registered
+  /// family. Topologies are immutable after finalize(),
+  /// so one instance may back any number of concurrent networks — which
+  /// amortizes the O(links²) construction over a sweep's sessions. The
+  /// injected topology must describe the shape cfg selects (checked
+  /// against try_topology_shape when the family provides one; mismatch
+  /// throws).
   Network(const SimConfig& cfg, std::shared_ptr<const Topology> topo);
   ~Network() override;
   Network(const Network&) = delete;
@@ -286,6 +288,9 @@ class Network final : public EventSink {
     /// Events dispatched by this shard's phase 0 this cycle; summed into
     /// dispatched_events_ at the barrier.
     std::int64_t dispatched = 0;
+    /// Router::allocate's working storage, shared by the shard's routers
+    /// (one shard is stepped by one thread at a time).
+    std::unique_ptr<RouterScratch> scratch;
   };
 
   void build();

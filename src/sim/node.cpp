@@ -1,6 +1,7 @@
 #include "sim/node.hpp"
 
 #include <array>
+#include <stdexcept>
 
 #include "common/checkpoint.hpp"
 #include "sim/hot_state.hpp"
@@ -24,7 +25,12 @@ Node::Node(NodeId id, Router* router, const TrafficPattern* pattern,
       pattern_(pattern),
       routing_(routing),
       store_(store),
-      cfg_(cfg) {
+      cfg_(cfg),
+      queue_(hot.source_queue(id)) {
+  if (queue_.capacity() < static_cast<std::size_t>(queue_cap_)) {
+    throw std::logic_error("Node: NodeHot source queues smaller than "
+                           "node_queue_capacity");
+  }
   rng_.set_state(rng.state());
   sync_gen_params();
   sync_blocked();
@@ -132,7 +138,8 @@ void Node::load(CheckpointReader& ck) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = ck.u64();
   rng_.set_state(rng_state);
-  const std::uint64_t n = ck.u64();
+  const std::uint64_t n = ck.count(
+      static_cast<std::uint64_t>(queue_cap_), "source queue");
   queue_.clear();
   for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(ck.pkt());
   queue_len_ = static_cast<std::int32_t>(queue_.size());

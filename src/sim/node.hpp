@@ -19,9 +19,10 @@ class NodeHot;
 class Node {
  public:
   /// `hot` (with this node's id as the lane index) holds the RNG lane,
-  /// Bernoulli threshold/mode and queue-full byte: the Network's NodeHot
-  /// SoA bank, so the batched generation phase can read them
-  /// contiguously. A standalone node binds a small NodeHot of its own.
+  /// Bernoulli threshold/mode, queue-full byte and source-queue storage:
+  /// the Network's NodeHot SoA bank, so the batched generation phase can
+  /// read them contiguously. A standalone node binds a small NodeHot of
+  /// its own.
   Node(NodeId id, Router* router, const TrafficPattern* pattern,
        RoutingAlgorithm* routing, PacketStore* store, const SimConfig* cfg,
        Rng rng, NodeHot& hot);
@@ -112,7 +113,8 @@ class Node {
   bool post_send(NodeId dst, Cycle now, bool measuring, std::int32_t job);
 
   /// Checkpoint mutable state (RNG, source queue, injection bookkeeping,
-  /// counters); identity/wiring come from construction.
+  /// counters); identity/wiring come from construction. load() rejects
+  /// a stored source queue longer than node_queue_capacity.
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
 

@@ -94,12 +94,14 @@ struct SimResult {
 
 class Session {
  public:
+  /// Build over the shape's shared topology (the next constructor with
+  /// nullptr).
   explicit Session(const SimConfig& cfg);
 
   /// Build over a pre-constructed shared topology (see
-  /// Network::Network(cfg, topo)); nullptr builds a private one. The
-  /// sweep service passes TopologyCache entries here so concurrent
-  /// sessions on one shape share the wiring and oracle tables.
+  /// Network::Network(cfg, topo)); nullptr shares the process-wide
+  /// instance of a built-in family's shape, as Session(cfg) does, and
+  /// builds a private one for a user-registered family.
   Session(const SimConfig& cfg, std::shared_ptr<const Topology> topo);
 
   // --- phase machine --------------------------------------------------------
@@ -187,8 +189,8 @@ class Session {
   ///     changed stop mode or batch length, throws
   ///     "checkpoint: warm start rejected: ...".
   /// Without `refine` the saved deadline is kept. `topo` optionally
-  /// supplies the shared topology for the rebuilt network (nullptr =
-  /// private).
+  /// supplies the shared topology for the rebuilt network (nullptr
+  /// acquires one as Session(cfg) does).
   std::string checkpoint() const;
   void checkpoint(std::ostream& os) const;
   void checkpoint_file(const std::string& path) const;

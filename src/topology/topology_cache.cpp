@@ -5,20 +5,28 @@
 namespace dragonfly {
 
 std::string topology_cache_key(const SimConfig& cfg) {
-  // Reuse the canonical knob serialization so spelling variants
-  // ("topology=dfly:2,4,2" vs "p=2,a=4,h=2") share one entry; only the
-  // topology-defining keys participate.
+  // The canonical knob forms, so spelling variants ("topology=dfly:2,4,2"
+  // vs "p=2,a=4,h=2") share one entry; only the topology-defining keys
+  // are formatted, in canonical_kv()'s (sorted) order.
+  static constexpr const char* kKeys[] = {"a", "arrangement", "groups",
+                                          "h", "p", "topology"};
   std::string key;
-  for (const auto& [k, v] : cfg.canonical_kv()) {
-    if (k == "topology" || k == "h" || k == "p" || k == "a" ||
-        k == "groups" || k == "arrangement") {
-      key += k + "=" + v + ";";
-    }
+  for (const char* k : kKeys) {
+    key += k;
+    key += '=';
+    key += cfg.canonical_value(k);
+    key += ';';
   }
   return key;
 }
 
+bool TopologyCache::shares(const SimConfig& cfg) {
+  const std::string family = topology_family(cfg);
+  return family == "dfly" || family == "flatbfly";
+}
+
 std::shared_ptr<const Topology> TopologyCache::acquire(const SimConfig& cfg) {
+  if (!shares(cfg)) return make_topology(cfg);
   const std::string key = topology_cache_key(cfg);
   std::promise<std::shared_ptr<const Topology>> build;
   std::shared_future<std::shared_ptr<const Topology>> entry;

@@ -8,6 +8,14 @@
 namespace dragonfly {
 namespace {
 
+/// Working arrays for every allocator below (at most 4x4 ports and a
+/// few requests); allocate() leaves them as it found them.
+AllocatorScratch& scratch() {
+  static AllocatorScratch s(/*num_inputs=*/4, /*num_outputs=*/4,
+                            /*max_requests=*/8);
+  return s;
+}
+
 AllocRequest make_request(PortId in, VcId vc, PortId out, bool injection = false,
                           Cycle age = 0) {
   AllocRequest r;
@@ -29,7 +37,7 @@ int granted_count(const std::vector<AllocRequest>& reqs) {
 TEST(Allocator, SingleRequestGranted) {
   SeparableAllocator alloc(4, 4, {});
   std::vector<AllocRequest> reqs{make_request(0, 0, 2)};
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_TRUE(reqs[0].granted);
 }
 
@@ -39,7 +47,7 @@ TEST(Allocator, ConflictingRequestsGetBounded) {
   SeparableAllocator alloc(4, 4, cfg);
   std::vector<AllocRequest> reqs{make_request(0, 0, 2), make_request(1, 0, 2),
                                  make_request(2, 0, 2)};
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_EQ(granted_count(reqs), 1);
 }
 
@@ -49,7 +57,7 @@ TEST(Allocator, SpeedupAllowsTwoGrantsPerOutput) {
   SeparableAllocator alloc(4, 4, cfg);
   std::vector<AllocRequest> reqs{make_request(0, 0, 2), make_request(1, 0, 2),
                                  make_request(2, 0, 2)};
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_EQ(granted_count(reqs), 2);
 }
 
@@ -61,7 +69,7 @@ TEST(Allocator, MaxGrantsPerInputRespected) {
   // One input port with 3 VCs requesting 3 distinct outputs.
   std::vector<AllocRequest> reqs{make_request(0, 0, 0), make_request(0, 1, 1),
                                  make_request(0, 2, 2)};
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_EQ(granted_count(reqs), 2);
 }
 
@@ -69,7 +77,7 @@ TEST(Allocator, DisjointRequestsAllGranted) {
   SeparableAllocator alloc(4, 4, {});
   std::vector<AllocRequest> reqs{make_request(0, 0, 0), make_request(1, 0, 1),
                                  make_request(2, 0, 2), make_request(3, 0, 3)};
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_EQ(granted_count(reqs), 4);
 }
 
@@ -83,7 +91,7 @@ TEST(Allocator, TransitPriorityBeatsInjection) {
         make_request(0, 0, 2, /*injection=*/true),
         make_request(1, 0, 2, /*injection=*/false),
     };
-    alloc.allocate(reqs);
+    alloc.allocate(reqs, scratch());
     EXPECT_FALSE(reqs[0].granted) << "trial " << trial;
     EXPECT_TRUE(reqs[1].granted) << "trial " << trial;
   }
@@ -94,7 +102,7 @@ TEST(Allocator, InjectionWinsWhenNoTransit) {
   cfg.transit_priority = true;
   SeparableAllocator alloc(4, 4, cfg);
   std::vector<AllocRequest> reqs{make_request(0, 0, 2, /*injection=*/true)};
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_TRUE(reqs[0].granted);
 }
 
@@ -109,7 +117,7 @@ TEST(Allocator, WithoutPriorityInjectionGetsRoundRobinShare) {
         make_request(0, 0, 2, /*injection=*/true),
         make_request(1, 0, 2, /*injection=*/false),
     };
-    alloc.allocate(reqs);
+    alloc.allocate(reqs, scratch());
     injection_wins += reqs[0].granted ? 1 : 0;
   }
   EXPECT_NEAR(injection_wins, 50, 10);
@@ -127,7 +135,7 @@ TEST(Allocator, AgeArbitrationPicksOldest) {
         make_request(1, 0, 2, false, /*age=*/5),  // oldest
         make_request(2, 0, 2, false, /*age=*/50),
     };
-    alloc.allocate(reqs);
+    alloc.allocate(reqs, scratch());
     EXPECT_FALSE(reqs[0].granted);
     EXPECT_TRUE(reqs[1].granted);
     EXPECT_FALSE(reqs[2].granted);
@@ -147,7 +155,7 @@ TEST(Allocator, AgeArbitrationSupersedesTransitPriority) {
       make_request(0, 0, 2, /*injection=*/true, /*age=*/1),   // older
       make_request(1, 0, 2, /*injection=*/false, /*age=*/99),  // transit
   };
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_TRUE(reqs[0].granted);
   EXPECT_FALSE(reqs[1].granted);
 }
@@ -161,7 +169,7 @@ TEST(Allocator, RoundRobinIsFairOverTime) {
   for (int cycle = 0; cycle < 300; ++cycle) {
     std::vector<AllocRequest> reqs{make_request(0, 0, 0), make_request(1, 0, 0),
                                    make_request(2, 0, 0)};
-    alloc.allocate(reqs);
+    alloc.allocate(reqs, scratch());
     for (const auto& r : reqs) {
       if (r.granted) ++wins[r.in_port];
     }
@@ -190,9 +198,9 @@ TEST(Allocator, MoreIterationsImproveMatching) {
     std::vector<AllocRequest> reqs{make_request(0, 0, 0), make_request(0, 1, 1),
                                    make_request(1, 0, 0)};
     auto copy = reqs;
-    a1.allocate(copy);
+    a1.allocate(copy, scratch());
     total_one += granted_count(copy);
-    a3.allocate(reqs);
+    a3.allocate(reqs, scratch());
     total_three += granted_count(reqs);
   }
   EXPECT_GE(total_three, total_one);
@@ -204,7 +212,7 @@ TEST(Allocator, NoDoubleGrantPerVc) {
   std::vector<AllocRequest> reqs{make_request(0, 0, 1), make_request(0, 0, 2)};
   // Two requests from the same (port, vc) would mean the router built a
   // bad request list; the allocator must still never grant both.
-  alloc.allocate(reqs);
+  alloc.allocate(reqs, scratch());
   EXPECT_LE(granted_count(reqs), 2);  // bounded by max grants
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "common/checkpoint.hpp"
 #include "sim/hot_state.hpp"
 #include "sim_test_util.hpp"
 
@@ -108,7 +112,7 @@ TEST(Node, StandaloneNodeKeepsItsHotStateInTheBoundLanes) {
   Network net(cfg);  // supplies the router, routing and pattern
   constexpr NodeId kId = 1;
   NodeHot hot;
-  hot.init(kId + 1);
+  hot.init(kId + 1, cfg.node_queue_capacity);
   PacketStore store;
   const Rng rng(42);
   Node node(kId, &net.router(net.topology().router_of_node(kId)),
@@ -133,6 +137,43 @@ TEST(Node, StandaloneNodeKeepsItsHotStateInTheBoundLanes) {
   // Untouched lanes keep NodeHot's defaults.
   EXPECT_EQ(hot.mode()[0], 1);
   EXPECT_EQ(hot.blocked()[0], 0);
+}
+
+TEST(Node, LoadAcceptsAFullSourceQueueAndRejectsOneMore) {
+  // The source queue's storage is fixed at node_queue_capacity packets,
+  // so a longer stored queue cannot come from this config.
+  SimConfig cfg = quick("min", "uniform", 0.2);
+  cfg.node_queue_capacity = 2;
+  Network net(cfg);
+  NodeHot hot;
+  hot.init(1, cfg.node_queue_capacity);
+  PacketStore store;
+  Node node(0, &net.router(net.topology().router_of_node(0)), &net.traffic(),
+            &net.routing(), &store, &cfg, Rng(42), hot);
+  // Node::save's layout: RNG words, queue, injection bookkeeping,
+  // counters, workload gate and job.
+  auto stream = [](int queued) {
+    CheckpointWriter ck;
+    for (std::uint64_t word = 1; word <= 4; ++word) ck.u64(word);
+    ck.u64(static_cast<std::uint64_t>(queued));
+    for (PacketRef ref = 0; ref < queued; ++ref) ck.pkt(ref);
+    ck.i32(0);
+    ck.i64(0);
+    ck.i64(queued);
+    ck.i64(0);
+    ck.boolean(true);
+    ck.i32(-1);
+    return ck.take();
+  };
+  const std::string full = stream(2);
+  CheckpointReader ok(full);
+  node.load(ok);
+  EXPECT_EQ(node.queue_length(), 2u);
+  EXPECT_EQ(hot.blocked()[0], 1);
+
+  const std::string over = stream(3);
+  CheckpointReader bad(over);
+  EXPECT_THROW(node.load(bad), std::runtime_error);
 }
 
 }  // namespace

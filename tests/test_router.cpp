@@ -42,17 +42,19 @@ class MockSink final : public EventSink {
   std::vector<RecordedEvent> events;
 };
 
-/// What a Network owns for router 0: its HotState row and its
-/// statistics counters.
+/// What a Network owns for router 0: its HotState row, its shard's
+/// allocation scratch and its statistics counters.
 struct RouterStorage {
   RouterStorage(const Topology& topo, const SimConfig& cfg)
-      : hot(HotLayout::make(topo, cfg), /*num_routers=*/1) {}
+      : hot(HotLayout::make(topo, cfg), /*num_routers=*/1),
+        scratch(hot.layout()) {}
 
   RouterCounters counters() {
     return {&injected_total, &injected_measured, &forwarded_total};
   }
 
   HotState hot;
+  RouterScratch scratch;
   std::int64_t injected_total = 0;
   std::int64_t injected_measured = 0;
   std::int64_t forwarded_total = 0;
@@ -67,7 +69,7 @@ class RouterFixture : public ::testing::Test {
         routing_(topo_, cfg_),
         storage_(topo_, cfg_),
         router_(topo_, cfg_, /*id=*/0, &routing_, &store_, &sink_, Rng(1),
-                storage_.hot, storage_.counters()) {
+                storage_.hot, storage_.scratch, storage_.counters()) {
     wire_like_network(router_);
   }
 
@@ -291,7 +293,7 @@ TEST_F(RouterFixture, CheckpointRoundTripsWithItsHotState) {
 
   RouterStorage storage(topo_, cfg_);
   Router fresh(topo_, cfg_, /*id=*/0, &routing_, &store_, &sink_, Rng(99),
-               storage.hot, storage.counters());
+               storage.hot, storage.scratch, storage.counters());
   // Wire identically (the fixture's wiring), then restore.
   wire_like_network(fresh);
   CheckpointReader reader(writer.bytes());

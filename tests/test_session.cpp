@@ -179,6 +179,24 @@ TEST(Session, CiStopRespectsTheCap) {
   EXPECT_EQ(r.measured_cycles, cfg.measure_cycles);
 }
 
+TEST(Session, SessionsOfOneBuiltInShapeShareOneTopology) {
+  // Session(cfg) takes a built-in shape from the process-wide cache: two
+  // sessions hold one Topology object, and each runs byte for byte as a
+  // session over a private build does.
+  const SimConfig cfg = quick("par-mm", "advc", 0.3);
+  Session first(cfg);
+  Session second(cfg);
+  EXPECT_EQ(&first.network().topology(), &second.network().topology());
+  Session owned(cfg, make_topology(cfg));
+  EXPECT_NE(&owned.network().topology(), &first.network().topology());
+
+  first.advance_to(SessionPhase::kMeasure);
+  owned.advance_to(SessionPhase::kMeasure);
+  EXPECT_EQ(first.checkpoint(), owned.checkpoint());
+  expect_identical(first.run(), owned.run());
+  expect_identical(second.run(), Session(cfg, make_topology(cfg)).run());
+}
+
 TEST(Session, CheckpointRestoreRoundTripsBitIdentically) {
   const SimConfig cfg = quick("par-mm", "advc", 0.3);
   const SimResult uninterrupted = run_simulation(cfg);

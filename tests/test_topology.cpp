@@ -1,12 +1,17 @@
 #include "topology/dragonfly.hpp"
 
+#include "common/rng.hpp"
+#include "service/engine.hpp"
 #include "sim/config.hpp"
+#include "sim/session.hpp"
 #include "topology/flatbfly.hpp"
 #include "topology/topology_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -282,6 +287,95 @@ TEST(Topology, CacheBuildsAShapeOnceUnderConcurrentFirstUse) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, kThreads - 1);
   EXPECT_EQ(stats.live, 1u);
+}
+
+// A user-registered family whose wiring reads a knob outside
+// topology_cache_key: the seed picks the global arrangement (odd:
+// consecutive, even: palmtree). Every build records its seed.
+std::mutex g_seeded_mu;
+std::vector<std::uint64_t> g_seeded_builds;
+
+const TopologyRegistry::Registrar kRegisterSeededDfly{
+    topology_registry(), "seeded-dfly",
+    [](const std::string& args,
+       const SimConfig& cfg) -> std::unique_ptr<Topology> {
+      {
+        std::lock_guard<std::mutex> lock(g_seeded_mu);
+        g_seeded_builds.push_back(cfg.seed);
+      }
+      return std::make_unique<DragonflyTopology>(
+          parse_dragonfly_args(args, cfg.topo),
+          make_arrangement(cfg.seed % 2 == 1 ? "consecutive" : "palmtree"));
+    }};
+
+/// Every global port's peer router, in (router, port) order.
+std::vector<RouterId> global_wiring(const Topology& topo) {
+  std::vector<RouterId> peers;
+  for (RouterId r = 0; r < topo.num_routers(); ++r) {
+    for (PortId port = topo.first_global_port();
+         port < topo.ports_per_router(); ++port) {
+      peers.push_back(topo.global_connected(r, port)
+                          ? topo.global_peer(r, port)
+                          : kInvalidRouter);
+    }
+  }
+  return peers;
+}
+
+SimConfig seeded_config(std::uint64_t seed) {
+  SimConfig cfg = SimConfig::small(2);
+  cfg.topology = "seeded-dfly:2,4,2";
+  cfg.seed = seed;
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 100;
+  return cfg;
+}
+
+TEST(Topology, RegisteredFamilyIsNotSharedAcrossSeeds) {
+  // Sharing keys on the six topology knobs only, so a family whose
+  // factory reads the seed must build per session.
+  Session odd(seeded_config(1));
+  Session even(seeded_config(2));
+  EXPECT_NE(&odd.network().topology(), &even.network().topology());
+  EXPECT_NE(global_wiring(odd.network().topology()),
+            global_wiring(even.network().topology()));
+  EXPECT_EQ(global_wiring(odd.network().topology()),
+            global_wiring(*make_topology(seeded_config(1))));
+}
+
+TEST(Topology, ServiceBuildsARegisteredFamilyPerRun) {
+  // Two requests whose runs draw seeds of different parity: the service
+  // must hand each run the wiring of its own seed, not the first
+  // request's cached one.
+  std::uint64_t seeds[2] = {1, 0};
+  for (std::uint64_t s = 2; seeds[1] == 0; ++s) {
+    if (derive_seed(s, 0) % 2 != derive_seed(seeds[0], 0) % 2) seeds[1] = s;
+  }
+  SweepService service(ServiceOptions{.workers = 1});
+  {
+    std::lock_guard<std::mutex> lock(g_seeded_mu);
+    g_seeded_builds.clear();
+  }
+  for (const std::uint64_t seed : seeds) {
+    const RequestReport rep = service.execute(
+        {"topology=seeded-dfly:2,4,2", "routing=min", "traffic=uniform",
+         "load=0.2", "warmup_cycles=100", "measure_cycles=100",
+         "seed=" + std::to_string(seed)});
+    ASSERT_TRUE(rep.ok()) << rep.error;
+  }
+  std::set<std::uint64_t> arrangements;
+  std::set<std::uint64_t> built;
+  {
+    std::lock_guard<std::mutex> lock(g_seeded_mu);
+    for (const std::uint64_t seed : g_seeded_builds) {
+      built.insert(seed);
+      arrangements.insert(seed % 2);
+    }
+  }
+  EXPECT_TRUE(built.count(derive_seed(seeds[0], 0)));
+  EXPECT_TRUE(built.count(derive_seed(seeds[1], 0)));
+  EXPECT_EQ(arrangements.size(), 2u);
+  EXPECT_EQ(service.stats().topologies.live, 0u);
 }
 
 }  // namespace
