@@ -48,7 +48,9 @@ BENCHMARK(BM_SeparableAllocator)->Arg(11)->Arg(23);
 /// are where the active-set kernel shines — most routers/ports idle —
 /// and the 50% points sit at/near saturation. The scan rows keep the
 /// dense reference kernel honest and give CI a machine-independent
-/// active/scan speedup ratio.
+/// active/scan speedup ratio. Timed in wall-clock like the sharded rows,
+/// so BM_NetworkStepUniform/4/50 and BM_NetworkStepUniformSharded/4/50/1
+/// (the same code path) compare directly.
 void NetworkStepUniform(benchmark::State& state, SimKernel kernel) {
   const int h = static_cast<int>(state.range(0));
   SimConfig cfg = SimConfig::small(h);
@@ -73,12 +75,16 @@ BENCHMARK(BM_NetworkStepUniform)
     ->Args({4, 5})
     ->Args({2, 50})
     ->Args({3, 50})
-    ->Args({4, 50});
+    ->Args({4, 50})
+    ->UseRealTime();
 
 void BM_NetworkStepUniformScan(benchmark::State& state) {
   NetworkStepUniform(state, SimKernel::kScan);
 }
-BENCHMARK(BM_NetworkStepUniformScan)->Args({3, 5})->Args({3, 50});
+BENCHMARK(BM_NetworkStepUniformScan)
+    ->Args({3, 5})
+    ->Args({3, 50})
+    ->UseRealTime();
 
 /// Sharded stepping. Args: (radix h, offered load in %, sim.shards).
 /// Bit-identical to the serial rows — only wall-clock may move. The

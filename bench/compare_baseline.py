@@ -79,7 +79,11 @@ def main():
 
     print(f"{'benchmark':45} {'baseline':>12} {'current':>12} {'ratio':>7}")
     for name, base in sorted(baseline["benchmarks"].items()):
-        cur = current["benchmarks"].get(name)
+        # A row switched to UseRealTime() gains a "/real_time" suffix.
+        # run_baseline.sh records wall-clock time for every row, so the
+        # renamed row is still measured the same way as the baseline's.
+        cur = (current["benchmarks"].get(name) or
+               current["benchmarks"].get(name + "/real_time"))
         if cur is None:
             failures.append(f"{name}: missing from current run")
             continue

@@ -95,13 +95,17 @@ out = {
         # serial WorkloadDriver::on_cycle / per-job attribution path
         # drives these down, which the ratio-tolerance check guards.
         "workload_allreduce_step_ratio":
-            speedup("BM_NetworkStepAllreduce/3", "BM_NetworkStepUniform/3/50"),
+            speedup("BM_NetworkStepAllreduce/3",
+                    "BM_NetworkStepUniform/3/50/real_time"),
         "workload_churn_step_ratio":
-            speedup("BM_NetworkStepChurn/3", "BM_NetworkStepUniform/3/50"),
+            speedup("BM_NetworkStepChurn/3",
+                    "BM_NetworkStepUniform/3/50/real_time"),
         "active_scan_speedup_lowload":
-            speedup("BM_NetworkStepUniform/3/5", "BM_NetworkStepUniformScan/3/5"),
+            speedup("BM_NetworkStepUniform/3/5/real_time",
+                    "BM_NetworkStepUniformScan/3/5/real_time"),
         "active_scan_speedup_saturation":
-            speedup("BM_NetworkStepUniform/3/50", "BM_NetworkStepUniformScan/3/50"),
+            speedup("BM_NetworkStepUniform/3/50/real_time",
+                    "BM_NetworkStepUniformScan/3/50/real_time"),
         "shards_speedup_h4_50": {
             str(s): speedup(
                 f"BM_NetworkStepUniformSharded/4/50/{s}/real_time",

@@ -27,7 +27,8 @@ namespace dragonfly {
 class CheckpointWriter;
 class CheckpointReader;
 
-/// Where routers push cross-router events; implemented by Network.
+/// Where routers push cross-router events; implemented by the Network's
+/// router shards.
 class EventSink {
  public:
   virtual ~EventSink() = default;

@@ -101,12 +101,18 @@ void Network::build_shards() {
   const int extra = R % S;
   RouterId r0 = 0;
   NodeId n0 = 0;
-  const Cycle horizon =
-      std::max({cfg_.local_latency, cfg_.global_latency,
-                static_cast<Cycle>(cfg_.packet_size),
-                static_cast<Cycle>(cfg_.pipeline_latency), Cycle{1}});
+  // Calendar horizons: the largest delay each one is booked with. Link
+  // and credit latencies for events; the router pipeline and packet
+  // serialization for transmit fires; serialization for deliveries.
+  const auto size = static_cast<Cycle>(cfg_.packet_size);
+  const auto pipeline = static_cast<Cycle>(cfg_.pipeline_latency);
+  const Cycle event_horizon = std::max(
+      {cfg_.local_latency, cfg_.global_latency, size, pipeline, Cycle{1}});
+  const Cycle fire_horizon = std::max({pipeline, size, Cycle{1}});
   for (int s = 0; s < S; ++s) {
     Shard& sh = shards_[static_cast<std::size_t>(s)];
+    sh.net = this;
+    sh.direct = S == 1;
     const int len = base + (s < extra ? 1 : 0);
     sh.r_begin = r0;
     sh.r_end = r0 + len;
@@ -132,27 +138,10 @@ void Network::build_shards() {
     sh.out_credits.resize(static_cast<std::size_t>(S));
     sh.out_packets.resize(static_cast<std::size_t>(S));
     sh.scratch = std::make_unique<RouterScratch>(hot_.layout());
-    // Size the event ring past the largest scheduling delay (packet and
-    // credit link latencies) so it never grows in steady state; the
-    // transmit calendar only spans pipeline + serialization delays.
-    grow_shard_ring(sh, horizon);
-    grow_shard_tx_ring(sh,
-                       std::max({static_cast<Cycle>(cfg_.pipeline_latency),
-                                 static_cast<Cycle>(cfg_.packet_size),
-                                 Cycle{1}}));
+    sh.events = Calendar<Event>(event_horizon);
+    sh.fires = Calendar<std::int32_t>(fire_horizon);
   }
-  // Deliveries are due exactly packet_size cycles after transmission
-  // starts.
-  grow_delivery_ring(std::max(static_cast<Cycle>(cfg_.packet_size), Cycle{1}));
-
-  // Emission proxies; sized once here so the pointers handed to routers
-  // stay stable.
-  shard_sinks_.clear();
-  shard_sinks_.resize(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    shard_sinks_[static_cast<std::size_t>(s)].net = this;
-    shard_sinks_[static_cast<std::size_t>(s)].shard = s;
-  }
+  deliveries_ = Calendar<Delivery>(std::max(size, Cycle{1}));
   store_.configure(S);
 }
 
@@ -162,22 +151,15 @@ void Network::build() {
   const int R = topo_->num_routers();
   const int N = topo_->num_nodes();
   const int p = topo_->concentration();
-  const bool sharded = shards_.size() > 1;
 
   collector_.attach_routers(R);
   routers_.reserve(static_cast<std::size_t>(R));
   for (RouterId r = 0; r < R; ++r) {
-    // With one shard the Network itself is the sink (events go straight
-    // into the calendar, no mailbox hop); sharded routers emit through
-    // their shard's proxy so everything lands in shard-owned storage.
-    const auto shard =
-        static_cast<std::size_t>(shard_of_router_[static_cast<std::size_t>(r)]);
-    EventSink* sink = sharded ? static_cast<EventSink*>(&shard_sinks_[shard])
-                              : static_cast<EventSink*>(this);
+    Shard& sh = shard_of(r);
     routers_.push_back(std::make_unique<Router>(
-        *topo_, cfg_, r, routing_.get(), &store_, sink,
+        *topo_, cfg_, r, routing_.get(), &store_, &sh,
         root.child(0x1000000ull + static_cast<std::uint64_t>(r)), hot_,
-        *shards_[shard].scratch,
+        *sh.scratch,
         RouterCounters{collector_.router_injected_total(r),
                        collector_.router_injected_measured(r),
                        collector_.router_forwarded_total(r)}));
@@ -264,121 +246,122 @@ void Network::rebuild_activation() {
   rebuild_node_masks();
   for (Shard& sh : shards_) {
     std::fill(sh.alloc_active.begin(), sh.alloc_active.end(), 0);
-    for (auto& bucket : sh.tx_ring) bucket.clear();
+    sh.fires.reset(now_);
   }
   for (const auto& router : routers_) {
     if (router->has_buffered()) mark_alloc_active(router->id());
   }
   if (!active_kernel_) return;
   // Re-derive the transmit calendars: every non-empty output queue has
-  // exactly one outstanding fire at its head's exact wire time. A fire
-  // in the past is impossible for state saved between cycles (the
-  // transmit phase would have consumed it), so treat it as corruption.
+  // exactly one outstanding fire at its head's exact wire time. State
+  // saved between cycles puts every fire inside the transmit window (the
+  // transmit phase consumed any earlier one), so anything else is
+  // corruption.
   const int ports = hot_.layout().ports;
   for (const auto& router : routers_) {
+    Shard& sh = shard_of(router->id());
     for (PortId port = 0; port < ports; ++port) {
       const OutputPort& out = router->output(port);
       if (out.queue_empty()) continue;
       const Cycle fire = out.next_fire();
-      if (fire < now_) {
+      if (!sh.fires.in_window(fire)) {
         throw std::runtime_error(
-            "checkpoint: transmit deadline in the past (corrupt stream)");
+            "checkpoint: transmit deadline @" + std::to_string(fire) +
+            " outside the transmit window of cycle " + std::to_string(now_));
       }
-      schedule_port_ready(router->id(), port, fire);
+      sh.fires.push(fire, router->id() * ports + port);
     }
   }
+}
+
+// The cycle. The order fixes every RNG draw and every calendar
+// tie-break, so it is written once, here:
+//  - the invariant sweep sees the state between two cycles;
+//  - deliveries drain serially first: the collector's floating-point
+//    accumulation is order-sensitive, and delivery dispatch commutes
+//    with packet/credit dispatch (disjoint state), so pulling it out of
+//    the shard calendars keeps the order canonical for every shard count;
+//  - the workload driver reacts to this cycle's deliveries (collective
+//    dependency steps, bursty dwells, job churn) before injection;
+//  - the routing refresh reads every router's occupancy and accumulates
+//    floating-point group means in a fixed order, so it is serial and
+//    splits the fan-out; without it dispatch fuses with inject-transmit
+//    (dispatch writes only own-shard routers, and the later phases read
+//    only own-shard state, so shards at different phases never conflict);
+//  - at the barrier everything in the outboxes is due >= now + 1 (the
+//    conservative lookahead), so nothing merged there was missed.
+std::span<const Network::Phase> Network::phases() {
+  static const Phase kPhases[] = {
+      {.guard =
+           [](const Network& n) {
+             return n.cfg_.sim_paranoid > 0 &&
+                    n.now_ % n.cfg_.sim_paranoid == 0;
+           },
+       .serial = [](Network& n) { n.check_invariants(); }},
+      {.serial = [](Network& n) { n.drain_deliveries(); }},
+      {.guard = [](const Network& n) { return n.workload_ != nullptr; },
+       .serial =
+           [](Network& n) {
+             n.workload_->on_cycle(n.now_, n.collector_.measuring());
+           }},
+      {.shard = [](Network& n, Shard& sh) { n.shard_dispatch(sh); }},
+      {.guard = [](const Network& n) { return n.routing_wants_refresh_; },
+       .serial =
+           [](Network& n) {
+             n.routing_->refresh(
+                 std::span<const std::unique_ptr<Router>>(n.routers_));
+           }},
+      {.shard = [](Network& n, Shard& sh) { n.shard_inject(sh); }},
+      {.shard = [](Network& n, Shard& sh) { n.shard_allocate(sh); }},
+      {.shard = [](Network& n, Shard& sh) { n.shard_transmit(sh); }},
+      {.serial = [](Network& n) { n.merge_outboxes(); }},
+  };
+  return kPhases;
 }
 
 void Network::step() {
-  // Paranoid-mode invariant sweep (sim.paranoid=N; free when off).
-  if (cfg_.sim_paranoid > 0 && now_ % cfg_.sim_paranoid == 0) {
-    check_invariants();
-  }
-  // Deliveries due this cycle, drained serially before anything else:
-  // the collector's floating-point accumulation is order-sensitive, and
-  // delivery dispatch commutes with packet/credit dispatch (disjoint
-  // state), so pulling it out of the shard calendars is behaviour-
-  // neutral and keeps the order canonical for every shard count.
-  drain_deliveries();
-  // The workload driver reacts to this cycle's deliveries (collective
-  // dependency steps, bursty dwells, job arrivals/departures) before
-  // the injection phase runs. Serial, so bit-identical for any kernel,
-  // thread or shard count.
-  if (workload_ != nullptr) workload_->on_cycle(now_, collector_.measuring());
-  const bool measuring = collector_.measuring();
-  const std::size_t S = shards_.size();
-  if (!active_kernel_) {
-    // Dense reference kernel: scan everything every cycle, serially (at
-    // any shard count: emissions route through the shard sinks and the
-    // barrier merge exactly like the active path, so scan remains the
-    // bit-identical cross-check for sharded runs).
-    for (Shard& sh : shards_) shard_dispatch(sh);
-    if (routing_wants_refresh_) {
-      routing_->refresh(std::span<const std::unique_ptr<Router>>(routers_));
+  // Serial entries run in place. A per-shard entry opens a fan-out that
+  // takes every later entry up to the next serial entry that is on.
+  const std::span<const Phase> list = phases();
+  std::size_t i = 0;
+  while (i < list.size()) {
+    if (list[i].serial != nullptr) {
+      if (list[i].on(*this)) list[i].serial(*this);
+      ++i;
+      continue;
     }
-    for (auto& node : nodes_) node.step(now_, measuring, generation_enabled_);
-    for (auto& router : routers_) router->allocate(now_);
-    for (auto& router : routers_) router->transmit(now_);
-  } else if (S == 1) {
-    Shard& sh = shards_[0];
-    shard_dispatch(sh);
-    if (routing_wants_refresh_) {
-      routing_->refresh(std::span<const std::unique_ptr<Router>>(routers_));
+    std::size_t end = i + 1;
+    while (end < list.size() &&
+           (list[end].shard != nullptr || !list[end].on(*this))) {
+      ++end;
     }
-    shard_inject(sh, measuring);
-    shard_allocate(sh);
-    shard_transmit(sh);
-  } else if (routing_wants_refresh_) {
-    // The refresh reads every router's occupancy and accumulates
-    // floating-point group means, so it stays serial between the
-    // dispatch and injection phase fan-outs.
-    ParallelRunner& runner = effective_runner();
-    runner.run(S, [this](std::size_t s) { shard_dispatch(shards_[s]); });
-    routing_->refresh(std::span<const std::unique_ptr<Router>>(routers_));
-    runner.run(S, [this, measuring](std::size_t s) {
-      Shard& sh = shards_[s];
-      shard_inject(sh, measuring);
-      shard_allocate(sh);
-      shard_transmit(sh);
-    });
-  } else {
-    // No per-cycle routing state: all four phases fuse into one fan-out
-    // (phase 0 writes only own-shard routers, and phases 2-4 read only
-    // own-shard state, so shards at different phases never conflict).
-    ParallelRunner& runner = effective_runner();
-    runner.run(S, [this, measuring](std::size_t s) {
-      Shard& sh = shards_[s];
-      shard_dispatch(sh);
-      shard_inject(sh, measuring);
-      shard_allocate(sh);
-      shard_transmit(sh);
-    });
+    fan_out(list.subspan(i, end - i));
+    i = end;
   }
-  // Cycle barrier: fold the shard-local dispatch counts, then exchange
-  // cross-shard traffic. Everything in the outboxes is due >= now_+1
-  // (link, credit and serialization delays are all >= 1 — the
-  // conservative lookahead), so nothing merged here was missed this
-  // cycle.
-  for (Shard& sh : shards_) {
-    dispatched_events_ += sh.dispatched;
-    sh.dispatched = 0;
-  }
-  if (S > 1) merge_outboxes();
   ++now_;
 }
 
+void Network::fan_out(std::span<const Phase> run) {
+  auto body = [this, run](std::size_t s) {
+    for (const Phase& ph : run) {
+      if (ph.shard != nullptr && ph.on(*this)) ph.shard(*this, shards_[s]);
+    }
+  };
+  // The scan kernel is the sequential reference: its shards step inline
+  // in ascending order, still through the outboxes and the barrier merge.
+  if (shards_.size() == 1 || !active_kernel_) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) body(s);
+  } else {
+    effective_runner().run(shards_.size(), body);
+  }
+}
+
 void Network::shard_dispatch(Shard& sh) {
-  // Dispatch the events due this cycle — packet arrivals and credit
-  // returns — in insertion order (the deterministic tie-break). The
-  // bucket is swapped out before dispatching so a handler that
-  // schedules an event (and possibly grows the ring, invalidating
-  // bucket references) can never dangle this iteration; swapping back
-  // next cycle recycles the bucket's storage. Packet arrivals activate
-  // their router for the allocation phase.
-  sh.due_scratch.clear();
-  sh.due_scratch.swap(sh.ring[static_cast<std::size_t>(now_) & sh.ring_mask]);
-  for (const Event& ev : sh.due_scratch) dispatch(ev);
-  sh.dispatched += static_cast<std::int64_t>(sh.due_scratch.size());
+  // Packet arrivals and credit returns due this cycle, in insertion
+  // order (the deterministic tie-break). Packet arrivals activate their
+  // router for the allocation phase.
+  sh.dispatched += static_cast<std::int64_t>(
+      sh.events.drain([this](const Event& ev) { dispatch(ev); }));
 }
 
 void Network::build_hit_masks(Shard& sh) {
@@ -432,7 +415,15 @@ void Network::build_hit_masks(Shard& sh) {
   }
 }
 
-void Network::shard_inject(Shard& sh, bool measuring) {
+void Network::shard_inject(Shard& sh) {
+  const bool measuring = collector_.measuring();
+  if (!active_kernel_) {
+    for (NodeId n = sh.n_begin; n < sh.n_end; ++n) {
+      nodes_[static_cast<std::size_t>(n)].step(now_, measuring,
+                                               generation_enabled_);
+    }
+    return;
+  }
   // Traffic generation and injection. Phase A evaluates every
   // generator's Bernoulli gate with batched SoA draws (build_hit_masks);
   // phase B walks only the hits and the nodes with queued packets, in
@@ -465,6 +456,12 @@ void Network::shard_inject(Shard& sh, bool measuring) {
 }
 
 void Network::shard_allocate(Shard& sh) {
+  if (!active_kernel_) {
+    for (RouterId r = sh.r_begin; r < sh.r_end; ++r) {
+      routers_[static_cast<std::size_t>(r)]->allocate(now_);
+    }
+    return;
+  }
   // Switch allocation over the active routers, ascending id — the
   // dense-scan visit order, so per-router RNG draws and downstream
   // event insertion order are unchanged. A router leaves the set once
@@ -488,26 +485,27 @@ void Network::shard_allocate(Shard& sh) {
 }
 
 void Network::shard_transmit(Shard& sh) {
-  // Link transfer, event-driven. Every entry in this cycle's transmit
-  // bucket is an output port whose head goes on the wire exactly now;
-  // sorting the flat (router, port) ids reproduces the dense scan's
-  // (router, port) processing order.
-  sh.tx_scratch.clear();
-  sh.tx_scratch.swap(
-      sh.tx_ring[static_cast<std::size_t>(now_) & sh.tx_ring_mask]);
-  if (sh.tx_scratch.empty()) return;
-  // Branchless ordering: scatter the flat ids into a bitmap over the
-  // shard's port space and walk its set bits — that is ascending
-  // (router, port) order at O(ids + words), with no compare branches.
-  // Ids are unique (one outstanding fire per non-empty output queue,
-  // checked by the invariant sweep), so the bitmap loses nothing.
+  if (!active_kernel_) {
+    for (RouterId r = sh.r_begin; r < sh.r_end; ++r) {
+      routers_[static_cast<std::size_t>(r)]->transmit(now_);
+    }
+    return;
+  }
+  // Link transfer, event-driven: every fire due now is an output port
+  // whose head goes on the wire exactly now. Scattering the flat ids
+  // into a bitmap over the shard's port space and walking its set bits
+  // yields ascending (router, port) order — the dense scan's — at
+  // O(ids + words), with no sort. Ids are unique (one outstanding fire
+  // per non-empty output queue, checked by the invariant sweep), so the
+  // bitmap loses nothing.
   const int ports = hot_.layout().ports;
   const std::int64_t base =
       static_cast<std::int64_t>(sh.r_begin) * static_cast<std::int64_t>(ports);
-  for (const std::int32_t rp : sh.tx_scratch) {
+  const std::size_t due = sh.fires.drain([&sh, base](std::int32_t rp) {
     const auto i = static_cast<std::size_t>(rp - base);
     sh.tx_bitmap[i >> 6] |= 1ull << (i & 63);
-  }
+  });
+  if (due == 0) return;
   for (std::size_t w = 0; w < sh.tx_bitmap.size(); ++w) {
     std::uint64_t bits = sh.tx_bitmap[w];
     if (bits == 0) continue;
@@ -524,41 +522,44 @@ void Network::shard_transmit(Shard& sh) {
 }
 
 void Network::drain_deliveries() {
-  delivery_scratch_.clear();
-  delivery_scratch_.swap(
-      delivery_ring_[static_cast<std::size_t>(now_) & delivery_mask_]);
-  for (const Event& ev : delivery_scratch_) {
-    const Packet& pkt = store_[ev.pkt];
-    collector_.on_delivered(pkt, ev.when);
-    if (workload_ != nullptr) workload_->on_delivered(pkt, ev.when);
-    store_.destroy(ev.pkt);
-  }
-  dispatched_events_ += static_cast<std::int64_t>(delivery_scratch_.size());
+  dispatched_events_ += static_cast<std::int64_t>(
+      deliveries_.drain([this](const Delivery& d) {
+        const Packet& pkt = store_[d.pkt];
+        collector_.on_delivered(pkt, d.when);
+        if (workload_ != nullptr) workload_->on_delivered(pkt, d.when);
+        store_.destroy(d.pkt);
+      }));
 }
 
 void Network::merge_outboxes() {
+  for (Shard& sh : shards_) {
+    dispatched_events_ += sh.dispatched;
+    sh.dispatched = 0;
+  }
   // Canonical merge: for every destination, all credit streams in
   // ascending source-shard order, then all packet streams. Shard ranges
   // are contiguous and ascending and each stream is appended in
   // emission order, so the concatenation is exactly the serial kernel's
-  // bucket insertion order — all phase-3 credits in ascending router
-  // order, then all phase-4 packets in ascending (router, port) order.
+  // bucket insertion order — all allocation-phase credits in ascending
+  // router order, then all transmit-phase packets in ascending
+  // (router, port) order. With one shard the sinks booked directly and
+  // the outboxes are empty.
   const std::size_t S = shards_.size();
   for (std::size_t dst = 0; dst < S; ++dst) {
     Shard& d = shards_[dst];
     for (std::size_t src = 0; src < S; ++src) {
       auto& box = shards_[src].out_credits[dst];
-      for (const Event& ev : box) push_shard_event(d, ev.when, ev);
+      for (const Event& ev : box) d.events.push(ev.when, ev);
       box.clear();
     }
     for (std::size_t src = 0; src < S; ++src) {
       auto& box = shards_[src].out_packets[dst];
-      for (const Event& ev : box) push_shard_event(d, ev.when, ev);
+      for (const Event& ev : box) d.events.push(ev.when, ev);
       box.clear();
     }
   }
   for (Shard& sh : shards_) {
-    for (const Event& ev : sh.out_deliveries) push_delivery(ev.pkt, ev.when);
+    for (const Delivery& d : sh.out_deliveries) deliveries_.push(d.when, d);
     sh.out_deliveries.clear();
   }
 }
@@ -583,9 +584,6 @@ void Network::dispatch(const Event& ev) {
       routers_[static_cast<std::size_t>(ev.router)]->credit_arrival(
           ev.port, ev.vc, ev.phits);
       break;
-    case Event::Type::kDelivery:
-      // Deliveries live on their own calendar (drain_deliveries).
-      throw std::logic_error("delivery event in a shard calendar");
   }
 }
 
@@ -743,28 +741,17 @@ void Network::check_invariants() const {
     for (const PacketRef ref : node.source_queue()) note(ref, "node queue");
   }
 
-  // Pending events: packets in flight, and the per-shard ring horizons
-  // (a clamped event may carry when <= now, but nothing may be booked
-  // past a ring's span). Deliveries live on their own calendar.
+  // Pending events: packets in flight, each booked in its router's
+  // shard (the calendars themselves refuse anything outside their
+  // window). Between cycles every outbox is empty.
   for (const Shard& sh : shards_) {
-    for (const auto& bucket : sh.ring) {
-      for (const Event& ev : bucket) {
-        if (ev.when > now_ + static_cast<Cycle>(sh.ring.size())) {
-          fail("event due @" + std::to_string(ev.when) +
-               " is beyond the ring horizon of " +
-               std::to_string(sh.ring.size()) + " cycles");
-        }
-        if (ev.type == Event::Type::kDelivery) {
-          fail("delivery event in a shard calendar");
-        }
-        if (ev.type == Event::Type::kPacket) note(ev.pkt, "event ring");
-        if (shard_of_router_[static_cast<std::size_t>(ev.router)] !=
-            shard_of_router_[static_cast<std::size_t>(sh.r_begin)]) {
-          fail("event for router " + std::to_string(ev.router) +
-               " booked in a foreign shard's calendar");
-        }
+    sh.events.for_each([&](Cycle, const Event& ev) {
+      if (ev.type == Event::Type::kPacket) note(ev.pkt, "event calendar");
+      if (ev.router < sh.r_begin || ev.router >= sh.r_end) {
+        fail("event for router " + std::to_string(ev.router) +
+             " booked in a foreign shard's calendar");
       }
-    }
+    });
     for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
       if (!sh.out_credits[dst].empty() || !sh.out_packets[dst].empty()) {
         fail("non-empty outbox between cycles (merge missed)");
@@ -774,16 +761,8 @@ void Network::check_invariants() const {
       fail("non-empty delivery outbox between cycles (merge missed)");
     }
   }
-  for (const auto& bucket : delivery_ring_) {
-    for (const Event& ev : bucket) {
-      if (ev.when > now_ + static_cast<Cycle>(delivery_ring_.size())) {
-        fail("delivery due @" + std::to_string(ev.when) +
-             " is beyond the delivery ring horizon of " +
-             std::to_string(delivery_ring_.size()) + " cycles");
-      }
-      note(ev.pkt, "delivery ring");
-    }
-  }
+  deliveries_.for_each(
+      [&](Cycle, const Delivery& d) { note(d.pkt, "delivery calendar"); });
 
   // Transmit calendars (active kernel): every non-empty output queue
   // has exactly one outstanding fire, booked at its head's exact wire
@@ -792,26 +771,22 @@ void Network::check_invariants() const {
     std::vector<std::uint8_t> fires(
         static_cast<std::size_t>(R) * static_cast<std::size_t>(ports), 0);
     for (const Shard& sh : shards_) {
-      for (std::size_t k = 0; k < sh.tx_ring.size(); ++k) {
-        const auto t = static_cast<Cycle>(static_cast<std::size_t>(now_) + k);
-        for (const std::int32_t rp :
-             sh.tx_ring[static_cast<std::size_t>(t) & sh.tx_ring_mask]) {
-          const auto r = static_cast<RouterId>(rp / ports);
-          const auto port = static_cast<PortId>(rp % ports);
-          const OutputPort& out =
-              routers_[static_cast<std::size_t>(r)]->output(port);
-          if (out.queue_empty()) {
-            fail("transmit fire for empty queue (router " + std::to_string(r) +
-                 " port " + std::to_string(port) + ")");
-          }
-          if (out.next_fire() != t) {
-            fail("transmit fire @" + std::to_string(t) + " but router " +
-                 std::to_string(r) + " port " + std::to_string(port) +
-                 " head is due @" + std::to_string(out.next_fire()));
-          }
-          ++fires[static_cast<std::size_t>(rp)];
+      sh.fires.for_each([&](Cycle t, std::int32_t rp) {
+        const auto r = static_cast<RouterId>(rp / ports);
+        const auto port = static_cast<PortId>(rp % ports);
+        const OutputPort& out =
+            routers_[static_cast<std::size_t>(r)]->output(port);
+        if (out.queue_empty()) {
+          fail("transmit fire for empty queue (router " + std::to_string(r) +
+               " port " + std::to_string(port) + ")");
         }
-      }
+        if (out.next_fire() != t) {
+          fail("transmit fire @" + std::to_string(t) + " but router " +
+               std::to_string(r) + " port " + std::to_string(port) +
+               " head is due @" + std::to_string(out.next_fire()));
+        }
+        ++fires[static_cast<std::size_t>(rp)];
+      });
     }
     for (RouterId r = 0; r < R; ++r) {
       for (PortId port = 0; port < ports; ++port) {
@@ -851,190 +826,54 @@ void Network::check_invariants() const {
   }
 }
 
-void Network::push_shard_event(Shard& sh, Cycle when, const Event& ev) {
-  // Valid configs (link latencies and packet sizes >= 1, enforced by
-  // SimConfig::validate) always book events in the future, making bucket
-  // order identical to the old (when, seq) priority-queue order. The
-  // defensive clamp keeps a stray past event from landing in a stale
-  // bucket; its stored `when` is preserved for the handlers.
-  const Cycle due = when <= now_ ? now_ + 1 : when;
-  if (due - now_ >= static_cast<Cycle>(sh.ring.size())) {
-    grow_shard_ring(sh, due - now_);
+// --- shard sinks (shard-owned storage only) --------------------------------
+
+void Network::Shard::post(std::vector<std::vector<Event>>& boxes,
+                          const Event& ev) {
+  if (direct) {
+    events.push(ev.when, ev);
+  } else {
+    boxes[static_cast<std::size_t>(
+              net->shard_of_router_[static_cast<std::size_t>(ev.router)])]
+        .push_back(ev);
   }
-  sh.ring[static_cast<std::size_t>(due) & sh.ring_mask].push_back(ev);
 }
 
-void Network::grow_shard_ring(Shard& sh, Cycle min_horizon) {
-  std::size_t size = sh.ring.empty() ? 2 : sh.ring.size();
-  while (static_cast<Cycle>(size) <= min_horizon) size *= 2;
-  std::vector<std::vector<Event>> fresh(size);
-  if (!sh.ring.empty()) {
-    const std::size_t old_mask = sh.ring_mask;
-    for (std::size_t k = 1; k <= sh.ring.size(); ++k) {
-      const auto t = static_cast<std::size_t>(now_) + k;
-      fresh[t & (size - 1)] = std::move(sh.ring[t & old_mask]);
-    }
+void Network::Shard::schedule_packet(RouterId router, PortId port, VcId vc,
+                                     PacketRef pkt, Cycle when) {
+  post(out_packets, Event{.when = when,
+                          .type = Event::Type::kPacket,
+                          .router = router,
+                          .port = port,
+                          .vc = vc,
+                          .pkt = pkt});
+}
+
+void Network::Shard::schedule_credit(RouterId router, PortId out_port,
+                                     VcId vc, int phits, Cycle when) {
+  post(out_credits, Event{.when = when,
+                          .type = Event::Type::kCredit,
+                          .router = router,
+                          .port = out_port,
+                          .vc = vc,
+                          .phits = phits});
+}
+
+void Network::Shard::schedule_delivery(PacketRef pkt, Cycle when) {
+  if (direct) {
+    net->deliveries_.push(when, Delivery{when, pkt});
+  } else {
+    out_deliveries.push_back(Delivery{when, pkt});
   }
-  sh.ring = std::move(fresh);
-  sh.ring_mask = size - 1;
 }
 
-void Network::grow_shard_tx_ring(Shard& sh, Cycle min_horizon) {
-  std::size_t size = sh.tx_ring.empty() ? 2 : sh.tx_ring.size();
-  while (static_cast<Cycle>(size) <= min_horizon) size *= 2;
-  std::vector<std::vector<std::int32_t>> fresh(size);
-  if (!sh.tx_ring.empty()) {
-    const std::size_t old_mask = sh.tx_ring_mask;
-    // Bucket `now_` may hold same-cycle fires booked during the current
-    // allocation phase, so unlike the event ring the copy starts at k=0.
-    for (std::size_t k = 0; k < sh.tx_ring.size(); ++k) {
-      const auto t = static_cast<std::size_t>(now_) + k;
-      fresh[t & (size - 1)] = std::move(sh.tx_ring[t & old_mask]);
-    }
-  }
-  sh.tx_ring = std::move(fresh);
-  sh.tx_ring_mask = size - 1;
-}
-
-void Network::push_delivery(PacketRef pkt, Cycle when) {
-  const Cycle due = when <= now_ ? now_ + 1 : when;
-  if (due - now_ >= static_cast<Cycle>(delivery_ring_.size())) {
-    grow_delivery_ring(due - now_);
-  }
-  Event ev;
-  ev.when = when;
-  ev.type = Event::Type::kDelivery;
-  ev.pkt = pkt;
-  delivery_ring_[static_cast<std::size_t>(due) & delivery_mask_].push_back(ev);
-}
-
-void Network::grow_delivery_ring(Cycle min_horizon) {
-  std::size_t size = delivery_ring_.empty() ? 2 : delivery_ring_.size();
-  while (static_cast<Cycle>(size) <= min_horizon) size *= 2;
-  std::vector<std::vector<Event>> fresh(size);
-  if (!delivery_ring_.empty()) {
-    const std::size_t old_mask = delivery_mask_;
-    for (std::size_t k = 1; k <= delivery_ring_.size(); ++k) {
-      const auto t = static_cast<std::size_t>(now_) + k;
-      fresh[t & (size - 1)] = std::move(delivery_ring_[t & old_mask]);
-    }
-  }
-  delivery_ring_ = std::move(fresh);
-  delivery_mask_ = size - 1;
-}
-
-// --- serial sink (shards=1 routers; rebuild/restore paths) -----------------
-
-void Network::schedule_packet(RouterId router, PortId port, VcId vc,
-                              PacketRef pkt, Cycle when) {
-  Event ev;
-  ev.when = when;
-  ev.type = Event::Type::kPacket;
-  ev.router = router;
-  ev.port = port;
-  ev.vc = vc;
-  ev.pkt = pkt;
-  push_shard_event(shards_[static_cast<std::size_t>(
-                       shard_of_router_[static_cast<std::size_t>(router)])],
-                   when, ev);
-}
-
-void Network::schedule_credit(RouterId router, PortId out_port, VcId vc,
-                              int phits, Cycle when) {
-  Event ev;
-  ev.when = when;
-  ev.type = Event::Type::kCredit;
-  ev.router = router;
-  ev.port = out_port;
-  ev.vc = vc;
-  ev.phits = phits;
-  push_shard_event(shards_[static_cast<std::size_t>(
-                       shard_of_router_[static_cast<std::size_t>(router)])],
-                   when, ev);
-}
-
-void Network::schedule_delivery(PacketRef pkt, Cycle when) {
-  push_delivery(pkt, when);
-}
-
-void Network::schedule_port_ready(RouterId router, PortId port, Cycle when) {
-  shard_schedule_port_ready(
-      shard_of_router_[static_cast<std::size_t>(router)], router, port, when);
-}
-
-// --- shard sinks (parallel phases; shard-owned storage only) ---------------
-
-void Network::shard_schedule_packet(int src, RouterId router, PortId port,
-                                    VcId vc, PacketRef pkt, Cycle when) {
-  Event ev;
-  ev.when = when;
-  ev.type = Event::Type::kPacket;
-  ev.router = router;
-  ev.port = port;
-  ev.vc = vc;
-  ev.pkt = pkt;
-  shards_[static_cast<std::size_t>(src)]
-      .out_packets[static_cast<std::size_t>(
-          shard_of_router_[static_cast<std::size_t>(router)])]
-      .push_back(ev);
-}
-
-void Network::shard_schedule_credit(int src, RouterId router, PortId out_port,
-                                    VcId vc, int phits, Cycle when) {
-  Event ev;
-  ev.when = when;
-  ev.type = Event::Type::kCredit;
-  ev.router = router;
-  ev.port = out_port;
-  ev.vc = vc;
-  ev.phits = phits;
-  shards_[static_cast<std::size_t>(src)]
-      .out_credits[static_cast<std::size_t>(
-          shard_of_router_[static_cast<std::size_t>(router)])]
-      .push_back(ev);
-}
-
-void Network::shard_schedule_delivery(int src, PacketRef pkt, Cycle when) {
-  Event ev;
-  ev.when = when;
-  ev.type = Event::Type::kDelivery;
-  ev.pkt = pkt;
-  shards_[static_cast<std::size_t>(src)].out_deliveries.push_back(ev);
-}
-
-void Network::shard_schedule_port_ready(int src, RouterId router, PortId port,
-                                        Cycle when) {
+void Network::Shard::schedule_port_ready(RouterId router, PortId port,
+                                         Cycle when) {
   // Always the emitting router's own port (grant pipeline-ready and
-  // next-transmission fires), so the calendar is shard-local.
-  Shard& sh = shards_[static_cast<std::size_t>(src)];
-  // Exact by construction: fires land at `now_` only from the allocation
-  // phase (pipeline latency 0 with a free link), which the same cycle's
-  // transmit phase consumes.
-  const Cycle due = when < now_ ? now_ : when;
-  if (due - now_ >= static_cast<Cycle>(sh.tx_ring.size())) {
-    grow_shard_tx_ring(sh, due - now_);
-  }
-  sh.tx_ring[static_cast<std::size_t>(due) & sh.tx_ring_mask].push_back(
-      router * hot_.layout().ports + port);
-}
-
-void Network::ShardSink::schedule_packet(RouterId router, PortId port,
-                                         VcId vc, PacketRef pkt, Cycle when) {
-  net->shard_schedule_packet(shard, router, port, vc, pkt, when);
-}
-
-void Network::ShardSink::schedule_credit(RouterId router, PortId out_port,
-                                         VcId vc, int phits, Cycle when) {
-  net->shard_schedule_credit(shard, router, out_port, vc, phits, when);
-}
-
-void Network::ShardSink::schedule_delivery(PacketRef pkt, Cycle when) {
-  net->shard_schedule_delivery(shard, pkt, when);
-}
-
-void Network::ShardSink::schedule_port_ready(RouterId router, PortId port,
-                                             Cycle when) {
-  net->shard_schedule_port_ready(shard, router, port, when);
+  // next-transmission fires), so the calendar is shard-local. A fire due
+  // now comes only from the allocation phase (pipeline latency 0 with a
+  // free link), which the same cycle's transmit phase consumes.
+  fires.push(when, router * net->hot_.layout().ports + port);
 }
 
 // --- statistics ------------------------------------------------------------
@@ -1106,16 +945,14 @@ bool Network::workload_post_send(NodeId src, NodeId dst, bool measuring,
   // The sender is usually outside the generator mask (its Bernoulli
   // source is parked), so the injection phase only sees the new packet
   // through the queue bit.
-  Shard& sh = shards_[static_cast<std::size_t>(shard_of_router_[
-      static_cast<std::size_t>(router_of_node_[static_cast<std::size_t>(src)])])];
+  Shard& sh = shard_of(router_of_node_[static_cast<std::size_t>(src)]);
   const auto bit = static_cast<std::size_t>(src - sh.n_begin);
   sh.queue_mask[bit >> 6] |= 1ull << (bit & 63);
   return true;
 }
 
 void Network::refresh_node_activation(NodeId n) {
-  Shard& sh = shards_[static_cast<std::size_t>(shard_of_router_[
-      static_cast<std::size_t>(router_of_node_[static_cast<std::size_t>(n)])])];
+  Shard& sh = shard_of(router_of_node_[static_cast<std::size_t>(n)]);
   const auto bit = static_cast<std::size_t>(n - sh.n_begin);
   const std::uint64_t mask = 1ull << (bit & 63);
   std::uint64_t& word = sh.gen_mask[bit >> 6];
@@ -1165,12 +1002,7 @@ void Network::save(CheckpointWriter& ck) const {
   // kernel-independent.
   std::vector<Event> events;
   for (const Shard& sh : shards_) {
-    for (std::size_t k = 0; k < sh.ring.size(); ++k) {
-      const auto t = static_cast<std::size_t>(now_) + k;
-      for (const Event& ev : sh.ring[t & sh.ring_mask]) {
-        events.push_back(ev);
-      }
-    }
+    sh.events.for_each([&](Cycle, const Event& ev) { events.push_back(ev); });
   }
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& a, const Event& b) {
@@ -1180,13 +1012,9 @@ void Network::save(CheckpointWriter& ck) const {
                                      b.phits);
                    });
   // Delivery calendar in stored (canonical) order.
-  std::vector<Event> deliveries;
-  for (std::size_t k = 0; k < delivery_ring_.size(); ++k) {
-    const auto t = static_cast<std::size_t>(now_) + k;
-    for (const Event& ev : delivery_ring_[t & delivery_mask_]) {
-      deliveries.push_back(ev);
-    }
-  }
+  std::vector<Delivery> deliveries;
+  deliveries_.for_each(
+      [&](Cycle, const Delivery& d) { deliveries.push_back(d); });
 
   // Canonical packet numbering: order of first (and only — the
   // invariant sweep enforces single ownership) appearance in the
@@ -1204,7 +1032,7 @@ void Network::save(CheckpointWriter& ck) const {
   for (const Event& ev : events) {
     if (ev.type == Event::Type::kPacket) visit(ev.pkt);
   }
-  for (const Event& ev : deliveries) visit(ev.pkt);
+  for (const Delivery& d : deliveries) visit(d.pkt);
   const int ports = hot_.layout().ports;
   for (const auto& router : routers_) {
     for (PortId p = 0; p < ports; ++p) {
@@ -1248,9 +1076,9 @@ void Network::save(CheckpointWriter& ck) const {
   }
   ck.tag("Deliveries");
   ck.u64(deliveries.size());
-  for (const Event& ev : deliveries) {
-    ck.i64(ev.when);
-    ck.pkt(ev.pkt);
+  for (const Delivery& d : deliveries) {
+    ck.i64(d.when);
+    ck.pkt(d.pkt);
   }
 
   collector_.save(ck);
@@ -1288,6 +1116,12 @@ void Network::load(CheckpointReader& ck) {
     if (p.src < 0 || static_cast<std::size_t>(p.src) >= nodes_.size()) {
       throw std::runtime_error("checkpoint: packet with invalid source node");
     }
+    if (p.size_phits != cfg_.packet_size) {
+      throw std::runtime_error("checkpoint: packet of " +
+                               std::to_string(p.size_phits) +
+                               " phits (packet_size is " +
+                               std::to_string(cfg_.packet_size) + ")");
+    }
     const int arena = shard_of_router_[static_cast<std::size_t>(
         router_of_node_[static_cast<std::size_t>(p.src)])];
     const PacketRef ref = store_.create(arena);
@@ -1302,50 +1136,80 @@ void Network::load(CheckpointReader& ck) {
     return table[static_cast<std::size_t>(c)];
   });
 
+  // Pending events are booked only after they are checked against the
+  // wiring and the calendar windows; the calendars were built for the
+  // config's largest delay, and nothing saved between cycles lies
+  // outside them.
+  auto window = [](const char* what, Cycle due, const auto& calendar) {
+    if (!calendar.in_window(due)) {
+      throw std::runtime_error(
+          std::string("checkpoint: ") + what + " due @" + std::to_string(due) +
+          " outside the calendar window of " +
+          std::to_string(calendar.horizon()) + " cycles from @" +
+          std::to_string(calendar.next()));
+    }
+  };
+  for (Shard& sh : shards_) sh.events.reset(now_);
+  deliveries_.reset(now_);
   ck.tag("Events");
   const std::uint64_t pending = ck.u64();
-  for (Shard& sh : shards_) {
-    for (auto& bucket : sh.ring) bucket.clear();
-  }
-  for (auto& bucket : delivery_ring_) bucket.clear();
   for (std::uint64_t i = 0; i < pending; ++i) {
     Event ev;
     ev.when = ck.i64();
-    ev.type = static_cast<Event::Type>(ck.u8());
+    const std::uint8_t type = ck.u8();
+    ev.type = static_cast<Event::Type>(type);
     ev.router = ck.i32();
     ev.port = ck.i32();
     ev.vc = ck.i32();
     ev.phits = ck.i32();
     ev.pkt = ck.pkt();
-    if (ev.when < now_ || ev.type == Event::Type::kDelivery ||
-        ev.router < 0 ||
-        static_cast<std::size_t>(ev.router) >= shard_of_router_.size()) {
-      throw std::runtime_error("checkpoint: malformed pending event");
+    if (type > static_cast<std::uint8_t>(Event::Type::kCredit)) {
+      throw std::runtime_error("checkpoint: pending event of unknown type " +
+                               std::to_string(type));
     }
-    Shard& sh = shards_[static_cast<std::size_t>(
-        shard_of_router_[static_cast<std::size_t>(ev.router)])];
-    if (ev.when - now_ >= static_cast<Cycle>(sh.ring.size())) {
-      grow_shard_ring(sh, ev.when - now_);
+    if (ev.router < 0 || ev.router >= topo_->num_routers() || ev.port < 0 ||
+        ev.port >= hot_.layout().ports) {
+      throw std::runtime_error("checkpoint: pending event for router " +
+                               std::to_string(ev.router) + " port " +
+                               std::to_string(ev.port) +
+                               ", which does not exist");
     }
+    // A packet lands on a linked input VC; a credit returns a packet's
+    // phits to a linked output VC.
+    const Router& router = *routers_[static_cast<std::size_t>(ev.router)];
+    const bool packet = ev.type == Event::Type::kPacket;
+    const bool linked =
+        packet ? router.input(ev.port).upstream_router != kInvalidRouter
+               : router.output(ev.port).peer() != kInvalidRouter;
+    const int vcs =
+        packet ? static_cast<int>(router.input(ev.port).vcs.size())
+               : router.output(ev.port).num_vcs();
+    if (!linked || ev.vc < 0 || ev.vc >= vcs ||
+        (packet ? ev.pkt < 0
+                : ev.pkt != kNoPacket || ev.phits != cfg_.packet_size)) {
+      throw std::runtime_error(
+          std::string("checkpoint: malformed pending ") +
+          (packet ? "packet" : "credit") + " event at router " +
+          std::to_string(ev.router) + " port " + std::to_string(ev.port) +
+          " vc " + std::to_string(ev.vc));
+    }
+    Shard& sh = shard_of(ev.router);
+    window("pending event", ev.when, sh.events);
     // Direct placement: the events arrive in canonical (sorted) order
     // and dispatch within a bucket is order-free (see the format note).
-    sh.ring[static_cast<std::size_t>(ev.when) & sh.ring_mask].push_back(ev);
+    sh.events.push(ev.when, ev);
   }
   ck.tag("Deliveries");
   const std::uint64_t n_deliveries = ck.u64();
   for (std::uint64_t i = 0; i < n_deliveries; ++i) {
-    Event ev;
-    ev.when = ck.i64();
-    ev.type = Event::Type::kDelivery;
-    ev.pkt = ck.pkt();
-    if (ev.when < now_) {
-      throw std::runtime_error("checkpoint: delivery event in the past");
+    Delivery d;
+    d.when = ck.i64();
+    d.pkt = ck.pkt();
+    if (d.pkt < 0) {
+      throw std::runtime_error("checkpoint: delivery without a packet");
     }
-    if (ev.when - now_ >= static_cast<Cycle>(delivery_ring_.size())) {
-      grow_delivery_ring(ev.when - now_);
-    }
-    delivery_ring_[static_cast<std::size_t>(ev.when) & delivery_mask_]
-        .push_back(ev);
+    window("delivery", d.when, deliveries_);
+    deliveries_.push(d.when, d);
   }
 
   collector_.load(ck);

@@ -1,58 +1,44 @@
 // Network: builds the full dragonfly (topology, routers, nodes, wiring),
 // owns the event calendars and advances the simulation cycle by cycle.
 //
-// Since the data-oriented kernel refactor the per-cycle work is split
-// into explicit phases over *active* state (sim.kernel=active, the
-// default):
+// A cycle is one ordered phase list (Network::phases() in network.cpp is
+// the single source of the order): serial entries run on the calling
+// thread, and each run of consecutive per-shard entries is one fan-out
+// over the router shards. The order fixes every RNG draw and every
+// calendar tie-break, so results are bit-identical for either kernel and
+// any shard count:
 //
-//   0. event dispatch  — packet arrivals and credit returns due this
-//                        cycle (the calendar ring feeds activations: a
-//                        packet arrival marks its router allocatable);
-//                        deliveries live on a separate calendar drained
-//                        serially at the top of the cycle, so the
-//                        order-sensitive collector accumulation never
-//                        depends on the execution layout;
-//   1. routing refresh — only when the mechanism has per-cycle global
-//                        state (PiggyBack's in-group broadcast);
-//   2. injection       — only nodes that generate traffic or hold queued
-//                        packets step (skipped nodes draw no RNG);
-//   3. allocation      — only routers with buffered packets arbitrate,
-//                        visited in ascending id order (the dense-scan
-//                        order, so RNG draws and event insertion order —
-//                        the deterministic tie-breaks — are unchanged);
-//   4. link transfer   — event-driven: a transmission's wire time is an
-//                        exact function of its grant cycle and the link
-//                        serialization deadline, so output ports fire
-//                        from a transmit calendar instead of being
-//                        polled; fires are processed in (router, port)
-//                        order, again matching the dense scan.
-//
-// sim.kernel=scan keeps the dense reference path (walk every node,
-// router and port each cycle) over the same structure-of-arrays state;
-// both kernels are bit-identical, which the conformance tests assert.
+// * sim.kernel=active (the default) steps only *active* state: routers
+//   with buffered packets allocate, nodes that generate or hold queued
+//   packets inject, and output ports fire from a transmit calendar (a
+//   transmission's wire time is exact at grant), visited in the dense
+//   scan's ascending order.
+// * sim.kernel=scan keeps the dense reference path (walk every node,
+//   router and port each cycle) over the same structure-of-arrays state
+//   and the same phase list.
 //
 // --- sharded stepping (sim.shards > 1) -----------------------------------
 //
 // The routers are partitioned into contiguous shards; each shard owns
 // its range of routers, nodes, SoA hot-state rows, a private event and
 // transmit calendar, a private packet arena, and per-destination-shard
-// outboxes. Within a cycle the phases run shard-parallel through a
-// ParallelRunner; this is conservative parallel discrete-event
-// simulation with one cycle of lookahead — every cross-router effect
-// (packet, credit, delivery) is due at least one cycle in the future
-// because link latencies, credit latencies and packet serialization are
-// all >= 1 — so shards never need each other's current-cycle state.
-// At the cycle barrier the outboxes are merged in canonical order
-// (per emission cycle: all credit streams in ascending source-shard
-// order, then all packet streams — which, with contiguous ascending
-// shard ranges, reproduces exactly the serial kernel's bucket insertion
-// order), keeping results bit-identical for ANY shard count. See
-// DESIGN.md "Parallel kernel & ParallelRunner".
+// outboxes. This is conservative parallel discrete-event simulation
+// with one cycle of lookahead — every cross-router effect (packet,
+// credit, delivery) is due at least one cycle in the future because
+// link latencies, credit latencies and packet serialization are all
+// >= 1 — so shards never need each other's current-cycle state. At the
+// cycle barrier the outboxes are merged in canonical order (per
+// emission cycle: all credit streams in ascending source-shard order,
+// then all packet streams — which, with contiguous ascending shard
+// ranges, reproduces exactly the serial kernel's bucket insertion
+// order). See DESIGN.md "Parallel kernel & ParallelRunner".
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/calendar.hpp"
 #include "common/rng.hpp"
 #include "metrics/collector.hpp"
 #include "router/packet.hpp"
@@ -71,7 +57,7 @@ class CheckpointReader;
 class ParallelRunner;
 class WorkloadDriver;
 
-class Network final : public EventSink {
+class Network {
  public:
   explicit Network(const SimConfig& cfg);
 
@@ -85,11 +71,11 @@ class Network final : public EventSink {
   /// against try_topology_shape when the family provides one; mismatch
   /// throws).
   Network(const SimConfig& cfg, std::shared_ptr<const Topology> topo);
-  ~Network() override;
+  ~Network();
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Advance one link-clock cycle (see the phase list above).
+  /// Advance one link-clock cycle: run the phase list once.
   void step();
   Cycle now() const { return now_; }
 
@@ -99,8 +85,8 @@ class Network final : public EventSink {
   /// Cross-check the simulation state (paranoid mode, `sim.paranoid=N`):
   /// credit counters within [0, capacity], every live packet in the
   /// arena referenced exactly once (input VC FIFOs, output queues, node
-  /// source queues, in-flight events), pending events within the ring
-  /// horizon, and the active-set/hot-state caches (occupancy counters,
+  /// source queues, in-flight events), pending events booked in their
+  /// router's shard, and the active-set/hot-state caches (occupancy counters,
   /// head-of-line slots, non-empty masks, transmit calendar) consistent
   /// with the FIFO contents. Throws std::logic_error on the first
   /// violation. Cost scales with *active* state: idle ports and empty
@@ -119,14 +105,6 @@ class Network final : public EventSink {
   /// injection of already-queued packets continues).
   void set_generation_enabled(bool on) { generation_enabled_ = on; }
   bool generation_enabled() const { return generation_enabled_; }
-
-  // --- EventSink (the serial sink: shards=1 routers, rebuild paths) --------
-  void schedule_packet(RouterId router, PortId port, VcId vc, PacketRef pkt,
-                       Cycle when) override;
-  void schedule_credit(RouterId router, PortId out_port, VcId vc, int phits,
-                       Cycle when) override;
-  void schedule_delivery(PacketRef pkt, Cycle when) override;
-  void schedule_port_ready(RouterId router, PortId port, Cycle when) override;
 
   // --- execution ------------------------------------------------------------
   /// Inject the runner sharded stepping uses (non-owning; nullptr resets
@@ -207,61 +185,44 @@ class Network final : public EventSink {
   /// kernel- and partition-independent; the active-set /
   /// transmit-calendar caches are re-derived on load).
   void save(CheckpointWriter& ck) const;
+  /// Rejects a malformed stream with std::runtime_error("checkpoint:
+  /// ...") — pending events are checked against the wiring and the
+  /// calendar windows before they are booked.
   void load(CheckpointReader& ck);
 
  private:
   struct Event {
     Cycle when = 0;
-    enum class Type : std::uint8_t { kPacket, kCredit, kDelivery } type =
-        Type::kPacket;
+    enum class Type : std::uint8_t { kPacket, kCredit } type = Type::kPacket;
     RouterId router = kInvalidRouter;
     PortId port = kInvalidPort;
     VcId vc = kInvalidVc;
     int phits = 0;
     PacketRef pkt = kNoPacket;
   };
-
-  /// Per-shard emission proxy: routers of shard `shard` push events
-  /// through this sink during the parallel phases. Everything lands in
-  /// shard-owned storage (outboxes, the shard's transmit calendar), so
-  /// no locking is needed; nested class, so it reaches Network privates.
-  struct ShardSink final : public EventSink {
-    Network* net = nullptr;
-    std::int32_t shard = 0;
-    void schedule_packet(RouterId router, PortId port, VcId vc, PacketRef pkt,
-                         Cycle when) override;
-    void schedule_credit(RouterId router, PortId out_port, VcId vc, int phits,
-                         Cycle when) override;
-    void schedule_delivery(PacketRef pkt, Cycle when) override;
-    void schedule_port_ready(RouterId router, PortId port,
-                             Cycle when) override;
+  struct Delivery {
+    Cycle when = 0;
+    PacketRef pkt = kNoPacket;
   };
 
   /// One router shard: a contiguous [r_begin, r_end) x [n_begin, n_end)
   /// slice of the network with private calendars, activation bitmaps
   /// (bit index is relative to the range start, so shards never share a
-  /// bitmap word) and per-destination-shard outboxes.
-  struct Shard {
+  /// bitmap word) and per-destination-shard outboxes. It is also the
+  /// sink its routers emit through: everything lands in shard-owned
+  /// storage (outboxes, its transmit calendar), so the fan-outs need no
+  /// locking. With one shard there is no barrier to cross, and the sink
+  /// books straight into the calendars.
+  struct Shard final : public EventSink {
+    Network* net = nullptr;
+    bool direct = false;
     RouterId r_begin = 0, r_end = 0;
     NodeId n_begin = 0, n_end = 0;
-    /// Calendar event queue: bucket `t & ring_mask` holds the
-    /// packet/credit events due at cycle t in insertion order. Link and
-    /// credit delays are small and bounded, so a power-of-two ring sized
-    /// past the largest delay covers all pending events; it grows if a
-    /// longer delay ever appears. Buckets are reused, so steady-state
-    /// scheduling does no allocation.
-    std::vector<std::vector<Event>> ring;
-    /// The bucket being dispatched, swapped out of the ring for the
-    /// duration of the drain (see step()).
-    std::vector<Event> due_scratch;
-    std::size_t ring_mask = 0;
-    /// Transmit calendar: bucket `t & tx_ring_mask` holds the flat
-    /// (router * ports + port) ids whose output queue head goes on the
-    /// wire exactly at cycle t. Sorted before processing so fires happen
-    /// in (router, port) order — the dense-scan order.
-    std::vector<std::vector<std::int32_t>> tx_ring;
-    std::vector<std::int32_t> tx_scratch;
-    std::size_t tx_ring_mask = 0;
+    /// Packet/credit events for this shard's routers.
+    Calendar<Event> events;
+    /// Flat (router * ports + port) ids whose output queue head goes on
+    /// the wire exactly at the due cycle (sim.kernel=active).
+    Calendar<std::int32_t> fires;
     /// Routers with buffered input packets (bit r - r_begin). Set on
     /// packet arrival / node injection, cleared when a router drains in
     /// the allocation phase.
@@ -281,25 +242,53 @@ class Network final : public EventSink {
     /// Cycle-boundary mailboxes, one per destination shard. Credits and
     /// packets are kept in separate streams: the canonical merge order
     /// is "every shard's credits, then every shard's packets", matching
-    /// the serial kernel's phase-3-before-phase-4 emission order.
+    /// the serial kernel's allocate-before-transmit emission order.
     std::vector<std::vector<Event>> out_credits;
     std::vector<std::vector<Event>> out_packets;
-    std::vector<Event> out_deliveries;
-    /// Events dispatched by this shard's phase 0 this cycle; summed into
+    std::vector<Delivery> out_deliveries;
+    /// Events dispatched by this shard this cycle; summed into
     /// dispatched_events_ at the barrier.
     std::int64_t dispatched = 0;
     /// Router::allocate's working storage, shared by the shard's routers
     /// (one shard is stepped by one thread at a time).
     std::unique_ptr<RouterScratch> scratch;
+
+    void schedule_packet(RouterId router, PortId port, VcId vc, PacketRef pkt,
+                         Cycle when) override;
+    void schedule_credit(RouterId router, PortId out_port, VcId vc, int phits,
+                         Cycle when) override;
+    void schedule_delivery(PacketRef pkt, Cycle when) override;
+    void schedule_port_ready(RouterId router, PortId port,
+                             Cycle when) override;
+    void post(std::vector<std::vector<Event>>& boxes, const Event& ev);
   };
+
+  /// One entry of the cycle's phase list (phases()). Exactly one body is
+  /// set: `serial` runs on the stepping thread, `shard` once per shard
+  /// inside a fan-out. A null guard means always on. step() reads the
+  /// guards when it forms the cycle's fan-outs, so a guard must not
+  /// change within a cycle.
+  struct Phase {
+    bool (*guard)(const Network&) = nullptr;
+    void (*serial)(Network&) = nullptr;
+    void (*shard)(Network&, Shard&) = nullptr;
+    bool on(const Network& net) const {
+      return guard == nullptr || guard(net);
+    }
+  };
+  static std::span<const Phase> phases();
+  /// Steps every shard through the per-shard entries of `run` that are
+  /// on, in list order: inline for one shard or the scan kernel, on the
+  /// runner otherwise.
+  void fan_out(std::span<const Phase> run);
 
   void build();
   void build_shards();
   void dispatch(const Event& ev);
 
-  // --- per-shard phase bodies (run under the ParallelRunner at S>1) -------
+  // --- phase bodies ----------------------------------------------------------
   void shard_dispatch(Shard& sh);
-  void shard_inject(Shard& sh, bool measuring);
+  void shard_inject(Shard& sh);
   void shard_allocate(Shard& sh);
   void shard_transmit(Shard& sh);
   /// Phase A of shard_inject: evaluate the Bernoulli generation gate
@@ -308,26 +297,15 @@ class Network final : public EventSink {
   void build_hit_masks(Shard& sh);
   /// Serial top-of-cycle delivery drain (order-sensitive collector).
   void drain_deliveries();
-  /// Serial cycle barrier: move outbox contents into the destination
-  /// shards' calendars in canonical order.
+  /// Serial cycle barrier: fold the shard dispatch counts and move
+  /// outbox contents into the destination calendars in canonical order.
   void merge_outboxes();
   ParallelRunner& effective_runner();
 
-  // --- calendar plumbing ---------------------------------------------------
-  void push_shard_event(Shard& sh, Cycle when, const Event& ev);
-  void grow_shard_ring(Shard& sh, Cycle min_horizon);
-  void grow_shard_tx_ring(Shard& sh, Cycle min_horizon);
-  void push_delivery(PacketRef pkt, Cycle when);
-  void grow_delivery_ring(Cycle min_horizon);
-
-  // --- ShardSink entry points (shard-owned storage only) -------------------
-  void shard_schedule_packet(int src, RouterId router, PortId port, VcId vc,
-                             PacketRef pkt, Cycle when);
-  void shard_schedule_credit(int src, RouterId router, PortId out_port,
-                             VcId vc, int phits, Cycle when);
-  void shard_schedule_delivery(int src, PacketRef pkt, Cycle when);
-  void shard_schedule_port_ready(int src, RouterId router, PortId port,
-                                 Cycle when);
+  Shard& shard_of(RouterId r) {
+    return shards_[static_cast<std::size_t>(
+        shard_of_router_[static_cast<std::size_t>(r)])];
+  }
 
   /// Re-derive every activation cache from the authoritative state:
   /// alloc-active bitmaps from buffered packets, node masks from the
@@ -335,8 +313,7 @@ class Network final : public EventSink {
   /// output queues (checkpoint load; also used at build time).
   void rebuild_activation();
   void mark_alloc_active(RouterId r) {
-    Shard& sh = shards_[static_cast<std::size_t>(
-        shard_of_router_[static_cast<std::size_t>(r)])];
+    Shard& sh = shard_of(r);
     const auto bit = static_cast<std::size_t>(r - sh.r_begin);
     sh.alloc_active[bit >> 6] |= 1ull << (bit & 63);
   }
@@ -365,16 +342,14 @@ class Network final : public EventSink {
   std::unique_ptr<WorkloadDriver> workload_;
 
   // --- sharding -------------------------------------------------------------
+  /// Sized once in build_shards: routers hold pointers to the shards.
   std::vector<Shard> shards_;
-  std::vector<ShardSink> shard_sinks_;
   std::vector<std::int32_t> shard_of_router_;
   /// Delivery calendar, global across shards (the collector's floating-
   /// point accumulation is order-sensitive, so deliveries are always
   /// drained serially in canonical order at the top of the cycle —
   /// regardless of kernel or shard count).
-  std::vector<std::vector<Event>> delivery_ring_;
-  std::vector<Event> delivery_scratch_;
-  std::size_t delivery_mask_ = 0;
+  Calendar<Delivery> deliveries_;
 
   /// Injected runner (set_runner) > lazily created PoolRunner (S>1) >
   /// unused (S=1).

@@ -6,7 +6,8 @@
 # every shard count. Runs the smoke spec both ways for two seeds, plus
 # one off-spec scenario (pb-crg/adv, exercising the refresh path that
 # only PiggyBack keeps); each scenario is repeated at sim.shards 2, 4
-# and 7 against the serial active baseline.
+# and 7 with the active kernel and at 2 and 7 with the scan kernel,
+# all against the serial active baseline.
 #
 # usage: kernel_crosscheck.sh <simulate_cli binary> <repo root>
 set -euo pipefail
@@ -28,14 +29,15 @@ run_pair() {
     diff "$tmp/${label}_active.csv" "$tmp/${label}_scan.csv" >&2 || true
     status=1
   fi
-  for shards in 2 4 7; do
-    "$cli" "$@" --set sim.kernel=active --set "sim.shards=$shards" \
-      --out csv --quiet > "$tmp/${label}_shards$shards.csv"
-    if ! cmp -s "$tmp/${label}_active.csv" "$tmp/${label}_shards$shards.csv"
-    then
-      echo "shard mismatch ($label): shards=1 vs shards=$shards differ" >&2
-      diff "$tmp/${label}_active.csv" "$tmp/${label}_shards$shards.csv" \
-        >&2 || true
+  for leg in active:2 active:4 active:7 scan:2 scan:7; do
+    local kernel="${leg%:*}" shards="${leg#*:}"
+    local out="$tmp/${label}_${kernel}_shards$shards.csv"
+    "$cli" "$@" --set "sim.kernel=$kernel" --set "sim.shards=$shards" \
+      --out csv --quiet > "$out"
+    if ! cmp -s "$tmp/${label}_active.csv" "$out"; then
+      echo "shard mismatch ($label): active shards=1 vs $kernel" \
+           "shards=$shards differ" >&2
+      diff "$tmp/${label}_active.csv" "$out" >&2 || true
       status=1
     fi
   done

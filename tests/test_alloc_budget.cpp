@@ -1,9 +1,10 @@
 // Heap-allocation budgets of session construction and of the first
-// cycles of a run. This binary replaces the global operator new with a
-// counting one, so it is a test target of its own: every input-VC FIFO,
-// output queue, source queue and allocator scratch buffer has a fixed
-// capacity carved from Network-owned arrays at build time, and these
-// budgets catch a change that brings per-buffer allocations back.
+// cycles of a run, and the fixed bounds of the rings and calendars.
+// This binary replaces the global operator new with a counting one, so
+// it is a test target of its own: every input-VC FIFO, output queue,
+// source queue and allocator scratch buffer has a fixed capacity carved
+// from Network-owned arrays at build time, and these budgets catch a
+// change that brings per-buffer allocations back.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,9 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <vector>
 
+#include "common/calendar.hpp"
 #include "common/ring.hpp"
 #include "core/api.hpp"
 #include "sim_test_util.hpp"
@@ -77,6 +80,33 @@ TEST(AllocBudget, RingHasNoGrowthPath) {
   ring.push_back(3);  // wraps into the freed slot
   EXPECT_EQ(ring.front(), 1);
   EXPECT_EQ(ring[2], 3);
+}
+
+TEST(AllocBudget, CalendarHasNoGrowthPath) {
+  // Window [next, next + horizon]: a push outside it throws instead of
+  // growing the ring or landing in a stale bucket.
+  Calendar<int> calendar(3);
+  EXPECT_EQ(calendar.horizon(), 3);
+  for (Cycle due = 0; due <= 3; ++due) {
+    calendar.push(due, static_cast<int>(due));
+  }
+  EXPECT_THROW(calendar.push(4, 4), std::logic_error);
+  EXPECT_THROW(calendar.push(-1, -1), std::logic_error);
+  EXPECT_THROW(calendar.push(kNever, 0), std::logic_error);
+
+  std::vector<int> seen;
+  EXPECT_EQ(calendar.drain([&](int v) { seen.push_back(v); }), 1u);
+  EXPECT_EQ(seen, std::vector<int>{0});
+  EXPECT_EQ(calendar.next(), 1);
+  // The window moved on: cycle 0 is gone, cycle 4 is in.
+  EXPECT_THROW(calendar.push(0, 0), std::logic_error);
+  calendar.push(4, 4);
+  std::vector<Cycle> due;
+  calendar.for_each([&](Cycle t, int v) {
+    EXPECT_EQ(t, v);
+    due.push_back(t);
+  });
+  EXPECT_EQ(due, (std::vector<Cycle>{1, 2, 3, 4}));
 }
 
 }  // namespace

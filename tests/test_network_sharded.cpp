@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/checkpoint.hpp"
 #include "common/parallel.hpp"
@@ -81,18 +82,23 @@ TEST(NetworkSharded, PiggybackShardCountsAgreeCycleByCycle) {
 TEST(NetworkSharded, ScanKernelShardsAgreeWithSerialScan) {
   // The dense scan kernel also routes its emissions through the shard
   // sinks and the boundary merge when sharded; it must stay the
-  // bit-identical cross-check at any shard count.
-  SimConfig serial = sharded_cfg(1, SimKernel::kScan);
-  serial.sim_paranoid = 256;
-  Network reference(serial);
-  SimConfig cfg = sharded_cfg(4, SimKernel::kScan);
-  cfg.sim_paranoid = 256;
-  Network net(cfg);
-  for (int i = 0; i < 1'500; ++i) {
-    net.step();
-    reference.step();
+  // bit-identical cross-check at any shard count. PiggyBack splits the
+  // cycle around its serial refresh, so its shards step two fan-outs.
+  for (const auto& [routing, traffic] :
+       {std::pair{"par-mm", "advc"}, std::pair{"pb-rrg", "adv"}}) {
+    SCOPED_TRACE(routing);
+    SimConfig serial = sharded_cfg(1, SimKernel::kScan, routing, traffic);
+    serial.sim_paranoid = 256;
+    Network reference(serial);
+    SimConfig cfg = sharded_cfg(4, SimKernel::kScan, routing, traffic);
+    cfg.sim_paranoid = 256;
+    Network net(cfg);
+    for (int i = 0; i < 1'500; ++i) {
+      net.step();
+      reference.step();
+    }
+    expect_same_state(net, reference);
   }
-  expect_same_state(net, reference);
 }
 
 TEST(NetworkSharded, InjectedRunnersAreBehaviorNeutral) {

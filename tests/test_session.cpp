@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/checkpoint.hpp"
 #include "core/experiment.hpp"
@@ -385,6 +387,40 @@ TEST(Session, AdvanceToMeasureCloseStopsOneCycleShort) {
   Session script(scripted);
   EXPECT_FALSE(script.advance_to_measure_close());
   EXPECT_EQ(script.now(), 0);
+}
+
+TEST(Session, CheckpointRejectsMalformedPendingEvents) {
+  // One edited field of the first pending event. Each edit must fail
+  // the restore promptly with a checkpoint diagnostic: none may hang,
+  // take memory without bound, reach the kernel or vanish silently.
+  const std::string clean = window_end_checkpoint(window_cfg());
+  const std::string tag = "Events";
+  const std::size_t at = clean.find(tag);
+  ASSERT_NE(at, std::string::npos);
+  // Section layout: the event count, then per event when (i64), type
+  // (u8), router, port, vc, phits and packet (i32 each).
+  const std::size_t first = at + tag.size() + sizeof(std::uint64_t);
+  CheckpointReader reader(std::string_view(clean).substr(at + tag.size()));
+  ASSERT_GT(reader.u64(), 0u);
+  const std::int64_t when = reader.i64();
+  ASSERT_LE(reader.u8(), 1) << "not the Events section";
+
+  auto edited = [&](std::size_t offset, const CheckpointWriter& field) {
+    std::string bytes = clean;
+    bytes.replace(first + offset, field.bytes().size(), field.bytes());
+    return bytes;
+  };
+  CheckpointWriter never, far, type, port;
+  never.i64(std::numeric_limits<std::int64_t>::max());
+  far.i64(when + (std::int64_t{1} << 24));
+  type.u8(7);
+  port.i32(100'000);
+  for (const std::string& bytes :
+       {edited(0, never), edited(0, far), edited(8, type), edited(13, port)}) {
+    const std::string why = restore_error(bytes);
+    EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+  }
+  EXPECT_EQ(restore_error(clean), "restored without error");
 }
 
 TEST(Session, WindowEndCheckpointWithoutRefineKeepsItsDeadline) {
