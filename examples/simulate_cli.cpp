@@ -117,10 +117,7 @@ class CliObserver final : public RunObserver {
   CliObserver(bool quiet, std::ostream* stream)
       : progress_(std::cerr), quiet_(quiet), stream_(stream) {
     if (stream_ != nullptr) {
-      *stream_ << "config,seed,phase,segment,t_begin,t_end,offered,accepted,"
-                  "latency,p50,p99,delivered,live,fairness_cov,fairness_jain,"
-                  "live_jobs,jain_jobs"
-               << "\n";
+      *stream_ << "config,seed," << kStreamSampleColumns << "\n";
     }
   }
 
@@ -136,14 +133,8 @@ class CliObserver final : public RunObserver {
   void on_sample(std::size_t config_index, std::size_t seed_index,
                  const StreamSample& s) override {
     std::lock_guard<std::mutex> lock(mu_);
-    *stream_ << config_index << ',' << seed_index << ','
-             << to_string(s.phase) << ',' << s.segment << ',' << s.t_begin
-             << ',' << s.t_end << ',' << s.offered_load << ','
-             << s.accepted_load << ',' << s.avg_latency << ','
-             << s.p50_latency << ',' << s.p99_latency << ','
-             << s.delivered_packets << ',' << s.live_packets << ','
-             << s.fairness_cov << ',' << s.fairness_jain << ','
-             << s.live_jobs << ',' << s.jain_jobs << "\n";
+    *stream_ << config_index << ',' << seed_index << ',' << csv_fields(s)
+             << "\n";
   }
 
  private:

@@ -12,6 +12,11 @@ void CheckpointReader::truncated() {
   throw std::runtime_error("checkpoint: truncated stream");
 }
 
+void CheckpointReader::drift(const char* what) {
+  throw std::runtime_error("checkpoint: " + std::string(what) +
+                           " mismatch (config drift)");
+}
+
 std::string_view CheckpointReader::str_view() {
   const std::uint64_t n = u64();
   if (n > kMaxString) {

@@ -12,17 +12,28 @@
 // costs a bounds check and a few byte stores instead of a stream call.
 // Files and std::streams are touched once per checkpoint, by
 // Session::checkpoint()/restore().
+//
+// Each checkpointed type lists its fields once, in a static
+// `walk(self, ck)` template in its own .cpp that save() and load() both
+// run: the writer and the reader offer the same verbs (field, pkt, rng,
+// seq, bounded, fixed), so one list of calls writes the stream on one
+// and reads it back on the other. load() does its load-only work
+// (bounds, re-derived state) after the walk.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/ring.hpp"
 
 namespace dragonfly {
 
@@ -35,6 +46,20 @@ namespace dragonfly {
 /// structures that hold references; negative refs (kNoPacket) pass
 /// through untranslated.
 using PacketRefXlat = std::function<std::int32_t(std::int32_t)>;
+
+/// The field types whose declaration fixes their wire width: bool and
+/// uint8 (u8), 32- and 64-bit integers (i32/u32/i64/u64), double (f64).
+/// Any other field (a 16-bit counter, an enum) names its width with
+/// `ck.field(v, wire<W>)`.
+template <class T>
+inline constexpr bool kNativeWire =
+    std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t> ||
+    std::is_same_v<T, double> ||
+    (std::is_integral_v<T> && (sizeof(T) == 4 || sizeof(T) == 8));
+template <class W>
+struct Wire {};
+template <class W>
+inline constexpr Wire<W> wire{};
 
 /// Appends primitives to an in-memory byte buffer.
 class CheckpointWriter {
@@ -68,10 +93,51 @@ class CheckpointWriter {
   }
   void set_packet_xlat(PacketRefXlat fn) { pkt_xlat_ = std::move(fn); }
 
-  template <class T, class Fn>
-  void vec(const std::vector<T>& v, Fn&& write_one) {
-    u64(v.size());
-    for (const T& item : v) write_one(item);
+  /// One field at the wire width its declared type names (kNativeWire),
+  /// a length-prefixed string, or any type with save()/load().
+  template <class T>
+  void field(const T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      f64(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(kNativeWire<T>, "name this field's width: wire<W>");
+      put<sizeof(T)>(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      str(v);
+    } else {
+      v.save(*this);
+    }
+  }
+  template <class T, class W>
+  void field(const T& v, Wire<W>) {
+    field(static_cast<W>(v));
+  }
+
+  /// A generator's four xoshiro state words.
+  template <class R>
+  void rng(const R& r) {
+    for (const std::uint64_t word : r.state()) u64(word);
+  }
+
+  /// A sequence: its length (u64 unless `len` names a width), then each
+  /// element through `each` (field() when omitted).
+  template <class C, class Each, class N = std::uint64_t>
+  void seq(const C& c, Each&& each, Wire<N> len = {}) {
+    field(c.size(), len);
+    for (const auto& item : c) each(item);
+  }
+  template <class C>
+  void seq(const C& c) {
+    seq(c, [this](const auto& item) { field(item); });
+  }
+  /// Sequences whose stored length the reader checks (see there).
+  template <class C, class Each>
+  void bounded(const C& c, std::uint64_t, const char*, Each&& each) {
+    seq(c, each);
+  }
+  template <class C>
+  void fixed(const C& c, const char*) {
+    seq(c);
   }
 
   /// The bytes written so far.
@@ -125,17 +191,73 @@ class CheckpointReader {
     const std::int32_t ref = i32();
     return pkt_xlat_ && ref >= 0 ? pkt_xlat_(ref) : ref;
   }
+  void pkt(std::int32_t& ref) { ref = pkt(); }
   void set_packet_xlat(PacketRefXlat fn) { pkt_xlat_ = std::move(fn); }
 
-  template <class T, class Fn>
-  void vec(std::vector<T>& v, Fn&& read_one) {
-    const std::uint64_t n = u64();
+  /// The CheckpointWriter verbs' readers: same names, same wire.
+  template <class T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = boolean();
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = f64();
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(kNativeWire<T>, "name this field's width: wire<W>");
+      v = static_cast<T>(get<sizeof(T), std::make_unsigned_t<T>>());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = str();
+    } else {
+      v.load(*this);
+    }
+  }
+  template <class T, class W>
+  void field(T& v, Wire<W>) {
+    W stored{};
+    field(stored);
+    v = static_cast<T>(stored);
+  }
+
+  template <class R>
+  void rng(R& r) {
+    std::array<std::uint64_t, 4> state;
+    for (std::uint64_t& word : state) word = u64();
+    r.set_state(state);
+  }
+
+  template <class T, class Each, class N = std::uint64_t>
+  void seq(std::vector<T>& v, Each&& each, Wire<N> = {}) {
+    N stored{};
+    field(stored);
+    const std::uint64_t n = stored;
     v.clear();
     // Cap the up-front reservation: a corrupt length field must fail as
     // a truncated-stream error a few reads later, not as an OOM-scale
     // allocation attempt here. Genuine oversized vectors still grow.
     v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_one());
+    for (std::uint64_t i = 0; i < n; ++i) each(v.emplace_back());
+  }
+  template <class T>
+  void seq(std::vector<T>& v) {
+    seq(v, [this](T& item) { field(item); });
+  }
+  /// A queue of at most `bound` entries (count() refuses more).
+  template <class T, class Each>
+  void bounded(Ring<T>& r, std::uint64_t bound, const char* what,
+               Each&& each) {
+    const std::uint64_t n = count(bound, what);
+    r.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      T item{};
+      each(item);
+      r.push_back(item);
+    }
+  }
+  /// A sequence whose length the config fixes, read in place; any other
+  /// stored length is config drift (`what` names it).
+  template <class C>
+  void fixed(C&& c, const char* what) {
+    if (u64() != std::size(c)) drift(what);
+    for (auto& item : c) field(item);
   }
 
   /// Bytes consumed so far.
@@ -158,6 +280,7 @@ class CheckpointReader {
     return v;
   }
   [[noreturn]] static void truncated();
+  [[noreturn]] static void drift(const char* what);
   /// A length-prefixed string, viewed in place.
   std::string_view str_view();
 

@@ -61,21 +61,17 @@ double RunningStats::cov() const {
 double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
 double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
-void RunningStats::save(CheckpointWriter& ck) const {
-  ck.u64(n_);
-  ck.f64(mean_);
-  ck.f64(m2_);
-  ck.f64(min_);
-  ck.f64(max_);
+template <class Self, class Archive>
+void RunningStats::walk(Self& self, Archive& ck) {
+  ck.field(self.n_);
+  ck.field(self.mean_);
+  ck.field(self.m2_);
+  ck.field(self.min_);
+  ck.field(self.max_);
 }
 
-void RunningStats::load(CheckpointReader& ck) {
-  n_ = static_cast<std::size_t>(ck.u64());
-  mean_ = ck.f64();
-  m2_ = ck.f64();
-  min_ = ck.f64();
-  max_ = ck.f64();
-}
+void RunningStats::save(CheckpointWriter& ck) const { walk(*this, ck); }
+void RunningStats::load(CheckpointReader& ck) { walk(*this, ck); }
 
 Summary summarize(std::span<const double> values) {
   Summary s;
@@ -152,19 +148,16 @@ double Histogram::quantile(double q) const {
   return hi_;
 }
 
-void Histogram::save(CheckpointWriter& ck) const {
-  ck.f64(lo_);
-  ck.f64(hi_);
-  ck.vec(bins_, [&](std::size_t b) { ck.u64(b); });
-  ck.u64(total_);
+template <class Self, class Archive>
+void Histogram::walk(Self& self, Archive& ck) {
+  ck.field(self.lo_);
+  ck.field(self.hi_);
+  ck.fixed(self.bins_, "histogram bin count");
+  ck.field(self.total_);
 }
 
-void Histogram::load(CheckpointReader& ck) {
-  lo_ = ck.f64();
-  hi_ = ck.f64();
-  ck.vec(bins_, [&] { return static_cast<std::size_t>(ck.u64()); });
-  total_ = static_cast<std::size_t>(ck.u64());
-}
+void Histogram::save(CheckpointWriter& ck) const { walk(*this, ck); }
+void Histogram::load(CheckpointReader& ck) { walk(*this, ck); }
 
 // --- P² streaming quantile ---------------------------------------------------
 
@@ -255,27 +248,20 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-void P2Quantile::save(CheckpointWriter& ck) const {
-  ck.f64(q_);
-  ck.u64(count_);
+template <class Self, class Archive>
+void P2Quantile::walk(Self& self, Archive& ck) {
+  ck.field(self.q_);
+  ck.field(self.count_);
   for (int i = 0; i < 5; ++i) {
-    ck.f64(heights_[i]);
-    ck.f64(positions_[i]);
-    ck.f64(desired_[i]);
-    ck.f64(increments_[i]);
+    ck.field(self.heights_[i]);
+    ck.field(self.positions_[i]);
+    ck.field(self.desired_[i]);
+    ck.field(self.increments_[i]);
   }
 }
 
-void P2Quantile::load(CheckpointReader& ck) {
-  q_ = ck.f64();
-  count_ = static_cast<std::size_t>(ck.u64());
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = ck.f64();
-    positions_[i] = ck.f64();
-    desired_[i] = ck.f64();
-    increments_[i] = ck.f64();
-  }
-}
+void P2Quantile::save(CheckpointWriter& ck) const { walk(*this, ck); }
+void P2Quantile::load(CheckpointReader& ck) { walk(*this, ck); }
 
 double student_t_975(std::size_t df) {
   // Two-sided 95% critical values; the batch counts the stopping rule

@@ -33,6 +33,9 @@ class RunningStats {
   double max() const;
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -78,6 +81,9 @@ class Histogram {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   double lo_;
   double hi_;
   std::vector<std::size_t> bins_;
@@ -104,6 +110,9 @@ class P2Quantile {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   double q_;
   std::size_t count_ = 0;
   double heights_[5] = {0, 0, 0, 0, 0};    ///< marker heights

@@ -130,21 +130,44 @@ void write_csv_table(std::ostream& os,
   }
 }
 
+/// The result schema, once: each column's name beside its cell, in
+/// emission order.
+std::vector<std::pair<const char*, Table::Cell>> result_row(
+    const std::string& label, const AveragedResult& r) {
+  return {{"label", label},
+          {"offered", r.offered_load},
+          {"accepted", r.accepted_load},
+          {"latency", r.avg_latency},
+          {"lat_base", r.components.base},
+          {"lat_misroute", r.components.misroute},
+          {"lat_local_q", r.components.local_queue},
+          {"lat_global_q", r.components.global_queue},
+          {"lat_inj_q", r.components.injection_queue},
+          {"local_hops", r.avg_local_hops},
+          {"global_hops", r.avg_global_hops},
+          {"min_inj", r.fairness.min_injections},
+          {"max_inj", r.fairness.max_injections},
+          {"max_over_min", r.fairness.max_over_min},
+          {"cov", r.fairness.cov},
+          {"jain", r.fairness.jain},
+          {"seeds", static_cast<std::int64_t>(r.seeds)},
+          {"measured_cycles",
+           static_cast<std::int64_t>(r.measured_cycles + 0.5)},
+          {"converged", static_cast<std::int64_t>(r.converged ? 1 : 0)},
+          {"p999", r.p999_latency},
+          {"sat_margin", r.saturation_margin},
+          {"jain_jobs", r.jain_jobs},
+          {"jain_groups", r.jain_groups},
+          {"jobs", static_cast<std::int64_t>(r.jobs.size())}};
+}
+
 std::vector<Table::Cell> result_cells(const std::string& label,
                                       const AveragedResult& r) {
-  return {label, r.offered_load, r.accepted_load,
-          r.avg_latency, r.components.base, r.components.misroute,
-          r.components.local_queue, r.components.global_queue,
-          r.components.injection_queue, r.avg_local_hops,
-          r.avg_global_hops, r.fairness.min_injections,
-          r.fairness.max_injections, r.fairness.max_over_min,
-          r.fairness.cov, r.fairness.jain,
-          static_cast<std::int64_t>(r.seeds),
-          static_cast<std::int64_t>(r.measured_cycles + 0.5),
-          static_cast<std::int64_t>(r.converged ? 1 : 0),
-          r.p999_latency, r.saturation_margin,
-          r.jain_jobs, r.jain_groups,
-          static_cast<std::int64_t>(r.jobs.size())};
+  std::vector<Table::Cell> cells;
+  for (auto& [name, cell] : result_row(label, r)) {
+    cells.push_back(std::move(cell));
+  }
+  return cells;
 }
 
 std::ofstream open_for_write(const std::string& path) {
@@ -174,22 +197,11 @@ void ResultWriter::add_curves(std::span<const Curve> curves) {
 }
 
 std::vector<std::string> ResultWriter::columns() {
-  return {"label",        "offered",       "accepted",   "latency",
-          "lat_base",     "lat_misroute",  "lat_local_q", "lat_global_q",
-          "lat_inj_q",    "local_hops",    "global_hops", "min_inj",
-          "max_inj",      "max_over_min",  "cov",         "jain",
-          "seeds",        "measured_cycles", "converged",
-          "p999",         "sat_margin",    "jain_jobs",  "jain_groups",
-          "jobs"};
-}
-
-std::string ResultWriter::csv_header() {
-  std::string line;
-  for (const std::string& col : columns()) {
-    if (!line.empty()) line += ',';
-    line += col;
+  std::vector<std::string> names;
+  for (const auto& [name, cell] : result_row("", AveragedResult{})) {
+    names.emplace_back(name);
   }
-  return line;
+  return names;
 }
 
 std::string ResultWriter::csv_row(const std::string& label,

@@ -57,9 +57,6 @@ class ResultWriter {
   /// The fixed column schema, in emission order.
   static std::vector<std::string> columns();
 
-  /// The CSV header line (columns() joined), no trailing newline.
-  static std::string csv_header();
-
   /// One row exactly as write(os, kCsv) would emit it (same cell
   /// formatter, same RFC 4180 quoting), no trailing newline. The sweep
   /// service sends results over the wire through this so a cached reply

@@ -100,91 +100,53 @@ double MetricsCollector::accepted_load(int generating_nodes) const {
           static_cast<double>(window));
 }
 
-void MetricsCollector::save(CheckpointWriter& ck) const {
+template <class Self, class Archive>
+void MetricsCollector::walk(Self& self, Archive& ck) {
   ck.tag("Collector");
-  ck.boolean(measuring_);
-  ck.boolean(begun_);
-  ck.boolean(ended_);
-  ck.boolean(streaming_);
-  ck.i64(measure_start_);
-  ck.i64(measure_end_);
-  latency_.save(ck);
-  ck.i64(delivered_packets_measured_);
-  ck.i64(delivered_phits_measured_);
-  ck.i64(delivered_packets_total_);
-  ck.i64(delivered_phits_total_);
-  ck.f64(latency_sum_total_);
-  p2_p50_.save(ck);
-  p2_p99_.save(ck);
-  ck.vec(injected_total_, [&](std::int64_t v) { ck.i64(v); });
-  ck.vec(injected_measured_, [&](std::int64_t v) { ck.i64(v); });
-  ck.vec(forwarded_total_, [&](std::int64_t v) { ck.i64(v); });
+  ck.field(self.measuring_);
+  ck.field(self.begun_);
+  ck.field(self.ended_);
+  ck.field(self.streaming_);
+  ck.field(self.measure_start_);
+  ck.field(self.measure_end_);
+  ck.field(self.latency_);
+  ck.field(self.delivered_packets_measured_);
+  ck.field(self.delivered_phits_measured_);
+  ck.field(self.delivered_packets_total_);
+  ck.field(self.delivered_phits_total_);
+  ck.field(self.latency_sum_total_);
+  ck.field(self.p2_p50_);
+  ck.field(self.p2_p99_);
+  ck.fixed(self.injected_total_, "per-router counter size");
+  ck.fixed(self.injected_measured_, "per-router counter size");
+  ck.fixed(self.forwarded_total_, "per-router counter size");
   // appended in checkpoint format v5: per-job battery
-  p2_p999_.save(ck);
-  ck.u32(static_cast<std::uint32_t>(jobs_.size()));
-  for (const JobRecord& job : jobs_) {
-    ck.i32(job.id);
-    ck.str(job.label);
-    ck.i32(job.nodes);
-    ck.i64(job.start);
-    ck.i64(job.end);
-    ck.i64(job.delivered_packets);
-    ck.i64(job.delivered_phits);
-    ck.f64(job.latency_sum);
-    ck.f64(job.max_latency);
-    job.p99.save(ck);
-    ck.i64(job.iterations);
-    ck.f64(job.iteration_cycles);
-  }
+  ck.field(self.p2_p999_);
+  ck.seq(
+      self.jobs_,
+      [&](auto& job) {
+        ck.field(job.id);
+        ck.field(job.label);
+        ck.field(job.nodes);
+        ck.field(job.start);
+        ck.field(job.end);
+        ck.field(job.delivered_packets);
+        ck.field(job.delivered_phits);
+        ck.field(job.latency_sum);
+        ck.field(job.max_latency);
+        ck.field(job.p99);
+        ck.field(job.iterations);
+        ck.field(job.iteration_cycles);
+      },
+      wire<std::uint32_t>);
 }
 
+void MetricsCollector::save(CheckpointWriter& ck) const { walk(*this, ck); }
+
 void MetricsCollector::load(CheckpointReader& ck) {
-  ck.tag("Collector");
-  measuring_ = ck.boolean();
-  begun_ = ck.boolean();
-  ended_ = ck.boolean();
-  streaming_ = ck.boolean();
-  measure_start_ = ck.i64();
-  measure_end_ = ck.i64();
-  latency_.load(ck);
-  delivered_packets_measured_ = ck.i64();
-  delivered_phits_measured_ = ck.i64();
-  delivered_packets_total_ = ck.i64();
-  delivered_phits_total_ = ck.i64();
-  latency_sum_total_ = ck.f64();
-  p2_p50_.load(ck);
-  p2_p99_.load(ck);
-  const std::size_t routers = injected_total_.size();
-  ck.vec(injected_total_, [&] { return ck.i64(); });
-  ck.vec(injected_measured_, [&] { return ck.i64(); });
-  ck.vec(forwarded_total_, [&] { return ck.i64(); });
-  if (injected_total_.size() != routers ||
-      injected_measured_.size() != routers ||
-      forwarded_total_.size() != routers) {
-    throw std::runtime_error(
-        "checkpoint: per-router counter size mismatch (config drift)");
-  }
-  p2_p999_.load(ck);
-  const std::uint32_t n_jobs = ck.u32();
-  jobs_.clear();
+  walk(*this, ck);
   job_index_.clear();
-  for (std::uint32_t i = 0; i < n_jobs; ++i) {
-    JobRecord job;
-    job.id = ck.i32();
-    job.label = ck.str();
-    job.nodes = ck.i32();
-    job.start = ck.i64();
-    job.end = ck.i64();
-    job.delivered_packets = ck.i64();
-    job.delivered_phits = ck.i64();
-    job.latency_sum = ck.f64();
-    job.max_latency = ck.f64();
-    job.p99.load(ck);
-    job.iterations = ck.i64();
-    job.iteration_cycles = ck.f64();
-    job_index_[job.id] = jobs_.size();
-    jobs_.push_back(std::move(job));
-  }
+  for (std::size_t i = 0; i < jobs_.size(); ++i) job_index_[jobs_[i].id] = i;
 }
 
 }  // namespace dragonfly

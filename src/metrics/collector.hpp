@@ -161,6 +161,9 @@ class MetricsCollector {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   const Topology& topo_;
   const SimConfig& cfg_;
   bool measuring_ = false;

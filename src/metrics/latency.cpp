@@ -64,30 +64,21 @@ void LatencyAccumulator::merge(const LatencyAccumulator& other) {
   global_hops_.merge(other.global_hops_);
 }
 
-void LatencyAccumulator::save(CheckpointWriter& ck) const {
+template <class Self, class Archive>
+void LatencyAccumulator::walk(Self& self, Archive& ck) {
   ck.tag("Latency");
-  histogram_.save(ck);
-  total_.save(ck);
-  base_.save(ck);
-  misroute_.save(ck);
-  local_q_.save(ck);
-  global_q_.save(ck);
-  injection_q_.save(ck);
-  local_hops_.save(ck);
-  global_hops_.save(ck);
+  ck.field(self.histogram_);
+  ck.field(self.total_);
+  ck.field(self.base_);
+  ck.field(self.misroute_);
+  ck.field(self.local_q_);
+  ck.field(self.global_q_);
+  ck.field(self.injection_q_);
+  ck.field(self.local_hops_);
+  ck.field(self.global_hops_);
 }
 
-void LatencyAccumulator::load(CheckpointReader& ck) {
-  ck.tag("Latency");
-  histogram_.load(ck);
-  total_.load(ck);
-  base_.load(ck);
-  misroute_.load(ck);
-  local_q_.load(ck);
-  global_q_.load(ck);
-  injection_q_.load(ck);
-  local_hops_.load(ck);
-  global_hops_.load(ck);
-}
+void LatencyAccumulator::save(CheckpointWriter& ck) const { walk(*this, ck); }
+void LatencyAccumulator::load(CheckpointReader& ck) { walk(*this, ck); }
 
 }  // namespace dragonfly

@@ -68,6 +68,9 @@ class LatencyAccumulator {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   Histogram histogram_;
   RunningStats total_;
   RunningStats base_;

@@ -48,6 +48,15 @@ struct StreamSample {
   double jain_jobs = 0.0;
 };
 
+/// The sample as comma-separated fields, phase through jain_jobs, with
+/// doubles as %.6g: the tail of a `simulate_cli --stream` row and of a
+/// service SAMPLE line.
+std::string csv_fields(const StreamSample& s);
+/// csv_fields()'s column names, comma-separated.
+inline constexpr const char* kStreamSampleColumns =
+    "phase,segment,t_begin,t_end,offered,accepted,latency,p50,p99,"
+    "delivered,live,fairness_cov,fairness_jain,live_jobs,jain_jobs";
+
 /// Session observer. on_sample fires every stream.interval cycles from
 /// the simulating thread; implementations used with parallel sweeps
 /// must be thread-safe (see RunObserver::on_sample).

@@ -7,21 +7,14 @@
 
 namespace dragonfly {
 
-void SeparableAllocator::save(CheckpointWriter& ck) const {
-  ck.vec(input_rr_, [&](std::uint32_t v) { ck.u32(v); });
-  ck.vec(output_rr_, [&](std::uint32_t v) { ck.u32(v); });
+template <class Self, class Archive>
+void SeparableAllocator::walk(Self& self, Archive& ck) {
+  ck.fixed(self.input_rr_, "allocator port count");
+  ck.fixed(self.output_rr_, "allocator port count");
 }
 
-void SeparableAllocator::load(CheckpointReader& ck) {
-  const std::size_t in = input_rr_.size();
-  const std::size_t out = output_rr_.size();
-  ck.vec(input_rr_, [&] { return ck.u32(); });
-  ck.vec(output_rr_, [&] { return ck.u32(); });
-  if (input_rr_.size() != in || output_rr_.size() != out) {
-    throw std::runtime_error(
-        "checkpoint: allocator port count mismatch (config drift)");
-  }
-}
+void SeparableAllocator::save(CheckpointWriter& ck) const { walk(*this, ck); }
+void SeparableAllocator::load(CheckpointReader& ck) { walk(*this, ck); }
 
 SeparableAllocator::SeparableAllocator(int num_inputs, int num_outputs,
                                        AllocatorConfig cfg)

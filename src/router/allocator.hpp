@@ -99,6 +99,9 @@ class SeparableAllocator {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   int num_inputs_;
   int num_outputs_;
   AllocatorConfig cfg_;

@@ -118,36 +118,30 @@ PendingTx OutputPort::begin_transmission(Cycle now, int size_phits) {
   return tx;
 }
 
-void VcFifo::save(CheckpointWriter& ck) const {
-  ck.u64(fifo_.size());
-  for (const PacketRef ref : fifo_) ck.pkt(ref);
+template <class Self, class Archive>
+void VcFifo::walk(Self& self, Archive& ck) {
+  ck.bounded(self.fifo_, self.fifo_.capacity(), "input VC",
+             [&](auto& ref) { ck.pkt(ref); });
 }
 
+void VcFifo::save(CheckpointWriter& ck) const { walk(*this, ck); }
+
 void VcFifo::load(CheckpointReader& ck) {
-  const std::uint64_t n = ck.count(fifo_.capacity(), "input VC");
-  fifo_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) fifo_.push_back(ck.pkt());
+  walk(*this, ck);
   refresh_head();
 }
 
-void OutputPort::save(CheckpointWriter& ck) const {
-  ck.u64(queue_.size());
-  for (const PendingTx& tx : queue_) {
-    ck.pkt(tx.pkt);
-    ck.i32(tx.out_vc);
-    ck.i64(tx.ready);
-  }
+template <class Self, class Archive>
+void OutputPort::walk(Self& self, Archive& ck) {
+  ck.bounded(self.queue_, self.queue_.capacity(), "output queue",
+             [&](auto& tx) {
+               ck.pkt(tx.pkt);
+               ck.field(tx.out_vc);
+               ck.field(tx.ready);
+             });
 }
 
-void OutputPort::load(CheckpointReader& ck) {
-  const std::uint64_t n = ck.count(queue_.capacity(), "output queue");
-  queue_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const PacketRef pkt = ck.pkt();
-    const VcId out_vc = ck.i32();
-    const Cycle ready = ck.i64();
-    queue_.push_back(PendingTx{pkt, out_vc, ready});
-  }
-}
+void OutputPort::save(CheckpointWriter& ck) const { walk(*this, ck); }
+void OutputPort::load(CheckpointReader& ck) { walk(*this, ck); }
 
 }  // namespace dragonfly

@@ -65,6 +65,9 @@ class VcFifo {
   void refresh_head() { *head_ = fifo_.empty() ? kNoPacket : fifo_.front(); }
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   int capacity_ = 0;
   std::int32_t* occ_ = nullptr;
   PacketRef* head_ = nullptr;
@@ -167,6 +170,9 @@ class OutputPort {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   PortKind kind_ = PortKind::kLocal;
   RouterId peer_ = kInvalidRouter;
   PortId peer_port_ = kInvalidPort;

@@ -81,6 +81,8 @@ struct Packet {
 
   void save(CheckpointWriter& ck) const;
   void load(CheckpointReader& ck);
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
 };
 
 /// Index-based packet arena with per-arena free lists. Queues hold
@@ -158,13 +160,6 @@ class PacketStore {
   /// Per-slot liveness (1 = created and not destroyed) in dense order,
   /// for the orphaned-flit invariant sweep.
   std::vector<char> live_mask() const;
-
-  /// Checkpoint the whole store (slots + free lists) with raw refs.
-  /// Standalone-fixture convenience; Network::save instead serializes
-  /// live packets in canonical order (format v4) so streams stay
-  /// independent of the arena partition.
-  void save(CheckpointWriter& ck) const;
-  void load(CheckpointReader& ck);
 
  private:
   /// 256 packets (~30 KB) per block: blocks are value-initialized as

@@ -1,6 +1,5 @@
 #include "router/router.hpp"
 
-#include <array>
 #include <bit>
 #include <cstdio>
 #include <stdexcept>
@@ -341,46 +340,32 @@ double Router::mean_local_occupancy() const {
   return sum / static_cast<double>(last - first);
 }
 
-void Router::save(CheckpointWriter& ck) const {
+template <class Self, class Archive>
+void Router::walk(Self& self, Archive& ck) {
   ck.tag("Router");
-  const auto rng_state = rng_.state();
-  for (const std::uint64_t word : rng_state) ck.u64(word);
-  for (const InputPort& in : inputs_) {
-    ck.u64(in.vcs.size());
-    for (const VcFifo& vc : in.vcs) vc.save(ck);
+  ck.rng(self.rng_);
+  const HotLayout& l = self.hot_->layout();
+  for (PortId port = 0; port < l.ports; ++port) {
+    ck.fixed(std::span(self.vcs_).subspan(
+                 static_cast<std::size_t>(l.in_vc_index(port, 0)),
+                 self.inputs_[static_cast<std::size_t>(port)].vcs.size()),
+             "input-port VC count");
   }
-  for (const OutputPort& out : outputs_) out.save(ck);
-  allocator_.save(ck);
-  ck.boolean(measuring_);
-  ck.i32(buffered_packets_);
-  ck.i32(pending_tx_);
+  for (auto& out : self.outputs_) ck.field(out);
+  ck.field(self.allocator_);
+  ck.field(self.measuring_);
+  ck.field(self.buffered_packets_);
+  ck.field(self.pending_tx_);
 }
 
+void Router::save(CheckpointWriter& ck) const { walk(*this, ck); }
+
 void Router::load(CheckpointReader& ck) {
-  ck.tag("Router");
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = ck.u64();
-  rng_.set_state(rng_state);
-  const HotLayout& l = hot_->layout();
-  for (PortId port = 0; port < l.ports; ++port) {
-    const std::size_t first =
-        static_cast<std::size_t>(l.in_vc_index(port, 0));
-    const std::size_t vcs = inputs_[static_cast<std::size_t>(port)].vcs.size();
-    if (ck.u64() != vcs) {
-      throw std::runtime_error(
-          "checkpoint: input-port VC count mismatch (config drift)");
-    }
-    for (std::size_t v = first; v < first + vcs; ++v) vcs_[v].load(ck);
-  }
-  for (OutputPort& out : outputs_) out.load(ck);
-  allocator_.load(ck);
-  measuring_ = ck.boolean();
-  buffered_packets_ = ck.i32();
-  pending_tx_ = ck.i32();
+  walk(*this, ck);
   // Re-derive the non-empty-VC mask from the restored FIFOs (VcFifo::load
   // already refreshed the head slots).
   std::uint64_t* mask = hot_->in_mask(id_);
-  for (int w = 0; w < l.in_mask_words(); ++w) mask[w] = 0;
+  for (int w = 0; w < hot_->layout().in_mask_words(); ++w) mask[w] = 0;
   for (std::size_t flat = 0; flat < vcs_.size(); ++flat) {
     if (!vcs_[flat].empty()) set_in_mask(static_cast<int>(flat));
   }

@@ -192,6 +192,9 @@ class Router {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   void execute_grant(const AllocRequest& req, const RoutingDecision& d,
                      Cycle now);
   int input_buffer_capacity(PortKind kind) const;

@@ -254,8 +254,7 @@ void SweepService::run_point(InFlight* flight) {
     // move: such a point warm-starts from a cached window that is no
     // longer than its own, and its cold run (re)captures one.
     const std::size_t seeds = static_cast<std::size_t>(flight->seeds);
-    const bool warmable = opts_.capture_warm_checkpoints &&
-                          flight->cfg.stop.mode == StopMode::kFixed &&
+    const bool warmable = flight->cfg.stop.mode == StopMode::kFixed &&
                           flight->cfg.phase_script.empty();
     std::shared_ptr<const WarmEntry> warm;
     if (warmable) warm = warm_.get(flight->warm_key);

@@ -51,9 +51,6 @@ struct ServiceOptions {
   std::size_t result_entries = 4096;       ///< result LRU budget (count)
   std::size_t warm_entries = 64;           ///< warm-checkpoint LRU (count)
   std::size_t warm_bytes = 256 << 20;      ///< warm-checkpoint LRU (bytes)
-  /// Checkpoint cold fixed-window runs one cycle before their window
-  /// closes, and warm-start longer-window refinements from them.
-  bool capture_warm_checkpoints = true;
 };
 
 /// How a point's result was obtained.

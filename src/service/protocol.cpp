@@ -89,17 +89,8 @@ std::string format_result(const PointReport& point) {
 
 std::string format_sample(const std::string& label, std::size_t point,
                           std::size_t seed, const StreamSample& s) {
-  std::string line = "SAMPLE " + label + "," + std::to_string(point) + "," +
-                     std::to_string(seed) + "," + to_string(s.phase) + "," +
-                     s.segment + "," + std::to_string(s.t_begin) + "," +
-                     std::to_string(s.t_end) + "," + num(s.offered_load) +
-                     "," + num(s.accepted_load) + "," + num(s.avg_latency) +
-                     "," + num(s.p50_latency) + "," + num(s.p99_latency) +
-                     "," + std::to_string(s.delivered_packets) + "," +
-                     std::to_string(s.live_packets) + "," +
-                     num(s.fairness_cov) + "," + num(s.fairness_jain) + "," +
-                     std::to_string(s.live_jobs) + "," + num(s.jain_jobs);
-  return line;
+  return "SAMPLE " + label + "," + std::to_string(point) + "," +
+         std::to_string(seed) + "," + csv_fields(s);
 }
 
 std::string format_hash(const PointReport& point) {

@@ -56,10 +56,9 @@ std::vector<std::string> split_items(const std::string& text);
 /// matches a freshly simulated one byte for byte.
 std::string format_result(const PointReport& point);
 
-/// "SAMPLE <label>,<point>,<seed>,<phase>,<segment>,<t_begin>,<t_end>,
-///  <offered>,<accepted>,<latency>,<p50>,<p99>,<delivered>,<live>,
-///  <cov>,<jain>" — the CLI --stream column family with the point
-/// coordinates prepended.
+/// "SAMPLE <label>,<point>,<seed>,<csv_fields(sample)>" — the CLI
+/// --stream row (kStreamSampleColumns) with the point coordinates
+/// prepended.
 std::string format_sample(const std::string& label, std::size_t point,
                           std::size_t seed, const StreamSample& sample);
 

@@ -119,29 +119,19 @@ Ring<PendingTx> HotState::queue_ring(RouterId r, PortId port, int packets) {
       static_cast<std::size_t>(packets));
 }
 
-void HotState::save(CheckpointWriter& ck) const {
+template <class Self, class Archive>
+void HotState::walk(Self& self, Archive& ck) {
   ck.tag("HotState");
-  ck.vec(credits_, [&](std::int32_t v) { ck.i32(v); });
-  ck.vec(queue_occupancy_, [&](std::int32_t v) { ck.i32(v); });
-  ck.vec(link_free_, [&](Cycle v) { ck.i64(v); });
-  ck.vec(in_occupancy_, [&](std::int32_t v) { ck.i32(v); });
+  ck.fixed(self.credits_, "hot-state array size");
+  ck.fixed(self.queue_occupancy_, "hot-state array size");
+  ck.fixed(self.link_free_, "hot-state array size");
+  ck.fixed(self.in_occupancy_, "hot-state array size");
 }
 
+void HotState::save(CheckpointWriter& ck) const { walk(*this, ck); }
+
 void HotState::load(CheckpointReader& ck) {
-  ck.tag("HotState");
-  const std::size_t credits_n = credits_.size();
-  const std::size_t qocc_n = queue_occupancy_.size();
-  const std::size_t link_n = link_free_.size();
-  const std::size_t inocc_n = in_occupancy_.size();
-  ck.vec(credits_, [&] { return ck.i32(); });
-  ck.vec(queue_occupancy_, [&] { return ck.i32(); });
-  ck.vec(link_free_, [&] { return static_cast<Cycle>(ck.i64()); });
-  ck.vec(in_occupancy_, [&] { return ck.i32(); });
-  if (credits_.size() != credits_n || queue_occupancy_.size() != qocc_n ||
-      link_free_.size() != link_n || in_occupancy_.size() != inocc_n) {
-    throw std::runtime_error(
-        "checkpoint: hot-state array size mismatch (config drift)");
-  }
+  walk(*this, ck);
   port_marks_.assign(port_marks_.size(), ~std::uint64_t{0});
 }
 

@@ -162,15 +162,11 @@ class HotState {
   /// `packets` (at most HotLayout::queue_slots).
   Ring<PendingTx> queue_ring(RouterId r, PortId port, int packets);
 
-  /// Whole-array views for contiguous scans (invariants, checkpoint).
+  /// Whole-array views for contiguous scans (the invariant sweep).
   const std::vector<std::int32_t>& all_credits() const { return credits_; }
   const std::vector<std::int32_t>& all_credit_capacity() const {
     return credit_capacity_;
   }
-  const std::vector<std::int32_t>& all_queue_occupancy() const {
-    return queue_occupancy_;
-  }
-  const std::vector<Cycle>& all_link_free() const { return link_free_; }
   const std::vector<std::int32_t>& all_in_occupancy() const {
     return in_occupancy_;
   }
@@ -184,6 +180,9 @@ class HotState {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   HotLayout layout_;
   int num_routers_ = 0;
   // Cached strides (hot-loop friendly copies of layout_ sums).

@@ -1,6 +1,5 @@
 #include "sim/node.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "common/checkpoint.hpp"
@@ -120,36 +119,26 @@ bool Node::inject_head(Cycle now) {
   return false;
 }
 
-void Node::save(CheckpointWriter& ck) const {
-  const auto rng_state = rng_.state();
-  for (const std::uint64_t word : rng_state) ck.u64(word);
-  ck.u64(queue_.size());
-  for (const PacketRef ref : queue_) ck.pkt(ref);
-  ck.i32(next_vc_);
-  ck.i64(next_inject_allowed_);
-  ck.i64(generated_total_);
-  ck.i64(generated_measured_);
+template <class Self, class Archive>
+void Node::walk(Self& self, Archive& ck) {
+  ck.rng(self.rng_);
+  ck.bounded(self.queue_, static_cast<std::uint64_t>(self.queue_cap_),
+             "source queue", [&](auto& ref) { ck.pkt(ref); });
+  ck.field(self.next_vc_);
+  ck.field(self.next_inject_allowed_);
+  ck.field(self.generated_total_);
+  ck.field(self.generated_measured_);
   // appended in checkpoint format v5
-  ck.boolean(workload_on_);
-  ck.i32(job_);
+  ck.field(self.workload_on_);
+  ck.field(self.job_);
 }
 
+void Node::save(CheckpointWriter& ck) const { walk(*this, ck); }
+
 void Node::load(CheckpointReader& ck) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = ck.u64();
-  rng_.set_state(rng_state);
-  const std::uint64_t n = ck.count(
-      static_cast<std::uint64_t>(queue_cap_), "source queue");
-  queue_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(ck.pkt());
+  walk(*this, ck);
   queue_len_ = static_cast<std::int32_t>(queue_.size());
   sync_blocked();
-  next_vc_ = ck.i32();
-  next_inject_allowed_ = ck.i64();
-  generated_total_ = ck.i64();
-  generated_measured_ = ck.i64();
-  workload_on_ = ck.boolean();
-  job_ = ck.i32();
   // generates_ is derived state: the pattern was bound at build time (or
   // re-bound by the workload driver just before nodes load — the v5
   // stream serializes the driver section first).

@@ -119,6 +119,9 @@ class Node {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   /// Bernoulli hit: create a packet towards the pattern's destination
   /// and append it to the source queue.
   void generate_packet(Cycle now, bool measuring);

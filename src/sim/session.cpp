@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -85,6 +86,22 @@ const char* to_string(SessionPhase phase) {
     case SessionPhase::kDone: return "done";
   }
   return "?";
+}
+
+std::string csv_fields(const StreamSample& s) {
+  const auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6g", v);
+    return std::string(buf);
+  };
+  return std::string(to_string(s.phase)) + "," + s.segment + "," +
+         std::to_string(s.t_begin) + "," + std::to_string(s.t_end) + "," +
+         num(s.offered_load) + "," + num(s.accepted_load) + "," +
+         num(s.avg_latency) + "," + num(s.p50_latency) + "," +
+         num(s.p99_latency) + "," + std::to_string(s.delivered_packets) +
+         "," + std::to_string(s.live_packets) + "," + num(s.fairness_cov) +
+         "," + num(s.fairness_jain) + "," + std::to_string(s.live_jobs) +
+         "," + num(s.jain_jobs);
 }
 
 Session::Session(const SimConfig& cfg) : cfg_(cfg), net_(cfg) {}
@@ -480,35 +497,40 @@ SimResult Session::collect() const {
 
 // --- checkpoint / restore ---------------------------------------------------
 
+template <class Self, class Archive>
+void Session::walk(Self& self, Archive& ck) {
+  ck.tag("Session");
+  ck.field(self.phase_, wire<std::uint8_t>);
+  ck.field(self.phase_armed_);
+  ck.field(self.phase_end_);
+  ck.field(self.seg_index_);
+  ck.field(self.seg_end_);
+  ck.field(self.measure_begin_);
+  ck.field(self.converged_);
+  ck.field(self.batch_end_);
+  ck.field(self.batch_start_phits_);
+  ck.field(self.batch_start_packets_);
+  ck.field(self.batch_start_lat_sum_);
+  ck.seq(self.batch_accepted_);
+  ck.seq(self.batch_latency_);
+  ck.field(self.next_sample_);
+  ck.field(self.sample_begin_);
+  ck.field(self.sample_start_packets_);
+  ck.field(self.sample_start_phits_);
+  ck.field(self.sample_start_lat_sum_);
+  ck.field(self.last_watchdog_check_);
+  ck.field(self.last_events_);
+  ck.field(self.last_progress_);
+  ck.field(self.last_live_);
+  ck.field(self.net_);
+}
+
 std::string Session::checkpoint() const {
   CheckpointWriter ck;
   ck.str(kCheckpointMagic);
   ck.u32(kCheckpointVersion);
   cfg_.write_to(ck);
-  ck.tag("Session");
-  ck.u8(static_cast<std::uint8_t>(phase_));
-  ck.boolean(phase_armed_);
-  ck.i64(phase_end_);
-  ck.u64(seg_index_);
-  ck.i64(seg_end_);
-  ck.i64(measure_begin_);
-  ck.boolean(converged_);
-  ck.i64(batch_end_);
-  ck.i64(batch_start_phits_);
-  ck.i64(batch_start_packets_);
-  ck.f64(batch_start_lat_sum_);
-  ck.vec(batch_accepted_, [&](double v) { ck.f64(v); });
-  ck.vec(batch_latency_, [&](double v) { ck.f64(v); });
-  ck.i64(next_sample_);
-  ck.i64(sample_begin_);
-  ck.i64(sample_start_packets_);
-  ck.i64(sample_start_phits_);
-  ck.f64(sample_start_lat_sum_);
-  ck.i64(last_watchdog_check_);
-  ck.i64(last_events_);
-  ck.i64(last_progress_);
-  ck.u64(last_live_);
-  net_.save(ck);
+  walk(*this, ck);
   return ck.take();
 }
 
@@ -569,30 +591,7 @@ std::unique_ptr<Session> Session::restore(std::string_view bytes,
         std::string("checkpoint: embedded config invalid: ") + e.what());
   }
   auto session = std::make_unique<Session>(cfg, std::move(topo));
-  ck.tag("Session");
-  session->phase_ = static_cast<SessionPhase>(ck.u8());
-  session->phase_armed_ = ck.boolean();
-  session->phase_end_ = ck.i64();
-  session->seg_index_ = static_cast<std::size_t>(ck.u64());
-  session->seg_end_ = ck.i64();
-  session->measure_begin_ = ck.i64();
-  session->converged_ = ck.boolean();
-  session->batch_end_ = ck.i64();
-  session->batch_start_phits_ = ck.i64();
-  session->batch_start_packets_ = ck.i64();
-  session->batch_start_lat_sum_ = ck.f64();
-  ck.vec(session->batch_accepted_, [&] { return ck.f64(); });
-  ck.vec(session->batch_latency_, [&] { return ck.f64(); });
-  session->next_sample_ = ck.i64();
-  session->sample_begin_ = ck.i64();
-  session->sample_start_packets_ = ck.i64();
-  session->sample_start_phits_ = ck.i64();
-  session->sample_start_lat_sum_ = ck.f64();
-  session->last_watchdog_check_ = ck.i64();
-  session->last_events_ = ck.i64();
-  session->last_progress_ = ck.i64();
-  session->last_live_ = static_cast<std::size_t>(ck.u64());
-  session->net_.load(ck);
+  walk(*session, ck);
   if (refine != nullptr && session->phase_ == SessionPhase::kMeasure &&
       session->phase_armed_) {
     session->refine_open_window(saved_stop);

@@ -208,6 +208,9 @@ class Session {
                                                int shards_override = 0);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // the stream after the config
+
   void check_progress();
   void step_impl(Cycle n, bool stop_on_transition);
   void arm_phase();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/checkpoint.hpp"
 #include "sim/network.hpp"
@@ -399,85 +401,89 @@ void WorkloadDriver::step_churn(Cycle now) {
 
 // --- checkpoint -------------------------------------------------------------
 
-void WorkloadDriver::save(CheckpointWriter& ck) const {
+template <class Self, class Archive>
+void WorkloadDriver::walk(Self& self, Archive& ck) {
   ck.tag("Workload");
-  ck.i64(iterations_completed_);
-  switch (mode_) {
+  ck.field(self.iterations_completed_);
+  switch (self.mode_) {
     case Mode::kCollective:
       // Send lists are derived from the config; only progress state is
       // mutable.
-      ck.vec(next_send_, [&](std::int32_t v) { ck.i32(v); });
-      ck.vec(recv_count_, [&](std::int32_t v) { ck.i32(v); });
-      ck.i64(iter_delivered_);
-      ck.i64(iter_start_);
+      ck.seq(self.next_send_);
+      ck.seq(self.recv_count_);
+      ck.field(self.iter_delivered_);
+      ck.field(self.iter_start_);
       break;
     case Mode::kBursty:
-      for (std::size_t i = 0; i < node_rng_.size(); ++i) {
-        for (const std::uint64_t word : node_rng_[i].state()) ck.u64(word);
-        ck.u8(node_on_[i]);
-        ck.i64(next_toggle_[i]);
+      for (std::size_t i = 0; i < self.node_rng_.size(); ++i) {
+        ck.rng(self.node_rng_[i]);
+        ck.field(self.node_on_[i]);
+        ck.field(self.next_toggle_[i]);
       }
       break;
-    case Mode::kChurn: {
-      for (const std::uint64_t word : churn_rng_.state()) ck.u64(word);
-      ck.i64(next_arrival_);
-      ck.i32(next_job_id_);
-      ck.u32(static_cast<std::uint32_t>(jobs_.size()));
-      for (const Job& job : jobs_) {
-        ck.i32(job.id);
-        ck.i32(job.mix);
-        ck.vec(job.routers, [&](RouterId r) { ck.i32(r); });
-        ck.i64(job.start);
-        ck.i64(job.end);
-      }
+    case Mode::kChurn:
+      ck.rng(self.churn_rng_);
+      ck.field(self.next_arrival_);
+      ck.field(self.next_job_id_);
+      ck.seq(
+          self.jobs_,
+          [&](auto& job) {
+            ck.field(job.id);
+            ck.field(job.mix);
+            ck.seq(job.routers);
+            ck.field(job.start);
+            ck.field(job.end);
+          },
+          wire<std::uint32_t>);
       break;
-    }
   }
 }
 
+void WorkloadDriver::save(CheckpointWriter& ck) const { walk(*this, ck); }
+
 void WorkloadDriver::load(CheckpointReader& ck) {
-  ck.tag("Workload");
-  iterations_completed_ = ck.i64();
-  switch (mode_) {
-    case Mode::kCollective:
-      ck.vec(next_send_, [&] { return ck.i32(); });
-      ck.vec(recv_count_, [&] { return ck.i32(); });
-      iter_delivered_ = ck.i64();
-      iter_start_ = ck.i64();
-      break;
-    case Mode::kBursty:
-      for (std::size_t i = 0; i < node_rng_.size(); ++i) {
-        std::array<std::uint64_t, 4> state;
-        for (std::uint64_t& word : state) word = ck.u64();
-        node_rng_[i].set_state(state);
-        node_on_[i] = ck.u8();
-        next_toggle_[i] = ck.i64();
-      }
-      break;
-    case Mode::kChurn: {
-      std::array<std::uint64_t, 4> state;
-      for (std::uint64_t& word : state) word = ck.u64();
-      churn_rng_.set_state(state);
-      next_arrival_ = ck.i64();
-      next_job_id_ = ck.i32();
-      const std::uint32_t n = ck.u32();
-      jobs_.clear();
-      std::fill(router_job_.begin(), router_job_.end(), -1);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Job job;
-        job.id = ck.i32();
-        job.mix = ck.i32();
-        ck.vec(job.routers, [&] { return ck.i32(); });
-        job.start = ck.i64();
-        job.end = ck.i64();
-        // Rebinds the job's pattern to its nodes — this is why the
-        // driver section precedes the node section in the v5 stream:
-        // Node::load re-derives generates() against these pointers.
-        bind_job_nodes(job);
-        jobs_.push_back(std::move(job));
-      }
-      break;
+  walk(*this, ck);
+  // The collective progress indexes the send lists, and a job's mix and
+  // routers index the mix list and the router table.
+  const auto reject = [](const std::string& what) {
+    throw std::runtime_error("checkpoint: " + what);
+  };
+  if (mode_ == Mode::kCollective) {
+    const auto ranks = static_cast<std::size_t>(participants_);
+    if (next_send_.size() != ranks || recv_count_.size() != ranks) {
+      reject("collective progress lists of " +
+             std::to_string(next_send_.size()) + " and " +
+             std::to_string(recv_count_.size()) + " ranks for " +
+             std::to_string(ranks) + " participants");
     }
+    for (std::size_t r = 0; r < ranks; ++r) {
+      if (next_send_[r] < 0 ||
+          static_cast<std::size_t>(next_send_[r]) > sends_[r].size()) {
+        reject("collective rank " + std::to_string(r) + " at send " +
+               std::to_string(next_send_[r]) + " of " +
+               std::to_string(sends_[r].size()));
+      }
+    }
+  }
+  if (mode_ == Mode::kChurn) {
+    for (const Job& job : jobs_) {
+      if (job.mix < 0 || static_cast<std::size_t>(job.mix) >= mixes_.size()) {
+        reject("job " + std::to_string(job.id) + " has mix " +
+               std::to_string(job.mix) + " of " +
+               std::to_string(mixes_.size()));
+      }
+      for (const RouterId r : job.routers) {
+        if (r < 0 || r >= net_.num_routers()) {
+          reject("job " + std::to_string(job.id) + " on router " +
+                 std::to_string(r) + ", which does not exist");
+        }
+      }
+    }
+    // Rebind each job's pattern to its nodes: this is why the driver
+    // section precedes the node section in the v5 stream, as Node::load
+    // re-derives generates() against these pointers.
+    std::fill(router_job_.begin(), router_job_.end(), -1);
+    for (Job& job : jobs_) bind_job_nodes(job);
   }
 }
 

@@ -125,6 +125,9 @@ class WorkloadDriver {
   void load(CheckpointReader& ck);
 
  private:
+  template <class Self, class Archive>
+  static void walk(Self& self, Archive& ck);  // save()'s and load()'s fields
+
   enum class Mode : std::uint8_t { kCollective, kBursty, kChurn };
 
   /// One directed send of a collective schedule: issue `dst` once this

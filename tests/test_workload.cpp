@@ -9,7 +9,10 @@
 
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
+#include "common/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "sim/session.hpp"
 #include "sim_test_util.hpp"
@@ -282,6 +285,97 @@ TEST(WorkloadCheckpoint, RestoreUnderDifferentShardCount) {
       Session::restore(stream, /*shards_override=*/2);
   resharded->advance_to(SessionPhase::kDone);
   expect_identical(original.collect(), resharded->collect());
+}
+
+// --- malformed driver state -------------------------------------------------
+
+/// what() of the runtime_error restoring `bytes` throws.
+std::string restore_error(const std::string& bytes) {
+  try {
+    Session::restore(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "restored without error";
+}
+
+/// A mid-window checkpoint of `mode` with live driver state, and the
+/// offset of the mode's state in its driver section (past the tag and
+/// the iteration counter).
+std::pair<std::string, std::size_t> driver_checkpoint(const char* mode) {
+  SimConfig cfg = workload_base(mode);
+  cfg.workload.participants = 12;
+  cfg.workload.arrival_cycles = 200;
+  Session session(cfg);
+  session.advance_to(SessionPhase::kMeasure);
+  session.step(600);
+  std::string bytes = session.checkpoint();
+  CheckpointWriter tag;
+  tag.tag("Workload");
+  const std::size_t at = bytes.find(tag.bytes());
+  EXPECT_NE(at, std::string::npos) << mode;
+  return {std::move(bytes), at + tag.bytes().size() + sizeof(std::int64_t)};
+}
+
+/// `bytes` with `len` bytes at `at` replaced by what `with` wrote.
+std::string spliced(std::string bytes, std::size_t at, std::size_t len,
+                    const CheckpointWriter& with) {
+  bytes.replace(at, len, with.bytes());
+  return bytes;
+}
+
+TEST(Workload, CheckpointRejectsMalformedDriverState) {
+  // The driver indexes its send lists, mix list and router table with
+  // values read from the stream. Each edit below must fail the restore
+  // with a checkpoint diagnostic instead of indexing out of bounds
+  // later (collectives) or while the jobs are rebound (churn).
+  std::vector<std::string> bad;
+  CheckpointWriter below, beyond, none;
+  below.i32(-100'000);
+  beyond.i32(100'000);
+  none.i32(-1);
+
+  // Collective state: next_send_ and recv_count_, each a u64 length
+  // and one i32 per rank.
+  const auto [collective, sends] = driver_checkpoint("collective");
+  CheckpointReader reader(std::string_view(collective).substr(sends));
+  const std::uint64_t ranks = reader.u64();
+  ASSERT_EQ(ranks, 12u);
+  const std::size_t first_send = sends + sizeof(std::uint64_t);
+  bad.push_back(spliced(collective, first_send, 4, below));
+  bad.push_back(spliced(collective, first_send, 4, beyond));
+  // One rank short: drop a list's last entry and shorten its length.
+  CheckpointWriter short_length;
+  short_length.u64(ranks - 1);
+  const std::size_t recvs = first_send + 4 * ranks;
+  for (const std::size_t list : {sends, recvs}) {
+    std::string bytes = collective;
+    bytes.erase(list + sizeof(std::uint64_t) + 4 * (ranks - 1), 4);
+    bad.push_back(spliced(std::move(bytes), list, 8, short_length));
+  }
+
+  // Churn state: RNG (4 u64), next arrival (i64), next job id (i32),
+  // job count (u32), then per job its id and mix (i32 each) and its
+  // routers (u64 length, one i32 each).
+  const auto [churn, state] = driver_checkpoint("churn");
+  const std::size_t jobs = state + 4 * 8 + 8 + 4;
+  CheckpointReader job(std::string_view(churn).substr(jobs));
+  ASSERT_GT(job.u32(), 0u);
+  (void)job.i32();
+  (void)job.i32();
+  ASSERT_GT(job.u64(), 0u);
+  const std::size_t mix = jobs + 4 + 4;
+  const std::size_t first_router = mix + 4 + 8;
+  bad.push_back(spliced(churn, mix, 4, beyond));
+  bad.push_back(spliced(churn, first_router, 4, beyond));
+  bad.push_back(spliced(churn, first_router, 4, none));
+
+  for (const std::string& bytes : bad) {
+    const std::string why = restore_error(bytes);
+    EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+  }
+  EXPECT_EQ(restore_error(collective), "restored without error");
+  EXPECT_EQ(restore_error(churn), "restored without error");
 }
 
 }  // namespace
