@@ -47,10 +47,11 @@ BENCHMARK(BM_SeparableAllocator)->Arg(11)->Arg(23);
 /// load in %, kernel: 0 = active, 1 = scan). The low-load points (5%)
 /// are where the active-set kernel shines — most routers/ports idle —
 /// and the 50% points sit at/near saturation. The scan rows keep the
-/// dense reference kernel honest and give CI a machine-independent
-/// active/scan speedup ratio. Timed in wall-clock like the sharded rows,
-/// so BM_NetworkStepUniform/4/50 and BM_NetworkStepUniformSharded/4/50/1
-/// (the same code path) compare directly.
+/// dense reference kernel honest; test_perf_ratio guards the same
+/// active/scan ratio in-process at h=3. Timed in wall-clock like the
+/// sharded rows, so BM_NetworkStepUniform/4/50 and
+/// BM_NetworkStepUniformSharded/4/50/1 (the same code path) compare
+/// directly.
 void NetworkStepUniform(benchmark::State& state, SimKernel kernel) {
   const int h = static_cast<int>(state.range(0));
   SimConfig cfg = SimConfig::small(h);
@@ -88,10 +89,10 @@ BENCHMARK(BM_NetworkStepUniformScan)
 
 /// Sharded stepping. Args: (radix h, offered load in %, sim.shards).
 /// Bit-identical to the serial rows — only wall-clock may move. The
-/// saturated h=4 rows are the headline scaling measurement
-/// (run_baseline.sh derives the shards>1 vs shards=1 throughput ratios
-/// that CI's perf-smoke guards); shards=1 goes through the same kernel
-/// with the mailbox path disabled, isolating the sharding overhead.
+/// saturated rows are the headline scaling measurement (no test guards
+/// it: it varies too widely on shared hosts); shards=1 goes
+/// through the same kernel with the mailbox path disabled, isolating the
+/// sharding overhead.
 void BM_NetworkStepUniformSharded(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
   SimConfig cfg = SimConfig::small(h);
@@ -156,10 +157,10 @@ BENCHMARK_CAPTURE(BM_NetworkStepPiggyback, adv30, "adv", 0.3)->Arg(3);
 
 /// Workload-driver cost, collective mode: a 16-rank ring allreduce
 /// dependency-stepped by the serial driver on top of the active
-/// kernel; the other nodes idle. Arg: radix h. run_baseline.sh derives
-/// the uniform/allreduce step-time ratio at h=3 so a regression in the
+/// kernel; the other nodes idle. Arg: radix h. test_perf_ratio guards
+/// the uniform/allreduce step-time ratio at h=3, so a regression in the
 /// driver's on_cycle/on_delivered path (run every cycle, serial) shows
-/// up machine-independently in CI's perf-smoke job.
+/// up machine-independently.
 void BM_NetworkStepAllreduce(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
   SimConfig cfg = SimConfig::small(h);
@@ -183,7 +184,7 @@ BENCHMARK(BM_NetworkStepAllreduce)->Arg(2)->Arg(3);
 /// placement, pattern-rebind, node-gate flip and per-job metrics
 /// attribution paths every few hundred cycles while every in-job node
 /// injects at the offered load. Comparable to BM_NetworkStepUniform at
-/// the same (h, 50%) point; run_baseline.sh derives the ratio.
+/// the same (h, 50%) point; test_perf_ratio guards the ratio at h=3.
 void BM_NetworkStepChurn(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
   SimConfig cfg = SimConfig::small(h);

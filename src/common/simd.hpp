@@ -11,7 +11,10 @@
 // plain scalar loop everywhere else. Setting SIMSPEED_FORCE_SCALAR=1
 // in the environment pins the scalar reference regardless of the CPU;
 // CI re-runs the kernel cross-check and the conformance matrix under
-// it to prove the vector paths change nothing.
+// it to prove the vector paths change nothing. test_simd also calls
+// the SSE2 bodies directly, since an AVX2 host never dispatches them.
+// The NEON bodies are compiled and tested by no CI job (every runner is
+// x86-64); only an aarch64 build of test_simd checks them.
 //
 // Concurrency contract: the `_scalar`-suffixed reference functions
 // touch only the lanes named by their bit mask; the dispatched

@@ -592,6 +592,29 @@ std::unique_ptr<Session> Session::restore(std::string_view bytes,
   }
   auto session = std::make_unique<Session>(cfg, std::move(topo));
   walk(*session, ck);
+  // The walk stores what it reads; a phase past kDone would end run()
+  // at once. In an open scripted window the current segment ends after
+  // now and no later than the window, and only the last one ends with
+  // it: a segment end in the past would stall step(), and a last
+  // segment ending early would enter a segment past the script.
+  const Session& s = *session;
+  if (s.phase_ > SessionPhase::kDone) {
+    throw std::runtime_error(
+        "checkpoint: session phase " +
+        std::to_string(static_cast<int>(s.phase_)) + " out of range");
+  }
+  const std::size_t segments = cfg.phase_script.size();
+  if (segments > 0 &&
+      (s.seg_index_ >= segments ||
+       (s.phase_ == SessionPhase::kMeasure && s.phase_armed_ &&
+        (s.seg_end_ <= s.now() || s.seg_end_ > s.phase_end_ ||
+         (s.seg_index_ + 1 == segments) != (s.seg_end_ == s.phase_end_))))) {
+    throw std::runtime_error(
+        "checkpoint: phase-script segment " + std::to_string(s.seg_index_) +
+        " of " + std::to_string(segments) + " ends at cycle " +
+        std::to_string(s.seg_end_) + ", the window at cycle " +
+        std::to_string(s.phase_end_));
+  }
   if (refine != nullptr && session->phase_ == SessionPhase::kMeasure &&
       session->phase_armed_) {
     session->refine_open_window(saved_stop);

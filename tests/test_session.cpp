@@ -501,6 +501,66 @@ TEST(Session, CheckpointCutAtAnyPrefixThrows) {
   }
 }
 
+TEST(Session, CheckpointRejectsAnOutOfRangePhase) {
+  // The Session section opens with the phase (u8), the armed flag (u8),
+  // the phase deadline (i64), the phase-script segment index (u64) and
+  // the segment's end (i64). `edited` overwrites field number `index`.
+  auto edited = [](const std::string& clean, int index,
+                   const CheckpointWriter& field) {
+    const std::string tag = "Session";
+    const std::size_t at = clean.find(tag);
+    EXPECT_NE(at, std::string::npos);
+    CheckpointReader reader(std::string_view(clean).substr(at + tag.size()));
+    if (index > 0) (void)reader.u8();
+    if (index > 1) (void)reader.u8();
+    if (index > 2) (void)reader.i64();
+    if (index > 3) (void)reader.u64();
+    std::string bytes = clean;
+    bytes.replace(at + tag.size() + reader.offset(), field.bytes().size(),
+                  field.bytes());
+    return bytes;
+  };
+  auto refused = [](const std::string& bytes) {
+    const std::string why = restore_error(bytes);
+    EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+  };
+
+  // A stored phase past kDone: the restore must refuse it instead of
+  // returning a session whose run() measures nothing.
+  CheckpointWriter phase;
+  phase.u8(9);
+  refused(edited(window_end_checkpoint(window_cfg()), 0, phase));
+
+  // A scripted session inside its first segment, and one inside its
+  // last; both restore as saved.
+  SimConfig scripted = window_cfg();
+  scripted.phase_script = parse_phase_script("a:300,b:300");
+  Session session(scripted);
+  session.advance_to(SessionPhase::kMeasure);
+  session.step(100);
+  const std::string first = session.checkpoint();
+  session.step(300);
+  ASSERT_EQ(session.segment(), "b");
+  EXPECT_EQ(restore_error(first), "restored without error");
+  EXPECT_EQ(restore_error(session.checkpoint()), "restored without error");
+
+  // Its segment index moved past the script's end, or onto the last
+  // segment while the first segment's end stays stored: either way the
+  // next segment boundary would index the script out of range.
+  CheckpointWriter past_end;
+  past_end.u64(2);
+  refused(edited(first, 3, past_end));
+  CheckpointWriter last;
+  last.u64(1);
+  refused(edited(first, 3, last));
+
+  // A segment end before the current cycle, which step() would never
+  // reach.
+  CheckpointWriter gone;
+  gone.i64(0);
+  refused(edited(first, 4, gone));
+}
+
 TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {
   SimConfig cfg = quick("min", "uniform", 0.1);
   cfg.stream_interval = 500;

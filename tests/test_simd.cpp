@@ -119,6 +119,16 @@ TEST(SimdMasks, DispatchedBytesMasksMatchScalar) {
     EXPECT_EQ(simd::equal_bytes_mask(bytes.data(), v),
               simd::equal_bytes_mask_scalar(bytes.data(), v, ~0ull));
   }
+#if DRAGONFLY_SIMD_X86
+  // The SSE2 bodies are dispatched only where AVX2 is missing, so call
+  // them directly here and in the two tests below.
+  EXPECT_EQ(simd::nonzero_bytes_mask_sse2(bytes.data()),
+            simd::nonzero_bytes_mask_scalar(bytes.data(), ~0ull));
+  for (const std::uint8_t v : {0, 1, 2}) {
+    EXPECT_EQ(simd::equal_bytes_mask_sse2(bytes.data(), v),
+              simd::equal_bytes_mask_scalar(bytes.data(), v, ~0ull));
+  }
+#endif
 }
 
 TEST(SimdMasks, DispatchedPositiveI32MatchesScalar) {
@@ -127,6 +137,10 @@ TEST(SimdMasks, DispatchedPositiveI32MatchesScalar) {
   for (auto& x : v) x = static_cast<std::int32_t>(rng.range(-2, 3));
   EXPECT_EQ(simd::positive_i32_mask(v.data()),
             simd::positive_i32_mask_scalar(v.data()));
+#if DRAGONFLY_SIMD_X86
+  EXPECT_EQ(simd::positive_i32_mask_sse2(v.data()),
+            simd::positive_i32_mask_scalar(v.data()));
+#endif
 }
 
 TEST(SimdCredits, DispatchedViolationCountMatchesScalar) {
@@ -137,6 +151,10 @@ TEST(SimdCredits, DispatchedViolationCountMatchesScalar) {
   for (auto& c : credits) c = static_cast<std::int32_t>(rng.range(-1, 34));
   EXPECT_EQ(simd::credit_violations(credits.data(), caps.data(), n),
             simd::credit_violations_scalar(credits.data(), caps.data(), n));
+#if DRAGONFLY_SIMD_X86
+  EXPECT_EQ(simd::credit_violations_sse2(credits.data(), caps.data(), n),
+            simd::credit_violations_scalar(credits.data(), caps.data(), n));
+#endif
   // And an all-clean span must report zero.
   std::fill(credits.begin(), credits.end(), 16);
   EXPECT_EQ(simd::credit_violations(credits.data(), caps.data(), n), 0u);
