@@ -40,6 +40,7 @@ AveragedResult average_results(std::span<const SimResult> runs) {
       avg.injections_per_router[i] +=
           static_cast<double>(r.injections_per_router[i]) * inv;
     }
+    avg.p99_latency += r.p99_latency * inv;
     avg.p999_latency += r.p999_latency * inv;
     avg.saturation_margin += r.saturation_margin * inv;
     avg.jain_jobs += r.jain_jobs * inv;
@@ -47,13 +48,6 @@ AveragedResult average_results(std::span<const SimResult> runs) {
   }
   if (runs.size() == 1) avg.jobs = runs.front().jobs;
   return avg;
-}
-
-AveragedResult run_averaged(const SimConfig& base, int num_seeds,
-                            ParallelRunner& runner, RunObserver* observer) {
-  return run_configs(std::span<const SimConfig>(&base, 1), num_seeds, runner,
-                     observer)
-      .front();
 }
 
 std::vector<AveragedResult> run_configs(std::span<const SimConfig> configs,

@@ -40,6 +40,7 @@ struct AveragedResult {
   /// True when every seed's CI stop converged before the cap.
   bool converged = false;
   // --- workload metrics battery (seed-averaged) -------------------------
+  double p99_latency = 0.0;
   double p999_latency = 0.0;
   double saturation_margin = 0.0;
   double jain_jobs = 0.0;
@@ -121,13 +122,6 @@ class ObserverTap final : public MetricTap {
   std::size_t seed_index_;
 };
 
-/// Run `base` once per replica (seed = derive_seed(base.seed, i)) on
-/// `runner` and average. Results are bit-identical for any runner /
-/// concurrency.
-AveragedResult run_averaged(const SimConfig& base, int num_seeds,
-                            ParallelRunner& runner,
-                            RunObserver* observer = nullptr);
-
 /// Run a load sweep; (point, seed) jobs execute through `runner`.
 /// Bit-identical for any runner / concurrency.
 std::vector<AveragedResult> run_sweep(const SimConfig& base,
@@ -135,8 +129,9 @@ std::vector<AveragedResult> run_sweep(const SimConfig& base,
                                       int num_seeds, ParallelRunner& runner,
                                       RunObserver* observer = nullptr);
 
-/// Run arbitrary configs in parallel (ablation grids) through `runner`.
-/// Bit-identical for any runner / concurrency.
+/// Run arbitrary configs in parallel (ablation grids) through `runner`:
+/// each config once per replica (seed = derive_seed(cfg.seed, i)),
+/// averaged. Bit-identical for any runner / concurrency.
 std::vector<AveragedResult> run_configs(std::span<const SimConfig> configs,
                                         int num_seeds, ParallelRunner& runner,
                                         RunObserver* observer = nullptr);

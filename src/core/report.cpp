@@ -1,5 +1,6 @@
 #include "core/report.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -179,6 +180,20 @@ std::ofstream open_for_write(const std::string& path) {
   return out;
 }
 
+/// The distinct values `field` takes over `configs`, in first-seen
+/// order, joined with ", ".
+std::string distinct(std::span<const SimConfig> configs,
+                     std::string (*field)(const SimConfig&)) {
+  std::vector<std::string> seen;
+  for (const SimConfig& cfg : configs) {
+    std::string value = field(cfg);
+    if (std::ranges::count(seen, value) == 0) seen.push_back(std::move(value));
+  }
+  std::string out;
+  for (const std::string& value : seen) out += (out.empty() ? "" : ", ") + value;
+  return out;
+}
+
 }  // namespace
 
 ResultWriter::ResultWriter(std::string experiment)
@@ -266,22 +281,34 @@ std::string mirror_table(const Table& table, const std::string& stem) {
 // --- figure/table reports ---------------------------------------------------
 
 void report_preamble(std::ostream& os, const std::string& experiment,
-                     const SimConfig& base, int seeds,
+                     std::span<const SimConfig> configs, int seeds,
                      const std::string& paper_expectation) {
-  const auto& t = base.topo;
+  if (configs.empty()) {
+    throw std::invalid_argument("report_preamble: no configurations");
+  }
+  using C = const SimConfig&;
+  const SimConfig& first = configs.front();
+  const auto& t = first.topo;
+  const std::string age = distinct(configs, [](C c) -> std::string {
+    return c.age_arbitration ? "ON" : "OFF";
+  });
   os << "=== " << experiment << " ===\n"
      << "topology: dragonfly p=" << t.p << " a=" << t.a << " h=" << t.h
      << " (" << t.num_groups() << " groups, " << t.num_routers()
-     << " routers, " << t.num_nodes() << " nodes, " << base.arrangement
-     << ")\n"
-     << "scenario: routing " << base.routing_key() << ", traffic "
-     << base.traffic_key() << "\n"
-     << "window: " << base.warmup_cycles << " warmup + " << base.measure_cycles
-     << " measured cycles, " << seeds << " seed(s) averaged\n"
-     << "transit-over-injection priority: "
-     << (base.transit_priority ? "ON" : "OFF")
-     << (base.age_arbitration ? ", age arbitration: ON" : "") << "\n"
-     << "paper expectation: " << paper_expectation << "\n\n";
+     << " routers, " << t.num_nodes() << " nodes, "
+     << distinct(configs, [](C c) { return c.arrangement; }) << ")\n"
+     << "routing: " << distinct(configs, [](C c) { return c.routing_key(); })
+     << "\ntraffic: " << distinct(configs, [](C c) { return c.traffic_key(); })
+     << "\noffered load: "
+     << distinct(configs, [](C c) { return Table::format(c.load); })
+     << " phits/(node*cycle)\nwindow: " << first.warmup_cycles
+     << " warmup + " << first.measure_cycles << " measured cycles, " << seeds
+     << " seed(s) averaged\ntransit-over-injection priority: "
+     << distinct(configs, [](C c) -> std::string {
+          return c.transit_priority ? "ON" : "OFF";
+        })
+     << (age == "OFF" ? "" : ", age arbitration: " + age)
+     << "\npaper expectation: " << paper_expectation << "\n\n";
 }
 
 void report_latency_throughput(std::ostream& os, const std::string& title,

@@ -110,10 +110,12 @@ void report_fairness_table(std::ostream& os, const std::string& title,
                            const std::string& stem,
                            std::span<const Curve> curves);
 
-/// Header block every bench prints: configuration summary + paper
-/// expectation reminder.
+/// Header block every bench prints: what its runs actually simulate
+/// (topology and window of the first config; the distinct arrangements,
+/// routings, traffics, loads and priority settings over all of them)
+/// plus the paper expectation reminder. `configs` must be non-empty.
 void report_preamble(std::ostream& os, const std::string& experiment,
-                     const SimConfig& base, int seeds,
+                     std::span<const SimConfig> configs, int seeds,
                      const std::string& paper_expectation);
 
 }  // namespace dragonfly

@@ -103,10 +103,8 @@ class ProgressPrinter : public RunObserver {
 
 // --- bench-harness defaults -------------------------------------------------
 
-/// Spec used by the reproduction benches: SimConfig::small(REPRO_H or
-/// 3), or the paper-scale Table I setup when REPRO_FULL=1. REPRO_SEEDS
-/// overrides the averaged seeds (default 1 small / 3 full), REPRO_LOADS
-/// thins the sweep, REPRO_CYCLES overrides the measured window.
+/// Spec of the reproduction driver (bench/repro.cpp), read from the
+/// REPRO_* environment knobs (DESIGN.md describes them).
 struct BenchSetup {
   ExperimentSpec spec;
   bool full_scale = false;

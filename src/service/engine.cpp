@@ -81,10 +81,24 @@ ExperimentSpec parse_items(const std::vector<std::string>& items) {
   return spec;
 }
 
+const ServiceOptions& checked(const ServiceOptions& opts) {
+  if (opts.result_entries == 0) {
+    throw std::invalid_argument(
+        "ServiceOptions: result_entries must be >= 1 (0 would leave the "
+        "result cache unbounded)");
+  }
+  if (opts.warm_entries == 0 && opts.warm_bytes == 0) {
+    throw std::invalid_argument(
+        "ServiceOptions: warm_entries and warm_bytes are both 0 (the "
+        "warm-checkpoint cache would be unbounded)");
+  }
+  return opts;
+}
+
 }  // namespace
 
 SweepService::SweepService(ServiceOptions opts)
-    : opts_(opts),
+    : opts_(checked(opts)),
       results_(opts.result_entries),
       warm_(opts.warm_entries, opts.warm_bytes),
       pool_(opts.workers) {}

@@ -46,11 +46,17 @@
 
 namespace dragonfly {
 
+/// Cache budgets. LruCache reads a 0 budget as "unlimited" on that
+/// axis, so SweepService's constructor throws std::invalid_argument for
+/// budgets that would leave a cache unbounded: result_entries == 0 (the
+/// result cache has no byte budget), or warm_entries and warm_bytes
+/// both 0.
 struct ServiceOptions {
   int workers = 0;  ///< ThreadPool size; <= 0 selects hardware concurrency
-  std::size_t result_entries = 4096;       ///< result LRU budget (count)
-  std::size_t warm_entries = 64;           ///< warm-checkpoint LRU (count)
-  std::size_t warm_bytes = 256 << 20;      ///< warm-checkpoint LRU (bytes)
+  std::size_t result_entries = 4096;  ///< result LRU budget (count, >= 1)
+  /// Warm-checkpoint LRU budgets; 0 on one axis leaves only the other.
+  std::size_t warm_entries = 64;       ///< count
+  std::size_t warm_bytes = 256 << 20;  ///< bytes
 };
 
 /// How a point's result was obtained.

@@ -18,7 +18,8 @@ TEST(Experiment, RunAveragedMatchesSingleRun) {
   const SimConfig cfg = quick("min", "uniform", 0.15);
   const SimResult single = run_simulation(cfg);
   SerialRunner serial;
-  const AveragedResult avg = run_averaged(cfg, 1, serial);
+  const AveragedResult avg =
+      run_configs(std::span<const SimConfig>(&cfg, 1), 1, serial).front();
   EXPECT_DOUBLE_EQ(avg.accepted_load, single.accepted_load);
   EXPECT_DOUBLE_EQ(avg.avg_latency, single.avg_latency);
   EXPECT_EQ(avg.seeds, 1);
@@ -39,10 +40,12 @@ TEST(Experiment, SeedAveragingReducesToMean) {
   const SimResult r1 = run_simulation(s1);
   const SimResult r2 = run_simulation(s2);
   PoolRunner pool(2);
-  const AveragedResult avg = run_averaged(cfg, 2, pool);
+  const AveragedResult avg =
+      run_configs(std::span<const SimConfig>(&cfg, 1), 2, pool).front();
   EXPECT_NEAR(avg.avg_latency, (r1.avg_latency + r2.avg_latency) / 2, 1e-9);
   EXPECT_NEAR(avg.accepted_load,
               (r1.accepted_load + r2.accepted_load) / 2, 1e-9);
+  EXPECT_NEAR(avg.p99_latency, (r1.p99_latency + r2.p99_latency) / 2, 1e-9);
   EXPECT_EQ(avg.seeds, 2);
 }
 

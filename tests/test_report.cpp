@@ -182,7 +182,8 @@ TEST_F(ReportFixture, FairnessTableHasPaperColumns) {
 TEST_F(ReportFixture, PreambleDescribesConfiguration) {
   SimConfig cfg = SimConfig::small(2);
   std::ostringstream os;
-  report_preamble(os, "Experiment X", cfg, 3, "expected shape");
+  report_preamble(os, "Experiment X", std::span<const SimConfig>(&cfg, 1), 3,
+                  "expected shape");
   const std::string out = os.str();
   EXPECT_NE(out.find("Experiment X"), std::string::npos);
   EXPECT_NE(out.find("p=2 a=4 h=2"), std::string::npos);
@@ -190,6 +191,30 @@ TEST_F(ReportFixture, PreambleDescribesConfiguration) {
   EXPECT_NE(out.find("3 seed(s)"), std::string::npos);
   EXPECT_NE(out.find("priority: ON"), std::string::npos);
   EXPECT_NE(out.find("expected shape"), std::string::npos);
+
+  // The preamble describes the runs, not the defaults they override: an
+  // ADVc, priority-OFF row over two routings and two loads says so.
+  std::vector<SimConfig> row(3, SimConfig::small(2));
+  for (SimConfig& c : row) {
+    c.traffic_name = "advc";
+    c.transit_priority = false;
+  }
+  row[0].routing_name = "val-rrg";
+  row[1].routing_name = "par-mm";
+  row[2].routing_name = "par-mm";
+  row[0].load = row[1].load = 0.3;
+  row[2].load = 0.5;
+  std::ostringstream rs;
+  report_preamble(rs, "Row", row, 1, "shape");
+  const std::string text = rs.str();
+  EXPECT_NE(text.find("routing: val-rrg, par-mm\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("traffic: advc\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("offered load: 0.3, 0.5 phits"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("priority: OFF\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("uniform"), std::string::npos) << text;
+  EXPECT_EQ(text.find("age arbitration"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,6 +218,20 @@ TEST(SweepService, ParseErrorsReportWithoutSimulating) {
   EXPECT_FALSE(rep.ok());
   EXPECT_NE(rep.error.find("no_such_knob"), std::string::npos) << rep.error;
   EXPECT_EQ(service.stats().cold_runs, 0);
+}
+
+/// A 0 budget means "unlimited" to LruCache: budgets that would leave a
+/// cache unbounded are rejected up front.
+TEST(SweepService, RejectsUnboundedCacheBudgets) {
+  EXPECT_THROW(SweepService(ServiceOptions{.workers = 1, .result_entries = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(SweepService(ServiceOptions{
+                   .workers = 1, .warm_entries = 0, .warm_bytes = 0}),
+               std::invalid_argument);
+  // One axis at 0 still leaves the other bounding the warm cache.
+  EXPECT_NO_THROW(
+      SweepService(ServiceOptions{.workers = 1, .warm_entries = 0}));
+  EXPECT_NO_THROW(SweepService(ServiceOptions{.workers = 1, .warm_bytes = 0}));
 }
 
 /// Subscribed observers see per-interval samples from in-flight points.
