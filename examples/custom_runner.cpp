@@ -1,24 +1,19 @@
-// Custom execution backends for the experiment layer and the sharded
-// network kernel, via the ParallelRunner interface (common/parallel.hpp).
+// Custom execution backends for the experiment layer, via the
+// ParallelRunner interface (common/parallel.hpp).
 //
 //   ./examples/custom_runner
 //
 // Three runners drive the same sweep:
 //   1. SerialRunner      — everything inline on the calling thread (the
 //                          debugger-friendly backend).
-//   2. PoolRunner        — the default thread-pool backend (what the
-//                          int-threads compatibility shims build).
-//   3. CallbackRunner    — jobs handed to *your* scheduler; here a
-//                          logging wrapper around a private pool, the
+//   2. PoolRunner        — the stock thread-pool backend.
+//   3. A ParallelRunner subclass — jobs handed to *your* scheduler; here
+//                          a counting wrapper around a private pool, the
 //                          shape an embedding application (job system,
 //                          task graph, test harness) would use.
 // The three result sets are asserted identical: runners only decide
-// where jobs execute, never what they compute.
-//
-// The same interface drives sharded network stepping: the last section
-// runs one simulation at sim.shards=2 with an injected runner and
-// checks it against the serial (sim.shards=1) result.
-#include <atomic>
+// where jobs execute, never what they compute. (A sharded session,
+// sim.shards > 1, steps its shards on a pool of its own.)
 #include <cassert>
 #include <cstdlib>
 #include <iostream>
@@ -41,30 +36,33 @@ int main() {
   const std::vector<AveragedResult> serial_results =
       run_sweep(base, loads, seeds, serial);
 
-  // 2. Thread pool: the stock parallel backend, shared across calls
-  // (the int-threads overloads build a fresh one per call instead).
+  // 2. Thread pool: the stock parallel backend, shared across calls.
   PoolRunner pool(4);
   const std::vector<AveragedResult> pool_results =
       run_sweep(base, loads, seeds, pool);
 
-  // 3. External scheduler: CallbackRunner forwards each batch to a
-  // user-supplied function. The contract is simple — invoke body(i) for
-  // every i in [0, n), return after all complete, rethrow the
-  // lowest-index exception. Here: count the jobs, then delegate to a
-  // private pool.
-  std::atomic<int> dispatched{0};
-  PoolRunner backend(2);
-  CallbackRunner scheduler(
-      [&](std::size_t n, const std::function<void(std::size_t)>& body) {
-        dispatched.fetch_add(static_cast<int>(n));
-        backend.run(n, body);
-      },
-      backend.concurrency());
+  // 3. External scheduler: subclass ParallelRunner. The contract is
+  // simple — invoke body(i) for every i in [0, n), return after all
+  // complete, rethrow the lowest-index exception. Here: count the jobs,
+  // then delegate to a private pool.
+  class CountingRunner final : public ParallelRunner {
+   public:
+    int concurrency() const override { return backend_.concurrency(); }
+    void run(std::size_t n,
+             const std::function<void(std::size_t)>& body) override {
+      dispatched += static_cast<int>(n);
+      backend_.run(n, body);
+    }
+    int dispatched = 0;
+
+   private:
+    PoolRunner backend_{2};
+  } scheduler;
   const std::vector<AveragedResult> custom_results =
       run_sweep(base, loads, seeds, scheduler);
 
   std::cout << "jobs dispatched through the custom scheduler: "
-            << dispatched.load() << "\n\n";
+            << scheduler.dispatched << "\n\n";
 
   Table table({"load", "accepted(serial)", "accepted(pool)",
                "accepted(custom)", "latency(serial)"});
@@ -81,29 +79,5 @@ int main() {
     assert(serial_results[i].avg_latency == custom_results[i].avg_latency);
   }
   table.print(std::cout);
-
-  // Sharded stepping through the same interface: Session::set_runner
-  // injects the runner used for the per-cycle shard fan-out. Results
-  // are bit-identical to the serial kernel for any shard count.
-  SimConfig sharded = base;
-  sharded.load = 0.4;
-  sharded.kernel = SimKernel::kActive;
-  sharded.shards = 2;
-  Session session(sharded);
-  session.set_runner(&pool);
-  const SimResult two_shards = session.run();
-
-  SimConfig one_shard = sharded;
-  one_shard.shards = 1;
-  Session ref(one_shard);
-  const SimResult serial_step = ref.run();
-
-  std::cout << "\nsim.shards=2 via injected PoolRunner: accepted "
-            << two_shards.accepted_load << " latency "
-            << two_shards.avg_latency << " (serial kernel: "
-            << serial_step.accepted_load << " / " << serial_step.avg_latency
-            << ")\n";
-  assert(two_shards.accepted_load == serial_step.accepted_load);
-  assert(two_shards.avg_latency == serial_step.avg_latency);
   return 0;
 }

@@ -1,26 +1,29 @@
-// ParallelRunner: the pluggable execution seam every parallel subsystem
-// runs on (in the spirit of libjxl's injectable JxlParallelRunner).
+// ParallelRunner: the execution seam every parallel subsystem runs on
+// (in the spirit of libjxl's injectable JxlParallelRunner).
 //
 // One abstraction serves both parallelism levels:
 //   * job-level  — run_sweep/run_configs fan independent (config, seed)
 //     sessions out over a runner;
 //   * cycle-level — a sharded Network::step() runs its per-shard phases
-//     through a runner inside every cycle (see sim/network.hpp).
+//     on a private PoolRunner inside every cycle (see sim/network.hpp).
 //
-// Determinism contract (same as ThreadPool's): a runner schedules
-// *execution*, never *results*. Callers hand out index-addressed work
-// where each index writes its own slot, so the outcome is bit-identical
-// for any concurrency — SerialRunner, PoolRunner(N) and a caller-
-// injected CallbackRunner all produce the same bytes.
+// Determinism contract: a runner schedules *execution*, never *results*.
+// Callers hand out index-addressed work where each index writes its own
+// slot, so the outcome is bit-identical for any concurrency —
+// SerialRunner, PoolRunner(N) and a user subclass (a foreign job system,
+// a timing wrapper) all produce the same bytes.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <future>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace dragonfly {
-
-class ThreadPool;
 
 /// Abstract execution seam. run() must execute body(i) exactly once for
 /// every i in [0, n) and return only when all invocations finished. If
@@ -41,8 +44,7 @@ class ParallelRunner {
 };
 
 /// Runs every index inline on the calling thread, in ascending order.
-/// The zero-dependency reference implementation; also useful to force a
-/// sharded network through the mailbox machinery deterministically.
+/// The zero-dependency reference implementation.
 class SerialRunner final : public ParallelRunner {
  public:
   int concurrency() const override { return 1; }
@@ -50,49 +52,47 @@ class SerialRunner final : public ParallelRunner {
            const std::function<void(std::size_t)>& body) override;
 };
 
-/// Owns a ThreadPool and shares indices across its workers — the default
-/// threaded implementation: run_spec and the bench binaries pass one to
-/// run_sweep/run_configs, and sharded sessions (sim.shards > 1) step on
-/// one.
+/// The work-sharing thread pool: a FIFO task queue drained by a fixed
+/// set of workers, with exception propagation through futures. run_spec
+/// and bench_repro pass one to run_sweep/run_configs, a sharded network
+/// steps its shards on a private one, and SweepService queues its
+/// points on one through submit().
 class PoolRunner final : public ParallelRunner {
  public:
-  /// threads <= 0 selects the hardware concurrency (ThreadPool::resolve).
+  /// Spawns `resolve(threads)` workers.
   explicit PoolRunner(int threads = 0);
+  /// Drains the remaining queue, then joins all workers.
   ~PoolRunner() override;
 
-  int concurrency() const override;
+  PoolRunner(const PoolRunner&) = delete;
+  PoolRunner& operator=(const PoolRunner&) = delete;
+
+  /// threads <= 0 selects std::thread::hardware_concurrency(), minimum 1.
+  static int resolve(int threads);
+
+  int concurrency() const override {
+    return static_cast<int>(workers_.size());
+  }
+
+  /// Shares the indices across the workers and blocks until done.
+  /// Indices above an observed failure are cancelled rather than run,
+  /// since their outcome cannot change the rethrown error.
   void run(std::size_t n,
            const std::function<void(std::size_t)>& body) override;
 
- private:
-  std::unique_ptr<ThreadPool> pool_;
-};
-
-/// Caller-injected runner: wraps an arbitrary "execute these n indexed
-/// tasks" callback — a foreign thread pool, a fiber scheduler, a test
-/// harness — without that code depending on this header's siblings. The
-/// callback must honour the ParallelRunner contract (every index exactly
-/// once, return after completion); exception propagation is whatever the
-/// callback does (SerialRunner/PoolRunner semantics recommended). See
-/// examples/custom_runner.cpp.
-class CallbackRunner final : public ParallelRunner {
- public:
-  using RunFn =
-      std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
-
-  CallbackRunner(RunFn fn, int concurrency)
-      : fn_(std::move(fn)), concurrency_(concurrency < 1 ? 1 : concurrency) {}
-
-  int concurrency() const override { return concurrency_; }
-  void run(std::size_t n,
-           const std::function<void(std::size_t)>& body) override {
-    if (n == 0) return;
-    fn_(n, body);
-  }
+  /// Enqueue one task. The returned future carries the task's exception,
+  /// if it throws.
+  std::future<void> submit(std::function<void()> task);
 
  private:
-  RunFn fn_;
-  int concurrency_;
+  void worker_loop();
+
+  std::mutex mutex_;  ///< guards queue_ and stopping_
+  std::condition_variable cv_;
+  std::deque<std::packaged_task<void()>> queue_;
+  bool stopping_ = false;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dragonfly

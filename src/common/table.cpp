@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -64,21 +63,6 @@ void Table::print(std::ostream& os) const {
   for (std::size_t i = 0; i < total; ++i) os << '-';
   os << "\n";
   for (const auto& cells : rendered) emit(cells);
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out << (c ? "," : "") << headers_[c];
-  }
-  out << "\n";
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << (c ? "," : "") << format(row[c]);
-    }
-    out << "\n";
-  }
 }
 
 std::string results_dir() {

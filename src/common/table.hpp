@@ -1,8 +1,9 @@
 // Console table / CSV emission for benches and examples.
 //
 // Every bench prints the same rows/series the paper reports; this helper
-// keeps the formatting consistent (aligned console output) and optionally
-// mirrors the table to a CSV file for external plotting.
+// keeps the formatting consistent (aligned console output).
+// mirror_table (core/report.hpp) mirrors a table to CSV or JSON for
+// external plotting.
 #pragma once
 
 #include <iosfwd>
@@ -30,9 +31,6 @@ class Table {
 
   /// Render aligned, human-readable output.
   void print(std::ostream& os) const;
-
-  /// Write RFC-4180-ish CSV (no quoting needed for our content).
-  void write_csv(const std::string& path) const;
 
   /// Format one cell to its display string (doubles use %.6g).
   static std::string format(const Cell& cell);

@@ -14,8 +14,11 @@
 //   auto curve = dragonfly::run_sweep(cfg, dragonfly::default_loads(),
 //                                     /*num_seeds=*/3, pool);
 //
-// run_simulation() is Session(cfg).run(); build a Session directly to
-// step it, stream samples from it or checkpoint it (sim/session.hpp).
+// Subclass ParallelRunner to run sweep jobs on your own scheduler
+// (examples/custom_runner.cpp). run_simulation() is Session(cfg).run();
+// build a Session directly to step it, stream samples from it or
+// checkpoint it (sim/session.hpp). A session with sim.shards > 1 steps
+// its shards on a pool of its own.
 // Scenarios are extensible without core edits: register new routings /
 // traffic patterns / arrangements by name (core/registry.hpp), or drive
 // whole sweeps declaratively from key=value specs (core/spec.hpp).

@@ -41,6 +41,16 @@ OutputFormat results_format() {
   return format;
 }
 
+std::string csv_cell(const std::string& text) {
+  if (text.find_first_of(",\"\n") == std::string::npos) return text;
+  std::string quoted = "\"";
+  for (const char c : text) {
+    if (c == '"') quoted += '"';
+    quoted += c;
+  }
+  return quoted + "\"";
+}
+
 namespace {
 
 std::string json_escape(const std::string& s) {
@@ -77,16 +87,7 @@ std::string encode_cell(const Table::Cell& cell, OutputFormat format) {
   const std::string text = Table::format(cell);
   if (std::holds_alternative<std::string>(cell)) {
     if (format == OutputFormat::kJson) return "\"" + json_escape(text) + "\"";
-    if (format == OutputFormat::kCsv &&
-        text.find_first_of(",\"\n") != std::string::npos) {
-      // RFC 4180 quoting for labels containing separators.
-      std::string quoted = "\"";
-      for (const char c : text) {
-        if (c == '"') quoted += '"';
-        quoted += c;
-      }
-      return quoted + "\"";
-    }
+    if (format == OutputFormat::kCsv) return csv_cell(text);
   }
   return text;
 }
@@ -120,7 +121,7 @@ void write_csv_table(std::ostream& os,
                      const std::vector<std::string>& columns,
                      const std::vector<std::vector<Table::Cell>>& rows) {
   for (std::size_t c = 0; c < columns.size(); ++c) {
-    os << (c ? "," : "") << columns[c];
+    os << (c ? "," : "") << csv_cell(columns[c]);
   }
   os << "\n";
   for (const auto& row : rows) {
@@ -269,10 +270,10 @@ std::string ResultWriter::mirror(const std::string& stem) const {
 std::string mirror_table(const Table& table, const std::string& stem) {
   const OutputFormat format = results_format();
   const std::string path = mirror_path(stem, format);
+  std::ofstream out = open_for_write(path);
   if (format == OutputFormat::kCsv) {
-    table.write_csv(path);
+    write_csv_table(out, table.headers(), table.data());
   } else {
-    std::ofstream out = open_for_write(path);
     write_json_table(out, table.title(), table.headers(), table.data());
   }
   return path;

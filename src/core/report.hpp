@@ -32,6 +32,10 @@ OutputFormat output_format_from_string(const std::string& name);
 /// environment knob ("csv" default, or "json").
 OutputFormat results_format();
 
+/// One CSV field per RFC 4180: text holding a comma, quote or newline is
+/// quoted with inner quotes doubled; anything else is returned as is.
+std::string csv_cell(const std::string& text);
+
 /// The one writer every bench, example and the CLI emit scalar results
 /// through: one row per (label, averaged point), fixed column schema
 /// (label, offered, accepted, latency, the five latency components,

@@ -9,7 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 
 namespace dragonfly {
 
@@ -240,7 +240,7 @@ std::vector<AveragedResult> run_spec(const ExperimentSpec& spec,
   const std::size_t jobs =
       loads.size() * static_cast<std::size_t>(std::max(spec.seeds, 1));
   PoolRunner pool(static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(ThreadPool::resolve(spec.threads)), jobs)));
+      static_cast<std::size_t>(PoolRunner::resolve(spec.threads)), jobs)));
   return run_sweep(spec.base, loads, spec.seeds, pool, observer);
 }
 

@@ -290,8 +290,8 @@ void SweepService::run_point(InFlight* flight) {
         // Warm start: resume the cached window one cycle before it
         // closed; restore() re-validates that rcfg only differs in
         // refinement keys and moves the deadline to the refined window.
-        std::unique_ptr<Session> session = Session::restore(
-            warm->checkpoints[s], /*shards_override=*/0, &rcfg, topo);
+        std::unique_ptr<Session> session =
+            Session::restore(warm->checkpoints[s], &rcfg, topo);
         const Cycle resumed_at = session->now();
         session->set_tap(&tap);
         runs[s] = session->run();

@@ -2,7 +2,7 @@
 //
 // A SweepService accepts requests in the ExperimentSpec grammar
 // ("key=value" items), expands them into per-load points, and executes
-// every point through the shared ThreadPool with three layers of reuse:
+// every point through the shared PoolRunner with three layers of reuse:
 //
 //   * result cache  — points are keyed by SimConfig::canonical_hash()
 //     (+ replica count); a re-request of an already-computed point is
@@ -39,7 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "core/experiment.hpp"
 #include "service/cache.hpp"
 #include "topology/topology_cache.hpp"
@@ -52,7 +52,7 @@ namespace dragonfly {
 /// result cache has no byte budget), or warm_entries and warm_bytes
 /// both 0.
 struct ServiceOptions {
-  int workers = 0;  ///< ThreadPool size; <= 0 selects hardware concurrency
+  int workers = 0;  ///< PoolRunner size; <= 0 selects hardware concurrency
   std::size_t result_entries = 4096;  ///< result LRU budget (count, >= 1)
   /// Warm-checkpoint LRU budgets; 0 on one axis leaves only the other.
   std::size_t warm_entries = 64;       ///< count
@@ -155,7 +155,7 @@ class SweepService {
 
   // Declared last so it is destroyed first: queued point jobs drain
   // while the caches/maps they touch are still alive.
-  ThreadPool pool_;
+  PoolRunner pool_;
 };
 
 }  // namespace dragonfly

@@ -89,7 +89,7 @@ std::string format_result(const PointReport& point) {
 
 std::string format_sample(const std::string& label, std::size_t point,
                           std::size_t seed, const StreamSample& s) {
-  return "SAMPLE " + label + "," + std::to_string(point) + "," +
+  return "SAMPLE " + csv_cell(label) + "," + std::to_string(point) + "," +
          std::to_string(seed) + "," + csv_fields(s);
 }
 

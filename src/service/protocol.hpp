@@ -58,7 +58,8 @@ std::string format_result(const PointReport& point);
 
 /// "SAMPLE <label>,<point>,<seed>,<csv_fields(sample)>" — the CLI
 /// --stream row (kStreamSampleColumns) with the point coordinates
-/// prepended.
+/// prepended. The label is one RFC 4180 field (csv_cell), quoted as in
+/// RESULT.
 std::string format_sample(const std::string& label, std::size_t point,
                           std::size_t seed, const StreamSample& sample);
 

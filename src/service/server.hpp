@@ -1,7 +1,7 @@
 // TCP front end of the sweep service: a loopback daemon speaking the
 // line protocol of protocol.hpp. One accept thread plus one handler
 // thread per connection; handlers block in SweepService::execute while
-// the shared ThreadPool simulates, so many clients queue work into one
+// the shared PoolRunner simulates, so many clients queue work into one
 // process-wide cache/pool. The accept thread reaps finished connections
 // (joins the handler, closes the fd) as new ones arrive. Sockets run
 // with TCP_NODELAY, and a request line longer than kMaxLineBytes gets

@@ -9,7 +9,6 @@
 #include "common/checkpoint.hpp"
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
-#include "common/thread_pool.hpp"
 #include "topology/topology_cache.hpp"
 #include "workload/workload.hpp"
 
@@ -143,6 +142,9 @@ void Network::build_shards() {
   }
   deliveries_ = Calendar<Delivery>(std::max(size, Cycle{1}));
   store_.configure(S);
+  if (S > 1 && active_kernel_) {
+    pool_ = std::make_unique<PoolRunner>(std::min(S, PoolRunner::resolve(0)));
+  }
 }
 
 void Network::build() {
@@ -349,10 +351,10 @@ void Network::fan_out(std::span<const Phase> run) {
   };
   // The scan kernel is the sequential reference: its shards step inline
   // in ascending order, still through the outboxes and the barrier merge.
-  if (shards_.size() == 1 || !active_kernel_) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) body(s);
+  if (pool_) {
+    pool_->run(shards_.size(), body);
   } else {
-    effective_runner().run(shards_.size(), body);
+    for (std::size_t s = 0; s < shards_.size(); ++s) body(s);
   }
 }
 
@@ -562,15 +564,6 @@ void Network::merge_outboxes() {
     for (const Delivery& d : sh.out_deliveries) deliveries_.push(d.when, d);
     sh.out_deliveries.clear();
   }
-}
-
-ParallelRunner& Network::effective_runner() {
-  if (runner_ != nullptr) return *runner_;
-  if (!owned_runner_) {
-    owned_runner_ = std::make_unique<PoolRunner>(
-        std::min(num_shards(), ThreadPool::resolve(0)));
-  }
-  return *owned_runner_;
 }
 
 void Network::dispatch(const Event& ev) {

@@ -54,7 +54,7 @@ namespace dragonfly {
 
 class CheckpointWriter;
 class CheckpointReader;
-class ParallelRunner;
+class PoolRunner;
 class WorkloadDriver;
 
 class Network {
@@ -106,12 +106,7 @@ class Network {
   void set_generation_enabled(bool on) { generation_enabled_ = on; }
   bool generation_enabled() const { return generation_enabled_; }
 
-  // --- execution ------------------------------------------------------------
-  /// Inject the runner sharded stepping uses (non-owning; nullptr resets
-  /// to the internally owned default). With sim.shards=1 the runner is
-  /// never consulted. An injected runner must outlive the network or be
-  /// reset before it is destroyed.
-  void set_runner(ParallelRunner* runner) { runner_ = runner; }
+  // --- sharding -------------------------------------------------------------
   int num_shards() const { return static_cast<int>(shards_.size()); }
   /// Shard owning a router (contiguous ascending ranges).
   int shard_of_router(RouterId r) const {
@@ -172,9 +167,10 @@ class Network {
   std::int64_t dispatched_events() const { return dispatched_events_; }
 
   // --- checkpoint -----------------------------------------------------------
-  /// Serialize all mutable network state (format v4): clock, live
-  /// packets in canonical order, pending events in canonical order,
-  /// collector, hot-state blocks, routers, nodes, plus the live
+  /// Serialize all mutable network state (the stream layout of
+  /// kCheckpointVersion, sim/session.cpp): clock, live packets in
+  /// canonical order, pending events in canonical order, collector,
+  /// hot-state blocks, routers, nodes, plus the live
   /// load/traffic selection (scripted phases may have diverged from the
   /// constructor config). Packet references are written as canonical
   /// indices and events sorted by a partition-independent key, so the
@@ -278,8 +274,8 @@ class Network {
   };
   static std::span<const Phase> phases();
   /// Steps every shard through the per-shard entries of `run` that are
-  /// on, in list order: inline for one shard or the scan kernel, on the
-  /// runner otherwise.
+  /// on, in list order: inline for one shard or the scan kernel, on
+  /// pool_ otherwise.
   void fan_out(std::span<const Phase> run);
 
   void build();
@@ -300,7 +296,6 @@ class Network {
   /// Serial cycle barrier: fold the shard dispatch counts and move
   /// outbox contents into the destination calendars in canonical order.
   void merge_outboxes();
-  ParallelRunner& effective_runner();
 
   Shard& shard_of(RouterId r) {
     return shards_[static_cast<std::size_t>(
@@ -351,10 +346,10 @@ class Network {
   /// regardless of kernel or shard count).
   Calendar<Delivery> deliveries_;
 
-  /// Injected runner (set_runner) > lazily created PoolRunner (S>1) >
-  /// unused (S=1).
-  ParallelRunner* runner_ = nullptr;
-  std::unique_ptr<ParallelRunner> owned_runner_;
+  /// Steps the shards of a fan-out: built in build_shards with
+  /// min(S, hardware) workers when S > 1 under the active kernel; null
+  /// otherwise, and fan_out then steps the shards inline.
+  std::unique_ptr<PoolRunner> pool_;
 
   bool active_kernel_ = true;
   bool routing_wants_refresh_ = true;

@@ -38,8 +38,8 @@ constexpr const char* kCheckpointMagic = "dragonfly-session-checkpoint";
 /// v4: sharded kernel — packet references are canonical traversal
 /// indices and pending events are sorted into a canonical order, so a
 /// stream is partition-independent: a checkpoint taken at sim.shards=K
-/// restores bit-exactly at any other shard count (Session::restore's
-/// shards_override); SimConfig gained sim.shards.
+/// restores bit-exactly at any other shard count (a Session::restore
+/// refinement of sim.shards); SimConfig gained sim.shards.
 /// v5: workload subsystem — Packet carries a job id, Node gained the
 /// workload gate (workload_on_/job_), the collector appends the p99.9
 /// estimator and the per-job battery, and a Workload driver section
@@ -52,25 +52,30 @@ constexpr const char* kCheckpointMagic = "dragonfly-session-checkpoint";
 /// fails with a diagnostic naming the knob.
 constexpr std::uint32_t kCheckpointVersion = 6;
 
-/// Jain fairness over per-job accepted loads: delivered phits divided
-/// by job-nodes times the overlap of the job's lifetime with
-/// [win_begin, win_end). Jobs with no overlap contribute 0 (they
-/// depress fairness, which is the point — a tenant that got nothing
-/// through is maximally unfair).
+/// A job's accepted load over the window: delivered phits divided by
+/// job-nodes times the overlap of the job's lifetime with
+/// [win_begin, win_end). A job with no overlap gets 0 (in Jain fairness
+/// it depresses the index, which is the point — a tenant that got
+/// nothing through is maximally unfair).
+double job_window_load(const JobRecord& job, Cycle win_begin,
+                       Cycle win_end) {
+  const Cycle e = job.end < 0 ? win_end : std::min(job.end, win_end);
+  const Cycle b = std::max(job.start, win_begin);
+  const Cycle overlap = e > b ? e - b : 0;
+  return overlap > 0 && job.nodes > 0
+             ? static_cast<double>(job.delivered_phits) /
+                   (static_cast<double>(job.nodes) *
+                    static_cast<double>(overlap))
+             : 0.0;
+}
+
+/// Jain fairness over every job's window load.
 double jobs_jain(const MetricsCollector& col, Cycle win_begin,
                  Cycle win_end) {
   std::vector<double> loads;
   loads.reserve(col.jobs().size());
   for (const JobRecord& job : col.jobs()) {
-    const Cycle e = job.end < 0 ? win_end : std::min(job.end, win_end);
-    const Cycle b = std::max(job.start, win_begin);
-    const Cycle overlap = e > b ? e - b : 0;
-    loads.push_back(
-        overlap > 0 && job.nodes > 0
-            ? static_cast<double>(job.delivered_phits) /
-                  (static_cast<double>(job.nodes) *
-                   static_cast<double>(overlap))
-            : 0.0);
+    loads.push_back(job_window_load(job, win_begin, win_end));
   }
   if (loads.empty()) return 0.0;
   return summarize(loads).jain;
@@ -460,7 +465,6 @@ SimResult Session::collect() const {
   const Cycle win_begin = col.measure_start();
   const Cycle win_end =
       col.measurement_closed() ? col.measure_end() : net_.now();
-  std::vector<double> job_loads;
   for (const JobRecord& job : col.jobs()) {
     JobResult jr;
     jr.id = job.id;
@@ -469,14 +473,7 @@ SimResult Session::collect() const {
     jr.start = job.start;
     jr.end = job.end;
     jr.delivered_packets = job.delivered_packets;
-    const Cycle e = job.end < 0 ? win_end : std::min(job.end, win_end);
-    const Cycle b = std::max(job.start, win_begin);
-    const Cycle overlap = e > b ? e - b : 0;
-    if (overlap > 0 && job.nodes > 0) {
-      jr.accepted_load = static_cast<double>(job.delivered_phits) /
-                         (static_cast<double>(job.nodes) *
-                          static_cast<double>(overlap));
-    }
+    jr.accepted_load = job_window_load(job, win_begin, win_end);
     jr.avg_latency = job.delivered_packets > 0
                          ? job.latency_sum /
                                static_cast<double>(job.delivered_packets)
@@ -488,10 +485,9 @@ SimResult Session::collect() const {
         job.iterations > 0
             ? job.iteration_cycles / static_cast<double>(job.iterations)
             : 0.0;
-    job_loads.push_back(jr.accepted_load);
     r.jobs.push_back(std::move(jr));
   }
-  if (!r.jobs.empty()) r.jain_jobs = summarize(job_loads).jain;
+  r.jain_jobs = jobs_jain(col, win_begin, win_end);
   return r;
 }
 
@@ -541,17 +537,14 @@ void Session::checkpoint(std::ostream& os) const {
 }
 
 std::unique_ptr<Session> Session::restore(std::istream& is,
-                                          int shards_override,
                                           const SimConfig* refine,
                                           std::shared_ptr<const Topology> topo) {
   std::ostringstream bytes;
   bytes << is.rdbuf();
-  return restore(std::move(bytes).str(), shards_override, refine,
-                 std::move(topo));
+  return restore(std::move(bytes).str(), refine, std::move(topo));
 }
 
 std::unique_ptr<Session> Session::restore(std::string_view bytes,
-                                          int shards_override,
                                           const SimConfig* refine,
                                           std::shared_ptr<const Topology> topo) {
   CheckpointReader ck(bytes);
@@ -578,9 +571,6 @@ std::unique_ptr<Session> Session::restore(std::string_view bytes,
     }
     cfg.apply_refinements(*refine);
   }
-  // The v4 stream is partition-independent, so the restoring side may
-  // pick any shard count (0 keeps the one embedded at save time).
-  if (shards_override > 0) cfg.shards = shards_override;
   // Reject a corrupt config section *before* sizing a network from it:
   // a bit-flipped topology field must surface as a loud error, not an
   // OOM-scale allocation in the Network constructor.
@@ -654,11 +644,10 @@ void Session::checkpoint_file(const std::string& path) const {
   checkpoint(os);
 }
 
-std::unique_ptr<Session> Session::restore_file(const std::string& path,
-                                               int shards_override) {
+std::unique_ptr<Session> Session::restore_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot open checkpoint file " + path);
-  return restore(is, shards_override);
+  return restore(is);
 }
 
 }  // namespace dragonfly

@@ -154,19 +154,13 @@ class Session {
   const Network& network() const { return net_; }
   const SimConfig& config() const { return cfg_; }
 
-  /// Inject the runner used for sharded stepping (sim.shards > 1);
-  /// pass-through to Network::set_runner. Not owned; nullptr reverts to
-  /// the network's internal pool.
-  void set_runner(ParallelRunner* runner) { net_.set_runner(runner); }
-
   // --- checkpoint / restore -------------------------------------------------
   /// Serialize config + full mutable state. The stream restores to a
   /// session that continues bit-identically (same RNG draws, same event
-  /// order, same final SimResult). The format (v4) is shard-partition-
-  /// independent: `shards_override` > 0 restores under that shard count
-  /// instead of the one embedded at save time — still bit-identical,
-  /// so a run can be checkpointed on a laptop at sim.shards=1 and
-  /// resumed on a many-core box at sim.shards=8 (or vice versa).
+  /// order, same final SimResult). The stream is shard-partition-
+  /// independent, so a `refine` that changes only sim.shards resumes
+  /// bit-identically under the new count: a run checkpointed on a laptop
+  /// at sim.shards=1 continues on a many-core box at sim.shards=8.
   ///
   /// `refine`, when non-null, is a *warm-start refinement*: the restored
   /// session adopts the refinement keys (measurement window, stop rule,
@@ -196,16 +190,13 @@ class Session {
   void checkpoint_file(const std::string& path) const;
   /// Restore from checkpoint bytes; they need to outlive only the call.
   static std::unique_ptr<Session> restore(
-      std::string_view bytes, int shards_override = 0,
-      const SimConfig* refine = nullptr,
+      std::string_view bytes, const SimConfig* refine = nullptr,
       std::shared_ptr<const Topology> topo = nullptr);
   /// Restore from the rest of `is`.
   static std::unique_ptr<Session> restore(
-      std::istream& is, int shards_override = 0,
-      const SimConfig* refine = nullptr,
+      std::istream& is, const SimConfig* refine = nullptr,
       std::shared_ptr<const Topology> topo = nullptr);
-  static std::unique_ptr<Session> restore_file(const std::string& path,
-                                               int shards_override = 0);
+  static std::unique_ptr<Session> restore_file(const std::string& path);
 
  private:
   template <class Self, class Archive>

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/checkpoint.hpp"
-#include "common/parallel.hpp"
 #include "sim/network.hpp"
 #include "sim_test_util.hpp"
 
@@ -101,25 +100,6 @@ TEST(NetworkSharded, ScanKernelShardsAgreeWithSerialScan) {
   }
 }
 
-TEST(NetworkSharded, InjectedRunnersAreBehaviorNeutral) {
-  // The runner only decides which thread steps a shard; serial,
-  // pooled and network-owned (default) execution are bit-identical.
-  SerialRunner serial_runner;
-  PoolRunner pool_runner(3);
-  Network with_serial(sharded_cfg(4, SimKernel::kActive));
-  with_serial.set_runner(&serial_runner);
-  Network with_pool(sharded_cfg(4, SimKernel::kActive));
-  with_pool.set_runner(&pool_runner);
-  Network with_default(sharded_cfg(4, SimKernel::kActive));
-  for (int i = 0; i < 1'500; ++i) {
-    with_serial.step();
-    with_pool.step();
-    with_default.step();
-  }
-  expect_same_state(with_serial, with_pool);
-  expect_same_state(with_serial, with_default);
-}
-
 TEST(NetworkSharded, FullSessionResultsAreBitIdentical) {
   // End to end through the Session phase machine: every floating-point
   // statistic matches exactly, not approximately.
@@ -173,10 +153,10 @@ TEST(NetworkSharded, CheckpointsArePartitionIndependent) {
   }
 }
 
-TEST(NetworkSharded, SessionRestoreHonorsShardsOverride) {
-  // The Session-level round trip of the same property, through the
-  // public shards_override parameter: checkpoint at shards=1, restore
-  // at shards=5, final SimResult identical to the uninterrupted run.
+TEST(NetworkSharded, SessionRestoreRefinesShardCount) {
+  // The Session-level round trip of the same property, through a
+  // sim.shards refinement: checkpoint at shards=1, restore at shards=5,
+  // final SimResult identical to the uninterrupted run.
   SimConfig cfg = sharded_cfg(1, SimKernel::kActive);
   Session uninterrupted(cfg);
   const SimResult want = uninterrupted.run();
@@ -185,7 +165,9 @@ TEST(NetworkSharded, SessionRestoreHonorsShardsOverride) {
   saver.step(2'000);
   std::stringstream stream;
   saver.checkpoint(stream);
-  std::unique_ptr<Session> resumed = Session::restore(stream, 5);
+  SimConfig five = cfg;
+  five.shards = 5;
+  std::unique_ptr<Session> resumed = Session::restore(stream, &five);
   EXPECT_EQ(resumed->network().num_shards(), 5);
   const SimResult got = resumed->run();
   EXPECT_EQ(got.accepted_load, want.accepted_load);

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <cstdint>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -28,61 +29,114 @@ TEST(SerialRunner, ZeroJobsIsANoOp) {
   runner.run(0, [](std::size_t) { FAIL() << "body invoked for n=0"; });
 }
 
-TEST(PoolRunner, CoversAllIndicesOnce) {
-  for (int workers : {1, 3}) {
-    PoolRunner runner(workers);
-    EXPECT_EQ(runner.concurrency(), workers);
-    std::vector<std::atomic<int>> hits(97);
-    runner.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(PoolRunner, ResolveMapsNonPositiveToHardwareConcurrency) {
+  EXPECT_GE(PoolRunner::resolve(0), 1);
+  EXPECT_GE(PoolRunner::resolve(-3), 1);
+  EXPECT_EQ(PoolRunner::resolve(5), 5);
+}
+
+TEST(PoolRunner, ZeroThreadsSpawnsHardwareConcurrencyWorkers) {
+  PoolRunner pool(0);
+  EXPECT_EQ(pool.concurrency(), PoolRunner::resolve(0));
+}
+
+TEST(PoolRunner, SubmitRunsTasksToCompletion) {
+  PoolRunner pool(3);
+  std::atomic<int> counter{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 100; ++i) {
+    futures.push_back(pool.submit([&counter] { ++counter; }));
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(PoolRunner, DestructorDrainsQueuedTasks) {
+  std::atomic<int> counter{0};
+  {
+    PoolRunner pool(1);
+    for (int i = 0; i < 50; ++i) {
+      pool.submit([&counter] { ++counter; });
+    }
+  }  // join must not drop queued tasks
+  EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(PoolRunner, SubmitPropagatesExceptionsThroughFutures) {
+  PoolRunner pool(2);
+  auto f = pool.submit([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(f.get(), std::runtime_error);
+  // The worker survives the throwing task.
+  auto ok = pool.submit([] {});
+  EXPECT_NO_THROW(ok.get());
+}
+
+// run must visit every index exactly once for any worker count.
+TEST(PoolRunner, RunCoversAllIndicesOnce) {
+  for (const int workers : {1, 2, 7}) {
+    PoolRunner pool(workers);
+    std::vector<std::atomic<int>> visits(257);
+    for (auto& v : visits) v = 0;
+    pool.run(visits.size(), [&visits](std::size_t i) { ++visits[i]; });
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+    }
   }
 }
 
-TEST(PoolRunner, RethrowsLowestFailingIndex) {
-  PoolRunner runner(4);
-  try {
-    runner.run(32, [](std::size_t i) {
-      if (i == 7 || i == 23) {
-        throw std::runtime_error("job " + std::to_string(i));
-      }
+TEST(PoolRunner, RunWritesSlotsInOrderIndependentWay) {
+  // Each index writes its own slot; result must match the serial outcome
+  // regardless of worker count (the determinism contract the experiment
+  // runner relies on).
+  std::vector<std::int64_t> serial(100);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    serial[i] = static_cast<std::int64_t>(i * i + 1);
+  }
+  for (const int workers : {1, 4, 16}) {
+    PoolRunner pool(workers);
+    std::vector<std::int64_t> out(serial.size(), 0);
+    pool.run(out.size(), [&out](std::size_t i) {
+      out[i] = static_cast<std::int64_t>(i * i + 1);
     });
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "job 7");
+    EXPECT_EQ(out, serial);
   }
 }
 
-TEST(CallbackRunner, DelegatesToTheProvidedFunction) {
-  int batches = 0;
-  CallbackRunner runner(
-      [&](std::size_t n, const std::function<void(std::size_t)>& body) {
-        ++batches;
-        for (std::size_t i = 0; i < n; ++i) body(i);
-      },
-      3);
-  EXPECT_EQ(runner.concurrency(), 3);
-  std::vector<int> hits(10, 0);
-  runner.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  EXPECT_EQ(batches, 1);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
+TEST(PoolRunner, RunRethrowsLowestFailingIndex) {
+  PoolRunner pool(4);
+  try {
+    pool.run(64, [](std::size_t i) {
+      if (i == 11) throw std::runtime_error("eleven");
+      if (i == 42) throw std::logic_error("forty-two");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "eleven");
+  }
 }
 
-TEST(CallbackRunner, ZeroJobsSkipsTheCallback) {
-  CallbackRunner runner(
-      [](std::size_t, const std::function<void(std::size_t)>&) {
-        FAIL() << "callback invoked for n=0";
-      },
-      1);
-  runner.run(0, [](std::size_t) {});
+// After a failure, indices below it still run (the lowest failing index
+// must be exact) while higher indices are cancelled.
+TEST(PoolRunner, RunFailsFastButKeepsLowerIndices) {
+  PoolRunner pool(1);  // deterministic in-order drain
+  std::vector<int> ran(40, 0);
+  EXPECT_THROW(pool.run(40,
+                        [&ran](std::size_t i) {
+                          if (i == 7) throw std::runtime_error("x");
+                          ran[i] = 1;
+                        }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(ran[i], 1) << i;
+  // With one worker draining in order, everything above the failure is
+  // cancelled.
+  for (std::size_t i = 8; i < 40; ++i) EXPECT_EQ(ran[i], 0) << i;
 }
 
-TEST(CallbackRunner, ConcurrencyClampedToAtLeastOne) {
-  CallbackRunner runner(
-      [](std::size_t n, const std::function<void(std::size_t)>& body) {
-        for (std::size_t i = 0; i < n; ++i) body(i);
-      },
-      0);
-  EXPECT_EQ(runner.concurrency(), 1);
+TEST(PoolRunner, RunZeroJobsIsANoOp) {
+  PoolRunner pool(2);
+  EXPECT_NO_THROW(pool.run(0, [](std::size_t) {
+    throw std::runtime_error("never invoked");
+  }));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace dragonfly {
 namespace {
@@ -117,6 +119,44 @@ TEST_F(ReportFixture, WriterEscapesNonFiniteAndSeparators) {
   writer.write(csv, OutputFormat::kCsv);
   // RFC 4180: the comma-bearing label arrives quoted, keeping columns.
   EXPECT_NE(csv.str().find("\"with,comma\""), std::string::npos);
+}
+
+/// Split one CSV line into its fields per RFC 4180: a quoted field may
+/// hold commas and doubled quotes.
+std::vector<std::string> parse_csv_line(const std::string& line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST_F(ReportFixture, MirrorTableQuotesCsvSeparators) {
+  // Pivot-table labels may hold commas (ablation_router's "2x speedup,
+  // 256-phit global buf (paper)"); each must stay one field.
+  Table table({"config", "accepted", "note"});
+  table.add_row({std::string("2x speedup, 256-phit buf"), 0.75,
+                 std::string("say \"hi\"")});
+  std::ifstream in(mirror_table(table, "quoted"));
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(parse_csv_line(line), table.headers());
+  std::getline(in, line);
+  EXPECT_EQ(parse_csv_line(line),
+            (std::vector<std::string>{"2x speedup, 256-phit buf", "0.75",
+                                      "say \"hi\""}))
+      << line;
 }
 
 TEST_F(ReportFixture, ResultWriterMirrorHonorsReproFormat) {

@@ -261,6 +261,28 @@ TEST(SweepService, StreamsSamplesToSubscribers) {
   EXPECT_EQ(on_hit.samples.load(), 0);
 }
 
+/// The protocol's SAMPLE and RESULT lines carry a comma-bearing spec
+/// label as the same single RFC 4180 field.
+TEST(SweepService, ProtocolQuotesACommaBearingLabel) {
+  std::vector<std::string> items = base_items();
+  items.back() = "label=a,b";
+  const protocol::Request req =
+      protocol::parse_request("STREAM label=a,b; seeds=1");
+  ASSERT_EQ(req.verb, protocol::Verb::kStream);
+  EXPECT_EQ(req.items, (std::vector<std::string>{"label=a,b", "seeds=1"}));
+
+  SweepService service(ServiceOptions{.workers = 1});
+  const RequestReport rep = service.execute(items);
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  const PointReport& point = rep.points[0];
+  EXPECT_EQ(point.label, "a,b");
+  const std::string sample =
+      protocol::format_sample(point.label, 0, 1, StreamSample{});
+  EXPECT_EQ(sample.rfind("SAMPLE \"a,b\",0,1,", 0), 0u) << sample;
+  const std::string result = protocol::format_result(point);
+  EXPECT_NE(result.find(" \"a,b\","), std::string::npos) << result;
+}
+
 // --- satellite: restore-time re-validation ----------------------------------
 
 TEST(SessionWarmRestore, IncompatibleKnobIsRejectedWithDiagnostic) {
@@ -278,7 +300,7 @@ TEST(SessionWarmRestore, IncompatibleKnobIsRejectedWithDiagnostic) {
   refined.measure_cycles = 900;
   {
     std::istringstream is(ck.str());
-    auto resumed = Session::restore(is, 0, &refined);
+    auto resumed = Session::restore(is, &refined);
     EXPECT_EQ(resumed->config().measure_cycles, 900);
   }
 
@@ -287,7 +309,7 @@ TEST(SessionWarmRestore, IncompatibleKnobIsRejectedWithDiagnostic) {
   ASSERT_TRUE(incompatible.try_apply_kv("routing", "par-mm"));
   std::istringstream is(ck.str());
   try {
-    Session::restore(is, 0, &incompatible);
+    Session::restore(is, &incompatible);
     FAIL() << "restore accepted a physically different config";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();

@@ -4,7 +4,7 @@
 // pool, asserting every response parses, the cache-hit rate clears a
 // threshold, and nobody starves. The soak also runs under TSan in CI
 // (it exercises the accept loop, per-connection handlers, the shared
-// ThreadPool, and the in-flight coalescing paths concurrently).
+// PoolRunner, and the in-flight coalescing paths concurrently).
 #include "service/server.hpp"
 
 #include <arpa/inet.h>

@@ -437,7 +437,7 @@ TEST(Session, WindowEndCheckpointRefinedLongerSimulatesOnlyTheAddedCycles) {
   SimConfig longer = cfg;
   longer.measure_cycles = cfg.measure_cycles + 50;
   std::unique_ptr<Session> restored =
-      Session::restore(window_end_checkpoint(cfg), 0, &longer);
+      Session::restore(window_end_checkpoint(cfg), &longer);
   const Cycle resumed_at = restored->now();
   const SimResult warm = restored->run();
   EXPECT_EQ(restored->now() - resumed_at, 51);
@@ -452,7 +452,7 @@ TEST(Session, WindowEndCheckpointRejectsAShorterRefinedWindow) {
     SimConfig shorter = cfg;
     shorter.measure_cycles = window;
     try {
-      Session::restore(bytes, 0, &shorter);
+      Session::restore(bytes, &shorter);
       ADD_FAILURE() << "restored a " << window << "-cycle window";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("warm start rejected"),
@@ -463,7 +463,7 @@ TEST(Session, WindowEndCheckpointRejectsAShorterRefinedWindow) {
   // Nor can the stop rule change inside the open window.
   SimConfig ci = cfg;
   ci.stop.mode = StopMode::kCi;
-  EXPECT_THROW(Session::restore(bytes, 0, &ci), std::runtime_error);
+  EXPECT_THROW(Session::restore(bytes, &ci), std::runtime_error);
 }
 
 TEST(Session, OpenCiWindowMovesOnlyItsCap) {
@@ -481,10 +481,10 @@ TEST(Session, OpenCiWindowMovesOnlyItsCap) {
   SimConfig longer = cfg;
   longer.measure_cycles = cfg.measure_cycles + 200;
   expect_identical(run_simulation(longer),
-                   Session::restore(bytes, 0, &longer)->run());
+                   Session::restore(bytes, &longer)->run());
   SimConfig rebatched = cfg;
   rebatched.stop.batch_cycles = 50;
-  EXPECT_THROW(Session::restore(bytes, 0, &rebatched), std::runtime_error);
+  EXPECT_THROW(Session::restore(bytes, &rebatched), std::runtime_error);
 }
 
 TEST(Session, CheckpointCutAtAnyPrefixThrows) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "core/report.hpp"
 
 namespace dragonfly {
 namespace {
@@ -39,12 +42,14 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_EQ(lines, 5);
 }
 
-TEST(Table, WritesCsv) {
+TEST(Table, MirrorsToCsv) {
   Table t({"a", "b"});
   t.add_row({std::int64_t{1}, 2.5});
   t.add_row({std::int64_t{3}, 4.0});
-  const std::string path = "test_table_out.csv";
-  t.write_csv(path);
+  setenv("REPRO_OUT", "test_table_out", 1);
+  const std::string path = mirror_table(t, "table");
+  unsetenv("REPRO_OUT");
+  EXPECT_EQ(path, "test_table_out/table.csv");
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
@@ -54,7 +59,7 @@ TEST(Table, WritesCsv) {
   std::getline(in, line);
   EXPECT_EQ(line, "3,4");
   in.close();
-  std::filesystem::remove(path);
+  std::filesystem::remove_all("test_table_out");
 }
 
 TEST(Table, RowAndColumnCounts) {

@@ -1,7 +1,7 @@
 // Workload subsystem: collective generators, bursty ON-OFF sources,
 // multi-tenant job churn, the per-job metrics battery, and the
 // determinism guarantees that make all of it usable — bit-identical
-// results for any kernel / shard count / runner, and across a
+// results for any kernel / shard count, and across a
 // mid-measurement checkpoint round trip with live jobs.
 #include "workload/workload.hpp"
 
@@ -212,7 +212,7 @@ TEST(WorkloadChurn, RandomPlacementAlsoRuns) {
   testutil::expect_conservation(session.network());
 }
 
-// --- determinism: kernel / shards / runner ----------------------------------
+// --- determinism: kernel / shards -------------------------------------------
 
 TEST(WorkloadDeterminism, BitIdenticalAcrossKernelsAndShards) {
   for (const char* mode : {"collective", "bursty", "churn"}) {
@@ -231,18 +231,6 @@ TEST(WorkloadDeterminism, BitIdenticalAcrossKernelsAndShards) {
       expect_identical(base, Session(sharded).run());
     }
   }
-}
-
-TEST(WorkloadDeterminism, RunnerChoiceDoesNotPerturbResults) {
-  SimConfig cfg = workload_base("churn");
-  cfg.shards = 2;
-  SerialRunner serial;
-  PoolRunner pool(4);
-  Session with_serial(cfg);
-  with_serial.set_runner(&serial);
-  Session with_pool(cfg);
-  with_pool.set_runner(&pool);
-  expect_identical(with_serial.run(), with_pool.run());
 }
 
 // --- checkpoint round trip with live jobs -----------------------------------
@@ -281,8 +269,9 @@ TEST(WorkloadCheckpoint, RestoreUnderDifferentShardCount) {
   original.checkpoint(stream);
   original.advance_to(SessionPhase::kDone);
 
-  std::unique_ptr<Session> resharded =
-      Session::restore(stream, /*shards_override=*/2);
+  SimConfig two_shards = cfg;
+  two_shards.shards = 2;
+  std::unique_ptr<Session> resharded = Session::restore(stream, &two_shards);
   resharded->advance_to(SessionPhase::kDone);
   expect_identical(original.collect(), resharded->collect());
 }
