@@ -79,6 +79,14 @@ class Calendar {
     }
   }
 
+  /// Visits the items due at `due` in push order (none when `due` is
+  /// outside the window).
+  template <class Fn>
+  void for_each_due(Cycle due, Fn&& fn) const {
+    if (!in_window(due)) return;
+    for (const T& item : bucket(due)) fn(item);
+  }
+
   /// Drops every pending item; the window restarts at `next`.
   void reset(Cycle next) {
     for (std::vector<T>& b : buckets_) b.clear();

@@ -1,45 +1,105 @@
 #include "common/checkpoint.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "common/fnv.hpp"
 
 namespace dragonfly {
 
 namespace {
 constexpr std::size_t kMaxString = 1u << 20;  ///< sanity bound on lengths
+constexpr int kMaxVarintBytes = 10;           ///< ceil(64 / 7)
+
+[[noreturn]] void refuse(const std::string& why) {
+  throw std::runtime_error("checkpoint: " + why);
+}
 }  // namespace
 
-void CheckpointReader::truncated() {
-  throw std::runtime_error("checkpoint: truncated stream");
+void CheckpointWriter::grow(std::size_t n) {
+  buf_.resize(std::max({buf_.size() * 2, len_ + n, std::size_t{4096}}));
+}
+
+void CheckpointWriter::seal() {
+  le64(len_);
+  le64(digest_);
+}
+
+void CheckpointReader::truncated() { refuse("truncated stream"); }
+
+void CheckpointReader::not_a_bool(std::uint8_t b) {
+  refuse("bool byte " + std::to_string(b) + " (0 or 1 expected)");
 }
 
 void CheckpointReader::drift(const char* what) {
-  throw std::runtime_error("checkpoint: " + std::string(what) +
-                           " mismatch (config drift)");
+  refuse(std::string(what) + " mismatch (config drift)");
+}
+
+std::uint64_t CheckpointReader::long_varint(std::uint64_t max) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < kMaxVarintBytes; ++i) {
+    const auto b = static_cast<unsigned char>(*take(1));
+    const std::uint64_t bits = b & 0x7fu;
+    // The tenth byte carries bit 63 alone.
+    if (i == kMaxVarintBytes - 1 && bits > 1) {
+      refuse("varint wider than 64 bits");
+    }
+    v |= bits << (7 * i);
+    if (b < 0x80) {
+      if (b == 0 && i > 0) refuse("non-minimal varint encoding");
+      if (v > max) {
+        refuse("integer " + std::to_string(v) + " wider than its field (max " +
+               std::to_string(max) + ")");
+      }
+      return v;
+    }
+  }
+  refuse("varint longer than " + std::to_string(kMaxVarintBytes) + " bytes");
+}
+
+void CheckpointReader::unseal() {
+  if (data_.size() < kTrailerBytes) truncated();
+  const std::size_t body = data_.size() - kTrailerBytes;
+  CheckpointReader trailer(data_.substr(body));
+  const std::uint64_t length = trailer.le64();
+  if (length != body) {
+    refuse("stream of " + std::to_string(body) +
+           " bytes before its trailer, which records " +
+           std::to_string(length) + " (cut or spliced)");
+  }
+  if (trailer.le64() != fnv1a64(data_.substr(0, body + 8))) {
+    refuse("checksum mismatch (corrupt stream)");
+  }
+  if (pos_ > body) truncated();
+  data_ = data_.substr(0, body);
+}
+
+void CheckpointReader::expect_end() const {
+  if (pos_ != data_.size()) {
+    refuse(std::to_string(data_.size() - pos_) +
+           " byte(s) after the last section");
+  }
 }
 
 std::string_view CheckpointReader::str_view() {
   const std::uint64_t n = u64();
-  if (n > kMaxString) {
-    throw std::runtime_error("checkpoint: implausible string length");
-  }
+  if (n > kMaxString) refuse("implausible string length");
   return {take(static_cast<std::size_t>(n)), static_cast<std::size_t>(n)};
 }
 
 void CheckpointReader::tag(const char* name) {
   const std::string_view got = str_view();
   if (got != name) {
-    throw std::runtime_error("checkpoint: expected section \"" +
-                             std::string(name) + "\", found \"" +
-                             std::string(got) + "\"");
+    refuse("expected section \"" + std::string(name) + "\", found \"" +
+           std::string(got) + "\"");
   }
 }
 
 std::uint64_t CheckpointReader::count(std::uint64_t bound, const char* what) {
   const std::uint64_t n = u64();
   if (n > bound) {
-    throw std::runtime_error("checkpoint: " + std::string(what) + " holds " +
-                             std::to_string(n) + " entries, above its bound of " +
-                             std::to_string(bound));
+    refuse(std::string(what) + " holds " + std::to_string(n) +
+           " entries, above its bound of " + std::to_string(bound));
   }
   return n;
 }

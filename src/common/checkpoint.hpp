@@ -1,17 +1,24 @@
 // Binary checkpoint streams for Session::checkpoint()/restore().
 //
-// The format is a flat little-endian byte stream: fixed-width integers,
-// IEEE doubles, length-prefixed strings, and section tags. Only *mutable*
+// The format (v7) is a flat byte stream: integers as LEB128 varints
+// (zigzag-mapped when signed), IEEE doubles and RNG state words as 8 raw
+// little-endian bytes (they are full-entropy, a varint would only grow
+// them), length-prefixed strings, and section tags. Only *mutable*
 // simulation state is serialized — wiring, topology and capacities are
 // reconstructed deterministically from the SimConfig embedded in the
 // stream, so the format stays small and a version bump invalidates old
-// files loudly instead of misreading them.
+// files loudly instead of misreading them. The reader accepts exactly
+// what the writer emits: a varint longer than 10 bytes, a non-minimal
+// encoding or a value wider than the field's declared type is refused
+// as `checkpoint: ...`, and so is a bool byte other than 0 or 1, so a
+// restore followed by a save writes the same bytes.
 //
 // Both ends work on an in-memory byte buffer: the writer appends to a
 // std::string and the reader walks a std::string_view, so a primitive
 // costs a bounds check and a few byte stores instead of a stream call.
 // Files and std::streams are touched once per checkpoint, by
-// Session::checkpoint()/restore().
+// Session::checkpoint()/restore(). A finished stream ends in an
+// integrity trailer (seal()/unseal()): its length and its FNV-1a 64.
 //
 // Each checkpointed type lists its fields once, in a static
 // `walk(self, ck)` template in its own .cpp that save() and load() both
@@ -27,12 +34,14 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/ring.hpp"
 
 namespace dragonfly {
@@ -47,10 +56,11 @@ namespace dragonfly {
 /// through untranslated.
 using PacketRefXlat = std::function<std::int32_t(std::int32_t)>;
 
-/// The field types whose declaration fixes their wire width: bool and
-/// uint8 (u8), 32- and 64-bit integers (i32/u32/i64/u64), double (f64).
-/// Any other field (a 16-bit counter, an enum) names its width with
-/// `ck.field(v, wire<W>)`.
+/// The field types whose declaration fixes their wire form: bool and
+/// uint8 (one raw byte), 32- and 64-bit integers (varints, zigzag when
+/// signed; the reader refuses a value wider than the type), double (8
+/// raw bytes). Any other field (a 16-bit counter, an enum) names its
+/// wire type with `ck.field(v, wire<W>)`.
 template <class T>
 inline constexpr bool kNativeWire =
     std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t> ||
@@ -61,25 +71,44 @@ struct Wire {};
 template <class W>
 inline constexpr Wire<W> wire{};
 
+/// Bytes of the integrity trailer a sealed stream ends with: the length
+/// of everything before it, then the FNV-1a 64 of everything before the
+/// digest (the body and that length), each as 8 raw little-endian bytes.
+inline constexpr std::size_t kTrailerBytes = 16;
+
 /// Appends primitives to an in-memory byte buffer.
 class CheckpointWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { put<4>(v); }
-  void u64(std::uint64_t v) { put<8>(v); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) {
+    char* p = room(1);
+    *p = static_cast<char>(v);
+    commit(p, 1);
+  }
+  void u32(std::uint32_t v) { varint(v); }
+  void u64(std::uint64_t v) { varint(v); }
+  void i32(std::int32_t v) { varint(zigzag(v)); }
+  void i64(std::int64_t v) { varint(zigzag(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void f64(double v) {
     // Bit-exact round trip: transport the IEEE-754 representation.
     std::uint64_t bits = 0;
     static_assert(sizeof bits == sizeof v);
     std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
+    le64(bits);
   }
   void str(std::string_view v) {
     u64(v.size());
-    buf_.append(v);
+    raw(v);
+  }
+  /// Fixed-width little-endian words and raw bytes, for the parts of a
+  /// stream whose layout no format version may change (the header, the
+  /// trailer).
+  void le32(std::uint32_t v) { le<4>(v); }
+  void le64(std::uint64_t v) { le<8>(v); }
+  void raw(std::string_view v) {
+    char* p = room(v.size());
+    std::memcpy(p, v.data(), v.size());
+    commit(p, v.size());
   }
 
   /// Section tag: a small string marker checked on read, so a drifted
@@ -93,7 +122,7 @@ class CheckpointWriter {
   }
   void set_packet_xlat(PacketRefXlat fn) { pkt_xlat_ = std::move(fn); }
 
-  /// One field at the wire width its declared type names (kNativeWire),
+  /// One field in the wire form its declared type names (kNativeWire),
   /// a length-prefixed string, or any type with save()/load().
   template <class T>
   void field(const T& v) {
@@ -101,7 +130,13 @@ class CheckpointWriter {
       f64(v);
     } else if constexpr (std::is_integral_v<T>) {
       static_assert(kNativeWire<T>, "name this field's width: wire<W>");
-      put<sizeof(T)>(v);
+      if constexpr (sizeof(T) == 1) {
+        u8(static_cast<std::uint8_t>(v));
+      } else if constexpr (std::is_signed_v<T>) {
+        varint(zigzag(v));
+      } else {
+        varint(v);
+      }
     } else if constexpr (std::is_same_v<T, std::string>) {
       str(v);
     } else {
@@ -116,7 +151,7 @@ class CheckpointWriter {
   /// A generator's four xoshiro state words.
   template <class R>
   void rng(const R& r) {
-    for (const std::uint64_t word : r.state()) u64(word);
+    for (const std::uint64_t word : r.state()) le64(word);
   }
 
   /// A sequence: its length (u64 unless `len` names a width), then each
@@ -140,43 +175,94 @@ class CheckpointWriter {
     seq(c);
   }
 
+  /// Ends the stream with its integrity trailer (kTrailerBytes).
+  void seal();
+
   /// The bytes written so far.
-  const std::string& bytes() const { return buf_; }
-  /// Hand the buffer over (the writer is left empty).
-  std::string take() { return std::exchange(buf_, {}); }
+  std::string_view bytes() const { return {buf_.data(), len_}; }
+  /// Hand the bytes over in a string of their own size (a cached
+  /// checkpoint holds no slack); the writer is left empty.
+  std::string take() {
+    std::string out(bytes());
+    buf_ = {};
+    len_ = 0;
+    digest_ = kFnv1a64Offset;
+    return out;
+  }
 
  private:
+  /// Zigzag: small magnitudes of either sign become small varints.
+  static std::uint64_t zigzag(std::int64_t v) {
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
+  }
+  void varint(std::uint64_t v) {
+    char* p = room(10);
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) p[n++] = static_cast<char>(v | 0x80);
+    p[n++] = static_cast<char>(v);
+    commit(p, n);
+  }
   template <int N, class U>
-  void put(U v) {
-    char b[N];
-    for (int i = 0; i < N; ++i) b[i] = static_cast<char>(v >> (8 * i));
-    buf_.append(b, N);
+  void le(U v) {
+    char* p = room(N);
+    for (int i = 0; i < N; ++i) p[i] = static_cast<char>(v >> (8 * i));
+    commit(p, N);
+  }
+  /// Where the next `n` bytes go. The buffer's size is its capacity: it
+  /// grows (doubling) ahead of the bytes written, so a primitive is a
+  /// bounds check and plain stores.
+  char* room(std::size_t n) {
+    if (buf_.size() - len_ < n) [[unlikely]] grow(n);
+    return buf_.data() + len_;
+  }
+  void grow(std::size_t n);
+  /// Counts `n` bytes just written at `p` and folds them into the running
+  /// digest. Hashing while writing lets the digest's serial multiply
+  /// chain overlap the walk, which a separate pass at seal() cannot.
+  void commit(const char* p, std::size_t n) {
+    digest_ = fnv1a64({p, n}, digest_);
+    len_ += n;
   }
 
   std::string buf_;
+  std::size_t len_ = 0;  ///< bytes written; buf_ beyond it is scratch
+  std::uint64_t digest_ = kFnv1a64Offset;  ///< FNV-1a 64 of those bytes
   PacketRefXlat pkt_xlat_;
 };
 
 /// Reads primitives written by CheckpointWriter from a byte buffer the
-/// caller keeps alive. Throws std::runtime_error when a read runs past
-/// the end, on an implausible string length, or on a tag mismatch.
+/// caller keeps alive. Throws std::runtime_error ("checkpoint: ...")
+/// when a read runs past the end, on a malformed or too-wide varint, an
+/// implausible string length, or a tag mismatch.
 class CheckpointReader {
  public:
   explicit CheckpointReader(std::string_view bytes) : data_(bytes) {}
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(*take(1)); }
-  std::uint32_t u32() { return get<4, std::uint32_t>(); }
-  std::uint64_t u64() { return get<8, std::uint64_t>(); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  bool boolean() { return u8() != 0; }
+  std::uint32_t u32() {
+    return static_cast<std::uint32_t>(varint(kMax<std::uint32_t>));
+  }
+  std::uint64_t u64() { return varint(kMax<std::uint64_t>); }
+  std::int32_t i32() {
+    return static_cast<std::int32_t>(unzigzag(varint(kMax<std::uint32_t>)));
+  }
+  std::int64_t i64() { return unzigzag(varint(kMax<std::uint64_t>)); }
+  bool boolean() {
+    const std::uint8_t b = u8();
+    if (b > 1) [[unlikely]] not_a_bool(b);  // canonical, as varints are
+    return b != 0;
+  }
   double f64() {
-    const std::uint64_t bits = u64();
+    const std::uint64_t bits = le64();
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof v);
     return v;
   }
   std::string str() { return std::string(str_view()); }
+  std::uint32_t le32() { return le<4, std::uint32_t>(); }
+  std::uint64_t le64() { return le<8, std::uint64_t>(); }
+  std::string_view raw(std::size_t n) { return {take(n), n}; }
 
   void tag(const char* name);
 
@@ -203,7 +289,14 @@ class CheckpointReader {
       v = f64();
     } else if constexpr (std::is_integral_v<T>) {
       static_assert(kNativeWire<T>, "name this field's width: wire<W>");
-      v = static_cast<T>(get<sizeof(T), std::make_unsigned_t<T>>());
+      using U = std::make_unsigned_t<T>;
+      if constexpr (sizeof(T) == 1) {
+        v = static_cast<T>(u8());
+      } else if constexpr (std::is_signed_v<T>) {
+        v = static_cast<T>(unzigzag(varint(kMax<U>)));
+      } else {
+        v = static_cast<T>(varint(kMax<U>));
+      }
     } else if constexpr (std::is_same_v<T, std::string>) {
       v = str();
     } else {
@@ -220,7 +313,7 @@ class CheckpointReader {
   template <class R>
   void rng(R& r) {
     std::array<std::uint64_t, 4> state;
-    for (std::uint64_t& word : state) word = u64();
+    for (std::uint64_t& word : state) word = le64();
     r.set_state(state);
   }
 
@@ -260,10 +353,36 @@ class CheckpointReader {
     for (auto& item : c) field(item);
   }
 
+  /// Checks the integrity trailer seal() wrote — the stream's length and
+  /// its FNV-1a 64 — and narrows the reader to the bytes before it, so a
+  /// cut or bit-flipped stream fails here, before its body is read.
+  void unseal();
+  /// Refuses bytes left unread (called once the last section is read).
+  void expect_end() const;
+
   /// Bytes consumed so far.
   std::size_t offset() const { return pos_; }
 
  private:
+  template <class U>
+  static constexpr std::uint64_t kMax = std::numeric_limits<U>::max();
+
+  static std::int64_t unzigzag(std::uint64_t v) {
+    return static_cast<std::int64_t>(v >> 1) ^
+           -static_cast<std::int64_t>(v & 1);
+  }
+  /// A varint no larger than `max`; one-byte values take the fast path.
+  std::uint64_t varint(std::uint64_t max) {
+    if (pos_ < data_.size()) {
+      const auto b = static_cast<unsigned char>(data_[pos_]);
+      if (b < 0x80) {  // every field's max is at least 0x7f
+        ++pos_;
+        return b;
+      }
+    }
+    return long_varint(max);
+  }
+  std::uint64_t long_varint(std::uint64_t max);
   const char* take(std::size_t n) {
     if (n > data_.size() - pos_) truncated();
     const char* p = data_.data() + pos_;
@@ -271,7 +390,7 @@ class CheckpointReader {
     return p;
   }
   template <int N, class U>
-  U get() {
+  U le() {
     const char* b = take(N);
     U v = 0;
     for (int i = 0; i < N; ++i) {
@@ -281,6 +400,7 @@ class CheckpointReader {
   }
   [[noreturn]] static void truncated();
   [[noreturn]] static void drift(const char* what);
+  [[noreturn]] static void not_a_bool(std::uint8_t b);
   /// A length-prefixed string, viewed in place.
   std::string_view str_view();
 

@@ -86,7 +86,11 @@ std::string encode_cell(const Table::Cell& cell, OutputFormat format) {
   }
   const std::string text = Table::format(cell);
   if (std::holds_alternative<std::string>(cell)) {
-    if (format == OutputFormat::kJson) return "\"" + json_escape(text) + "\"";
+    if (format == OutputFormat::kJson) {
+      std::string quoted = "\"";
+      quoted.append(json_escape(text)).push_back('"');
+      return quoted;
+    }
     if (format == OutputFormat::kCsv) return csv_cell(text);
   }
   return text;
@@ -372,7 +376,7 @@ void report_injections_per_router(std::ostream& os, const std::string& title,
   Table table(headers);
   table.set_title(title);
   for (int r = 0; r < routers_per_group; ++r) {
-    std::vector<Table::Cell> row{std::string("R") + std::to_string(r)};
+    std::vector<Table::Cell> row{std::string("R").append(std::to_string(r))};
     for (const Curve& c : curves) {
       const auto& inj = c.points.front().injections_per_router;
       row.emplace_back(

@@ -101,7 +101,7 @@ std::string format_hash(const PointReport& point) {
 std::string format_stats(const ServiceStats& st) {
   std::string line = "STATS";
   const auto add = [&line](const char* key, std::int64_t v) {
-    line += " " + std::string(key) + "=" + std::to_string(v);
+    line.append(" ").append(key).append("=").append(std::to_string(v));
   };
   add("requests", st.requests);
   add("points", st.points);

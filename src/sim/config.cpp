@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/checkpoint.hpp"
+#include "common/fnv.hpp"
 #include "router/packet.hpp"
 #include "routing/in_transit.hpp"
 #include "routing/routing.hpp"
@@ -534,23 +535,15 @@ std::string canonical_form(const Knob& k, const SimConfig& c) {
   return k.canon != nullptr ? k.canon(c) : k.field.format(c);
 }
 
-std::uint64_t fnv1a64(std::uint64_t h, std::string_view s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// FNV-1a 64 over the sorted "key=value\n" canonical lines.
 std::string hash_knobs(const SimConfig& c, bool skip_refinement) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1a64Offset;
   for (const Knob* k : sorted_knobs()) {
     if (skip_refinement && k->cls == HashClass::kRefinement) continue;
-    h = fnv1a64(h, k->key);
-    h = fnv1a64(h, "=");
-    h = fnv1a64(h, canonical_form(*k, c));
-    h = fnv1a64(h, "\n");
+    h = fnv1a64(k->key, h);
+    h = fnv1a64("=", h);
+    h = fnv1a64(canonical_form(*k, c), h);
+    h = fnv1a64("\n", h);
   }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",

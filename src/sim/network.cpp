@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -989,21 +991,35 @@ void Network::save(CheckpointWriter& ck) const {
   ck.i64(dispatched_events_);
 
   // Gather pending packet/credit events across all shard calendars and
-  // sort them into the canonical order. The transmit calendar is *not*
-  // serialized: it is derived state, rebuilt from the output queues on
-  // load (rebuild_activation), which also makes checkpoint streams
-  // kernel-independent.
+  // sort them into the canonical order. Each calendar holds an event in
+  // the bucket of its due cycle (`when`), so gathering one due cycle at
+  // a time, shards in order, and stable-sorting each group by the rest
+  // of the key gives exactly a global stable sort of the shard-order
+  // gather. The transmit calendar is *not* serialized: it is derived
+  // state, rebuilt from the output queues on load (rebuild_activation),
+  // which also makes checkpoint streams kernel-independent.
   std::vector<Event> events;
+  Cycle first_due = std::numeric_limits<Cycle>::max();
+  Cycle last_due = std::numeric_limits<Cycle>::min();
   for (const Shard& sh : shards_) {
-    sh.events.for_each([&](Cycle, const Event& ev) { events.push_back(ev); });
+    first_due = std::min(first_due, sh.events.next());
+    last_due = std::max(last_due, sh.events.next() + sh.events.horizon());
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     return std::tie(a.when, a.type, a.router, a.port, a.vc,
-                                     a.phits) <
-                            std::tie(b.when, b.type, b.router, b.port, b.vc,
-                                     b.phits);
-                   });
+  for (Cycle due = first_due; due <= last_due; ++due) {
+    const std::size_t group = events.size();
+    for (const Shard& sh : shards_) {
+      sh.events.for_each_due(due,
+                             [&](const Event& ev) { events.push_back(ev); });
+    }
+    if (events.size() - group < 2) continue;
+    std::stable_sort(events.begin() + static_cast<std::ptrdiff_t>(group),
+                     events.end(), [](const Event& a, const Event& b) {
+                       return std::tie(a.type, a.router, a.port, a.vc,
+                                       a.phits) <
+                              std::tie(b.type, b.router, b.port, b.vc,
+                                       b.phits);
+                     });
+  }
   // Delivery calendar in stored (canonical) order.
   std::vector<Delivery> deliveries;
   deliveries_.for_each(

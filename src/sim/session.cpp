@@ -9,6 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/checkpoint.hpp"
 #include "common/stats.hpp"
@@ -26,7 +27,7 @@ constexpr Cycle kWatchdogPeriod = 4096;
 /// cycles while waiting for the network to empty.
 constexpr Cycle kDrainPoll = 64;
 
-constexpr const char* kCheckpointMagic = "dragonfly-session-checkpoint";
+constexpr std::string_view kCheckpointMagic = "dragonfly-session-checkpoint";
 /// Bump whenever the serialized layout changes so stale files fail with
 /// the version diagnostic instead of a garbled read. v2: SimConfig
 /// gained topology / topo.g / arrangement_explicit / sim.paranoid.
@@ -50,7 +51,12 @@ constexpr const char* kCheckpointMagic = "dragonfly-session-checkpoint";
 /// *_explicit flags — instead of positional binary fields; restore
 /// parses each value through its knob's own parser, so a corrupt value
 /// fails with a diagnostic naming the knob.
-constexpr std::uint32_t kCheckpointVersion = 6;
+/// v7: integers are LEB128 varints (zigzag when signed) instead of
+/// fixed 4 or 8 bytes, and the stream ends in an integrity trailer (its
+/// length and FNV-1a 64). The header keeps the fixed-width layout every
+/// version has used — a u64 magic length, the magic, a u32 version — so
+/// an older file still reads as its version and is refused by number.
+constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// A job's accepted load over the window: delivered phits divided by
 /// job-nodes times the overlap of the job's lifetime with
@@ -523,10 +529,12 @@ void Session::walk(Self& self, Archive& ck) {
 
 std::string Session::checkpoint() const {
   CheckpointWriter ck;
-  ck.str(kCheckpointMagic);
-  ck.u32(kCheckpointVersion);
+  ck.le64(kCheckpointMagic.size());
+  ck.raw(kCheckpointMagic);
+  ck.le32(kCheckpointVersion);
   cfg_.write_to(ck);
   walk(*this, ck);
+  ck.seal();
   return ck.take();
 }
 
@@ -548,14 +556,16 @@ std::unique_ptr<Session> Session::restore(std::string_view bytes,
                                           const SimConfig* refine,
                                           std::shared_ptr<const Topology> topo) {
   CheckpointReader ck(bytes);
-  if (ck.str() != kCheckpointMagic) {
+  if (ck.le64() != kCheckpointMagic.size() ||
+      ck.raw(kCheckpointMagic.size()) != kCheckpointMagic) {
     throw std::runtime_error("checkpoint: not a session checkpoint stream");
   }
-  const std::uint32_t version = ck.u32();
+  const std::uint32_t version = ck.le32();
   if (version != kCheckpointVersion) {
     throw std::runtime_error("checkpoint: unsupported version " +
                              std::to_string(version));
   }
+  ck.unseal();
   SimConfig cfg;
   cfg.read_from(ck);
   const StopRule saved_stop = cfg.stop;
@@ -582,6 +592,7 @@ std::unique_ptr<Session> Session::restore(std::string_view bytes,
   }
   auto session = std::make_unique<Session>(cfg, std::move(topo));
   walk(*session, ck);
+  ck.expect_end();
   // The walk stores what it reads; a phase past kDone would end run()
   // at once. In an open scripted window the current segment ends after
   // now and no later than the window, and only the last one ends with

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "common/checkpoint.hpp"
 #include "core/api.hpp"
 
 namespace dragonfly::testutil {
@@ -56,6 +59,37 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.fairness.jain, b.fairness.jain);
   EXPECT_EQ(a.measured_cycles, b.measured_cycles);
   EXPECT_EQ(a.converged, b.converged);
+}
+
+/// A session checkpoint whose body was edited, with its integrity
+/// trailer recomputed over the edit, so a restore reaches the edited
+/// field's own check instead of stopping at the trailer.
+inline std::string resealed(std::string bytes) {
+  bytes.resize(bytes.size() - kTrailerBytes);
+  CheckpointWriter ck;
+  ck.raw(bytes);
+  ck.seal();
+  return ck.take();
+}
+
+/// A session checkpoint with the field of type T at offset `at`
+/// (whatever its varint length) replaced by what `with` wrote, resealed.
+template <class T>
+std::string spliced(std::string bytes, std::size_t at,
+                    const CheckpointWriter& with) {
+  CheckpointReader old(std::string_view(bytes).substr(at));
+  T value{};
+  old.field(value);
+  bytes.replace(at, old.offset(), with.bytes());
+  return resealed(std::move(bytes));
+}
+
+/// A restore diagnostic from a field's own check: a `checkpoint: ...`
+/// error that is not the integrity trailer's.
+inline void expect_field_refusal(const std::string& why) {
+  EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+  EXPECT_EQ(why.find("checksum"), std::string::npos) << why;
+  EXPECT_EQ(why.find("trailer"), std::string::npos) << why;
 }
 
 /// Run a full simulation and also check conservation on the way out.

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "core/spec.hpp"
 #include "sim/session.hpp"
 
@@ -29,15 +30,6 @@ namespace dragonfly {
 namespace {
 
 const std::string kSourceDir = DRAGONFLY_SOURCE_DIR;
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// "<name> <bytes> <digest as 16 hex digits>", the golden file's format.
 std::string digest_line(const std::string& name, std::string_view bytes) {

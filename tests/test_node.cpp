@@ -154,7 +154,7 @@ TEST(Node, LoadAcceptsAFullSourceQueueAndRejectsOneMore) {
   // counters, workload gate and job.
   auto stream = [](int queued) {
     CheckpointWriter ck;
-    for (std::uint64_t word = 1; word <= 4; ++word) ck.u64(word);
+    ck.rng(Rng(7));
     ck.u64(static_cast<std::uint64_t>(queued));
     for (PacketRef ref = 0; ref < queued; ++ref) ck.pkt(ref);
     ck.i32(0);

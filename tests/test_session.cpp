@@ -15,8 +15,11 @@
 namespace dragonfly {
 namespace {
 
+using testutil::expect_field_refusal;
 using testutil::expect_identical;
 using testutil::quick;
+using testutil::resealed;
+using testutil::spliced;
 
 /// Tap that records everything for assertions.
 class RecordingTap final : public MetricTap {
@@ -319,10 +322,11 @@ TEST(Session, CheckpointRejectsACorruptConfigValue) {
   const std::string key = "sim.kernel";
   const std::size_t at = bytes.find(key);
   ASSERT_NE(at, std::string::npos);
-  const std::size_t value = at + key.size() + sizeof(std::uint64_t);
-  ASSERT_EQ(bytes.compare(value, 6, "active"), 0);
+  CheckpointReader reader(std::string_view(bytes).substr(at + key.size()));
+  ASSERT_EQ(reader.str(), "active");
+  const std::size_t value = at + key.size() + reader.offset() - 6;
   bytes.replace(value, 6, "warped");
-  const std::string why = restore_error(bytes);
+  const std::string why = restore_error(resealed(bytes));
   EXPECT_EQ(why.rfind("checkpoint: corrupt config", 0), 0u) << why;
   EXPECT_NE(why.find("warped"), std::string::npos) << why;
 
@@ -331,19 +335,32 @@ TEST(Session, CheckpointRejectsACorruptConfigValue) {
   const std::size_t seed = bytes.find("seed");
   ASSERT_NE(seed, std::string::npos);
   bytes.replace(seed, 4, "sead");
-  EXPECT_EQ(restore_error(bytes).rfind("checkpoint: config section", 0), 0u)
-      << restore_error(bytes);
+  const std::string drift = restore_error(resealed(bytes));
+  EXPECT_EQ(drift.rfind("checkpoint: config section", 0), 0u) << drift;
+}
+
+/// `bytes` with the header's format version replaced by `version`. The
+/// header is fixed-width in every format: a u64 magic length, the
+/// magic, a u32 version.
+std::string with_version(std::string bytes, std::uint32_t version) {
+  CheckpointReader reader(bytes);
+  (void)reader.raw(static_cast<std::size_t>(reader.le64()));
+  const std::size_t version_at = reader.offset();
+  CheckpointWriter ck;
+  ck.le32(version);
+  bytes.replace(version_at, ck.bytes().size(), ck.bytes());
+  return bytes;
 }
 
 TEST(Session, CheckpointRejectsAnOlderFormatVersion) {
-  std::string bytes = measure_boundary_checkpoint();
-  CheckpointReader reader(bytes);
-  (void)reader.str();  // magic; the format version follows
-  const std::size_t version_at = reader.offset();
-  CheckpointWriter v5;
-  v5.u32(5);
-  bytes.replace(version_at, v5.bytes().size(), v5.bytes());
-  EXPECT_EQ(restore_error(bytes), "checkpoint: unsupported version 5");
+  const std::string bytes = measure_boundary_checkpoint();
+  EXPECT_EQ(restore_error(with_version(bytes, 5)),
+            "checkpoint: unsupported version 5");
+  // A v6 file has this header and a fixed-width body with no trailer;
+  // the version alone refuses it.
+  std::string v6 = with_version(bytes, 6);
+  v6.resize(v6.size() - kTrailerBytes);
+  EXPECT_EQ(restore_error(v6), "checkpoint: unsupported version 6");
 }
 
 // --- checkpoints inside an open window (the service's warm starts) ---------
@@ -399,26 +416,27 @@ TEST(Session, CheckpointRejectsMalformedPendingEvents) {
   ASSERT_NE(at, std::string::npos);
   // Section layout: the event count, then per event when (i64), type
   // (u8), router, port, vc, phits and packet (i32 each).
-  const std::size_t first = at + tag.size() + sizeof(std::uint64_t);
-  CheckpointReader reader(std::string_view(clean).substr(at + tag.size()));
+  const std::size_t section = at + tag.size();
+  CheckpointReader reader(std::string_view(clean).substr(section));
   ASSERT_GT(reader.u64(), 0u);
+  const std::size_t when_at = section + reader.offset();
   const std::int64_t when = reader.i64();
+  const std::size_t type_at = section + reader.offset();
   ASSERT_LE(reader.u8(), 1) << "not the Events section";
+  (void)reader.i32();  // router
+  const std::size_t port_at = section + reader.offset();
 
-  auto edited = [&](std::size_t offset, const CheckpointWriter& field) {
-    std::string bytes = clean;
-    bytes.replace(first + offset, field.bytes().size(), field.bytes());
-    return bytes;
-  };
   CheckpointWriter never, far, type, port;
   never.i64(std::numeric_limits<std::int64_t>::max());
   far.i64(when + (std::int64_t{1} << 24));
   type.u8(7);
   port.i32(100'000);
   for (const std::string& bytes :
-       {edited(0, never), edited(0, far), edited(8, type), edited(13, port)}) {
-    const std::string why = restore_error(bytes);
-    EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+       {spliced<std::int64_t>(clean, when_at, never),
+        spliced<std::int64_t>(clean, when_at, far),
+        spliced<std::uint8_t>(clean, type_at, type),
+        spliced<std::int32_t>(clean, port_at, port)}) {
+    expect_field_refusal(restore_error(bytes));
   }
   EXPECT_EQ(restore_error(clean), "restored without error");
 }
@@ -501,12 +519,67 @@ TEST(Session, CheckpointCutAtAnyPrefixThrows) {
   }
 }
 
+TEST(Session, CheckpointTrailerRefusesAFlippedBitInEverySection) {
+  // A window-end checkpoint of a collective workload carries every
+  // section. One flipped bit just inside any of them fails the trailer's
+  // digest before the config is read, and so does one in the trailer.
+  SimConfig cfg = window_cfg();
+  cfg.workload.mode = "collective";
+  cfg.workload.collective = "ring";
+  cfg.workload.participants = 12;
+  const std::string clean = window_end_checkpoint(cfg);
+  ASSERT_EQ(restore_error(clean), "restored without error");
+  for (const std::string tag :
+       {"SimConfig", "Session", "Network", "Packets", "Events", "Deliveries",
+        "Collector", "Latency", "HotState", "Router", "Workload"}) {
+    const std::size_t at = clean.find(tag);
+    ASSERT_NE(at, std::string::npos) << tag;
+    std::string bytes = clean;
+    bytes[at + tag.size()] ^= 0x10;
+    EXPECT_EQ(restore_error(bytes),
+              "checkpoint: checksum mismatch (corrupt stream)")
+        << tag;
+  }
+  for (const std::size_t from_end : {kTrailerBytes, std::size_t{1}}) {
+    std::string bytes = clean;
+    bytes[bytes.size() - from_end] ^= 0x01;
+    EXPECT_EQ(restore_error(bytes).rfind("checkpoint: ", 0), 0u) << from_end;
+  }
+}
+
+TEST(Session, CheckpointTrailerRefusesACutOrPaddedStream) {
+  const std::string clean = window_end_checkpoint(window_cfg());
+  const std::string_view body =
+      std::string_view(clean).substr(0, clean.size() - kTrailerBytes);
+  // Cut inside the trailer, at its start (a body with no trailer) and
+  // inside the body: the recorded length no longer fits.
+  for (const std::size_t cut : {std::size_t{1}, kTrailerBytes,
+                                kTrailerBytes + clean.size() / 3}) {
+    const std::string why =
+        restore_error(clean.substr(0, clean.size() - cut));
+    EXPECT_EQ(why.rfind("checkpoint: stream of ", 0), 0u)
+        << cut << ": " << why;
+  }
+  // One byte removed from the body, with the rest of the stream kept.
+  std::string short_body(body);
+  short_body.erase(short_body.size() / 2, 1);
+  short_body.append(clean, body.size(), kTrailerBytes);
+  EXPECT_EQ(restore_error(short_body).rfind("checkpoint: stream of ", 0), 0u);
+  // A correctly sealed stream with a byte past its last section.
+  CheckpointWriter padded;
+  padded.raw(body);
+  padded.u8(0);
+  padded.seal();
+  EXPECT_EQ(restore_error(padded.take()),
+            "checkpoint: 1 byte(s) after the last section");
+}
+
 TEST(Session, CheckpointRejectsAnOutOfRangePhase) {
   // The Session section opens with the phase (u8), the armed flag (u8),
   // the phase deadline (i64), the phase-script segment index (u64) and
-  // the segment's end (i64). `edited` overwrites field number `index`.
-  auto edited = [](const std::string& clean, int index,
-                   const CheckpointWriter& field) {
+  // the segment's end (i64). `field_at` is the offset of field number
+  // `index`.
+  auto field_at = [](const std::string& clean, int index) {
     const std::string tag = "Session";
     const std::size_t at = clean.find(tag);
     EXPECT_NE(at, std::string::npos);
@@ -515,21 +588,18 @@ TEST(Session, CheckpointRejectsAnOutOfRangePhase) {
     if (index > 1) (void)reader.u8();
     if (index > 2) (void)reader.i64();
     if (index > 3) (void)reader.u64();
-    std::string bytes = clean;
-    bytes.replace(at + tag.size() + reader.offset(), field.bytes().size(),
-                  field.bytes());
-    return bytes;
+    return at + tag.size() + reader.offset();
   };
   auto refused = [](const std::string& bytes) {
-    const std::string why = restore_error(bytes);
-    EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+    expect_field_refusal(restore_error(bytes));
   };
 
   // A stored phase past kDone: the restore must refuse it instead of
   // returning a session whose run() measures nothing.
   CheckpointWriter phase;
   phase.u8(9);
-  refused(edited(window_end_checkpoint(window_cfg()), 0, phase));
+  const std::string window_end = window_end_checkpoint(window_cfg());
+  refused(spliced<std::uint8_t>(window_end, field_at(window_end, 0), phase));
 
   // A scripted session inside its first segment, and one inside its
   // last; both restore as saved.
@@ -549,16 +619,16 @@ TEST(Session, CheckpointRejectsAnOutOfRangePhase) {
   // next segment boundary would index the script out of range.
   CheckpointWriter past_end;
   past_end.u64(2);
-  refused(edited(first, 3, past_end));
+  refused(spliced<std::uint64_t>(first, field_at(first, 3), past_end));
   CheckpointWriter last;
   last.u64(1);
-  refused(edited(first, 3, last));
+  refused(spliced<std::uint64_t>(first, field_at(first, 3), last));
 
   // A segment end before the current cycle, which step() would never
   // reach.
   CheckpointWriter gone;
   gone.i64(0);
-  refused(edited(first, 4, gone));
+  refused(spliced<std::int64_t>(first, field_at(first, 4), gone));
 }
 
 TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {

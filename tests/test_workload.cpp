@@ -278,6 +278,9 @@ TEST(WorkloadCheckpoint, RestoreUnderDifferentShardCount) {
 
 // --- malformed driver state -------------------------------------------------
 
+using testutil::expect_field_refusal;
+using testutil::spliced;
+
 /// what() of the runtime_error restoring `bytes` throws.
 std::string restore_error(const std::string& bytes) {
   try {
@@ -303,14 +306,10 @@ std::pair<std::string, std::size_t> driver_checkpoint(const char* mode) {
   tag.tag("Workload");
   const std::size_t at = bytes.find(tag.bytes());
   EXPECT_NE(at, std::string::npos) << mode;
-  return {std::move(bytes), at + tag.bytes().size() + sizeof(std::int64_t)};
-}
-
-/// `bytes` with `len` bytes at `at` replaced by what `with` wrote.
-std::string spliced(std::string bytes, std::size_t at, std::size_t len,
-                    const CheckpointWriter& with) {
-  bytes.replace(at, len, with.bytes());
-  return bytes;
+  const std::size_t section = at + tag.bytes().size();
+  CheckpointReader iterations(std::string_view(bytes).substr(section));
+  (void)iterations.i64();
+  return {std::move(bytes), section + iterations.offset()};
 }
 
 TEST(Workload, CheckpointRejectsMalformedDriverState) {
@@ -330,38 +329,45 @@ TEST(Workload, CheckpointRejectsMalformedDriverState) {
   CheckpointReader reader(std::string_view(collective).substr(sends));
   const std::uint64_t ranks = reader.u64();
   ASSERT_EQ(ranks, 12u);
-  const std::size_t first_send = sends + sizeof(std::uint64_t);
-  bad.push_back(spliced(collective, first_send, 4, below));
-  bad.push_back(spliced(collective, first_send, 4, beyond));
+  const std::size_t first_send = sends + reader.offset();
+  bad.push_back(spliced<std::int32_t>(collective, first_send, below));
+  bad.push_back(spliced<std::int32_t>(collective, first_send, beyond));
   // One rank short: drop a list's last entry and shorten its length.
   CheckpointWriter short_length;
   short_length.u64(ranks - 1);
-  const std::size_t recvs = first_send + 4 * ranks;
-  for (const std::size_t list : {sends, recvs}) {
+  for (std::size_t list = sends, n = 0; n < 2; ++n) {
+    CheckpointReader entries(std::string_view(collective).substr(list));
+    ASSERT_EQ(entries.u64(), ranks);
+    for (std::uint64_t r = 0; r + 1 < ranks; ++r) (void)entries.i32();
+    const std::size_t last = list + entries.offset();
+    (void)entries.i32();
+    const std::size_t end = list + entries.offset();
     std::string bytes = collective;
-    bytes.erase(list + sizeof(std::uint64_t) + 4 * (ranks - 1), 4);
-    bad.push_back(spliced(std::move(bytes), list, 8, short_length));
+    bytes.erase(last, end - last);
+    bad.push_back(spliced<std::uint64_t>(std::move(bytes), list, short_length));
+    list = end;  // recv_count_ follows next_send_
   }
 
-  // Churn state: RNG (4 u64), next arrival (i64), next job id (i32),
-  // job count (u32), then per job its id and mix (i32 each) and its
-  // routers (u64 length, one i32 each).
+  // Churn state: RNG (4 raw words), next arrival (i64), next job id
+  // (i32), job count (u32), then per job its id and mix (i32 each) and
+  // its routers (u64 length, one i32 each).
   const auto [churn, state] = driver_checkpoint("churn");
-  const std::size_t jobs = state + 4 * 8 + 8 + 4;
-  CheckpointReader job(std::string_view(churn).substr(jobs));
+  CheckpointReader job(std::string_view(churn).substr(state));
+  for (int word = 0; word < 4; ++word) (void)job.le64();
+  (void)job.i64();
+  (void)job.i32();
   ASSERT_GT(job.u32(), 0u);
   (void)job.i32();
+  const std::size_t mix = state + job.offset();
   (void)job.i32();
   ASSERT_GT(job.u64(), 0u);
-  const std::size_t mix = jobs + 4 + 4;
-  const std::size_t first_router = mix + 4 + 8;
-  bad.push_back(spliced(churn, mix, 4, beyond));
-  bad.push_back(spliced(churn, first_router, 4, beyond));
-  bad.push_back(spliced(churn, first_router, 4, none));
+  const std::size_t first_router = state + job.offset();
+  bad.push_back(spliced<std::int32_t>(churn, mix, beyond));
+  bad.push_back(spliced<std::int32_t>(churn, first_router, beyond));
+  bad.push_back(spliced<std::int32_t>(churn, first_router, none));
 
   for (const std::string& bytes : bad) {
-    const std::string why = restore_error(bytes);
-    EXPECT_EQ(why.rfind("checkpoint: ", 0), 0u) << why;
+    expect_field_refusal(restore_error(bytes));
   }
   EXPECT_EQ(restore_error(collective), "restored without error");
   EXPECT_EQ(restore_error(churn), "restored without error");
