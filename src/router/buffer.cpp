@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/checkpoint.hpp"
 
@@ -142,6 +143,17 @@ void OutputPort::walk(Self& self, Archive& ck) {
 }
 
 void OutputPort::save(CheckpointWriter& ck) const { walk(*this, ck); }
-void OutputPort::load(CheckpointReader& ck) { walk(*this, ck); }
+void OutputPort::load(CheckpointReader& ck) {
+  walk(*this, ck);
+  // The VC a queued packet lands on downstream (as many VCs as this
+  // port's credit pools) indexes that router's input VCs on arrival.
+  for (const PendingTx& tx : queue_) {
+    if (tx.out_vc < 0 || tx.out_vc >= num_vcs_) {
+      throw std::runtime_error("checkpoint: output queue entry for VC " +
+                               std::to_string(tx.out_vc) + " of a port with " +
+                               std::to_string(num_vcs_) + " VCs");
+    }
+  }
+}
 
 }  // namespace dragonfly

@@ -49,6 +49,16 @@ std::shared_ptr<const Topology> adopt_topology(
   }
   return topo;
 }
+
+/// Refuse a restored packet field outside [lo, end).
+void check_packet_field(const char* what, int value, int lo, int end) {
+  if (value < lo || value >= end) {
+    throw std::runtime_error("checkpoint: packet " + std::string(what) + " " +
+                             std::to_string(value) + " out of range [" +
+                             std::to_string(lo) + ", " + std::to_string(end) +
+                             ")");
+  }
+}
 }  // namespace
 
 Network::Network(const SimConfig& cfg) : Network(cfg, nullptr) {}
@@ -619,68 +629,34 @@ void Network::check_invariants() const {
     return (sh.alloc_active[bit >> 6] >> (bit & 63)) & 1;
   };
 
-  // Credit accounting: every output VC within [0, capacity]. A
-  // vectorized contiguous pass over the SoA arrays (common/simd.hpp);
-  // only a detected violation pays the scalar re-scan for diagnosis.
-  {
-    const auto& credits = hot_.all_credits();
-    const auto& caps = hot_.all_credit_capacity();
-    if (simd::credit_violations(credits.data(), caps.data(), credits.size()) !=
-        0) {
-      for (std::size_t i = 0; i < credits.size(); ++i) {
-        if (credits[i] < 0 || credits[i] > caps[i]) {
-          fail("flat output VC " + std::to_string(i) + " credits " +
-               std::to_string(credits[i]) + " outside [0, " +
-               std::to_string(caps[i]) + "]");
-        }
-      }
+  // Credit accounting: every output VC within [0, capacity].
+  const auto& credits = hot_.all_credits();
+  const auto& caps = hot_.all_credit_capacity();
+  for (std::size_t i = 0; i < credits.size(); ++i) {
+    if (credits[i] < 0 || credits[i] > caps[i]) {
+      fail("flat output VC " + std::to_string(i) + " credits " +
+           std::to_string(credits[i]) + " outside [0, " +
+           std::to_string(caps[i]) + "]");
     }
   }
 
-  // Input FIFOs: occupancy array vs mask vs contents. The occupancy/
-  // mask consistency check compares whole 64-VC words (a vectorized
-  // occ > 0 bitmask against the maintained mask word); only non-empty
-  // VCs (mask bits) pay the object walk.
+  // Input FIFOs: occupancy array vs mask vs contents. Every VC's
+  // occupancy must agree with its mask bit; only non-empty VCs (mask
+  // bits) pay the object walk.
   for (RouterId r = 0; r < R; ++r) {
     const Router& router = *routers_[static_cast<std::size_t>(r)];
     const std::int32_t* occ = hot_.in_occupancy(r);
     const PacketRef* heads = hot_.in_head(r);
     const std::uint64_t* mask = hot_.in_mask(r);
-    for (int w = 0; w < l.in_mask_words(); ++w) {
-      const int lanes = std::min(l.in_stride() - 64 * w, 64);
-      const std::uint64_t lane_sel =
-          lanes == 64 ? ~0ull : (1ull << lanes) - 1;
-      // A whole-window load past this router's stride reads the next
-      // routers' lanes (masked off below) — in bounds except near the
-      // end of the array, where the scalar loop takes over.
-      const std::size_t window_end =
-          static_cast<std::size_t>(occ - hot_.all_in_occupancy().data()) +
-          64 * static_cast<std::size_t>(w) + 64;
-      std::uint64_t derived;
-      if (window_end <= hot_.all_in_occupancy().size()) {
-        derived = simd::positive_i32_mask(occ + 64 * w) & lane_sel;
-      } else {
-        derived = 0;
-        for (int i = 0; i < lanes; ++i) {
-          if (occ[64 * w + i] > 0) derived |= 1ull << i;
-        }
-      }
-      if (derived != (mask[w] & lane_sel)) {
-        for (int i = 0; i < lanes; ++i) {
-          const int flat = 64 * w + i;
-          const bool bit = (mask[w] >> i) & 1;
-          if ((occ[flat] > 0) != bit) {
-            fail("router " + std::to_string(r) + " flat input VC " +
-                 std::to_string(flat) + " occupancy " +
-                 std::to_string(occ[flat]) + " inconsistent with mask bit " +
-                 std::to_string(bit));
-          }
-        }
-      }
-    }
     int buffered = 0;
     for (int flat = 0; flat < l.in_stride(); ++flat) {
       const bool bit = (mask[flat >> 6] >> (flat & 63)) & 1;
+      if ((occ[flat] > 0) != bit) {
+        fail("router " + std::to_string(r) + " flat input VC " +
+             std::to_string(flat) + " occupancy " +
+             std::to_string(occ[flat]) + " inconsistent with mask bit " +
+             std::to_string(bit));
+      }
       if (!bit) continue;
       const PortId port = l.port_of_in_vc[static_cast<std::size_t>(flat)];
       const VcId vc = static_cast<VcId>(
@@ -1116,15 +1092,30 @@ void Network::load(CheckpointReader& ck) {
   ck.tag("Packets");
   store_.configure(static_cast<int>(shards_.size()));
   const std::uint64_t live = ck.u64();
+  const int nodes = static_cast<int>(nodes_.size());
+  const int routers = topo_->num_routers();
   std::vector<PacketRef> canon2ref;
   canon2ref.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(live, 1u << 20)));
   for (std::uint64_t i = 0; i < live; ++i) {
     Packet p;
     p.load(ck);
-    if (p.src < 0 || static_cast<std::size_t>(p.src) >= nodes_.size()) {
-      throw std::runtime_error("checkpoint: packet with invalid source node");
-    }
+    // Every id the kernel uses as an index: refused here, not read out
+    // of bounds later. The non-minimal path fields may be unset (-1)
+    // except on the way to the intermediate group, where routing uses
+    // them.
+    check_packet_field("source node", p.src, 0, nodes);
+    check_packet_field("destination node", p.dst, 0, nodes);
+    check_packet_field("current router", p.current_router, 0, routers);
+    check_packet_field("phase", static_cast<int>(p.phase), 0,
+                       static_cast<int>(dragonfly::Phase::kCommitted) + 1);
+    const int nm_lo = p.phase == dragonfly::Phase::kToIntermediate ? 0 : -1;
+    check_packet_field("intermediate group", p.intermediate_group, nm_lo,
+                       topo_->num_groups());
+    check_packet_field("non-minimal exit router", p.nm_exit_router, nm_lo,
+                       routers);
+    check_packet_field("non-minimal exit port", p.nm_exit_port, nm_lo,
+                       hot_.layout().ports);
     if (p.size_phits != cfg_.packet_size) {
       throw std::runtime_error("checkpoint: packet of " +
                                std::to_string(p.size_phits) +

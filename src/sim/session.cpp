@@ -459,13 +459,15 @@ SimResult Session::collect() const {
     r.saturation_margin = std::max(
         0.0, (r.offered_load - r.accepted_load) / r.offered_load);
   }
+  // Summed by router id over every router: a silent router adds 0 to
+  // its own group.
   const Topology& topo = net_.topology();
   std::vector<double> group_sums(
       static_cast<std::size_t>(topo.num_groups()), 0.0);
-  const std::vector<double> counts = net_.measured_injection_counts();
-  for (std::size_t rtr = 0; rtr < counts.size(); ++rtr) {
-    group_sums[static_cast<std::size_t>(
-        topo.group_of_router(static_cast<RouterId>(rtr)))] += counts[rtr];
+  for (std::size_t rtr = 0; rtr < r.injections_per_router.size(); ++rtr) {
+    group_sums[static_cast<std::size_t>(topo.group_of_router(
+        static_cast<RouterId>(rtr)))] +=
+        static_cast<double>(r.injections_per_router[rtr]);
   }
   r.jain_groups = summarize(group_sums).jain;
   const Cycle win_begin = col.measure_start();

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string_view>
 
 #include "common/checkpoint.hpp"
+#include "common/stats.hpp"
 #include "core/experiment.hpp"
 #include "sim_test_util.hpp"
 
@@ -629,6 +631,277 @@ TEST(Session, CheckpointRejectsAnOutOfRangePhase) {
   CheckpointWriter gone;
   gone.i64(0);
   refused(spliced<std::int64_t>(first, field_at(first, 4), gone));
+}
+
+// --- restored ids used as indices -----------------------------------------
+
+/// Offset just past the first tag `tag` in `bytes`.
+std::size_t section_at(const std::string& bytes, const std::string& tag) {
+  const std::size_t at = bytes.find(tag);
+  EXPECT_NE(at, std::string::npos) << tag;
+  return at + tag.size();
+}
+
+TEST(Session, CheckpointRejectsOutOfRangePacketIds) {
+  // Every id a restored packet carries into an index (the topology's
+  // tables, the router and port arrays, the phase switch) is refused as
+  // a checkpoint error. The fields are the first stored packet's, in
+  // Packet::walk order.
+  const SimConfig cfg = window_cfg();
+  const std::string clean = window_end_checkpoint(cfg);
+  const std::size_t section = section_at(clean, "Packets");
+  CheckpointReader reader(std::string_view(clean).substr(section));
+  ASSERT_GT(reader.u64(), 0u);
+  auto skip = [&reader](auto value) {
+    const std::size_t at = reader.offset();
+    reader.field(value);
+    return at;
+  };
+  (void)skip(std::int64_t{});                  // id
+  const std::size_t src_at = skip(std::int32_t{});
+  const std::size_t dst_at = skip(std::int32_t{});
+  (void)skip(std::int32_t{});                  // size_phits
+  const std::size_t phase_at = skip(std::uint8_t{});
+  const std::size_t group_at = skip(std::int32_t{});
+  const std::size_t exit_router_at = skip(std::int32_t{});
+  const std::size_t exit_port_at = skip(std::int32_t{});
+  (void)skip(bool{});                          // local_misrouted_this_group
+  (void)skip(std::uint8_t{});                  // local_hops
+  (void)skip(std::uint8_t{});                  // global_hops
+  (void)skip(std::uint32_t{});                 // denied_cycles
+  const std::size_t router_at = skip(std::int32_t{});
+
+  const Session shape(cfg);
+  const Topology& topo = shape.network().topology();
+  auto i32 = [&clean, section](std::size_t at, std::int32_t value) {
+    CheckpointWriter with;
+    with.i32(value);
+    return spliced<std::int32_t>(clean, section + at, with);
+  };
+  CheckpointWriter phase;
+  phase.u8(3);
+  // The packet on its way to an intermediate group (phase byte 1) with
+  // the given non-minimal path: there, -1 is not an unset field.
+  auto to_intermediate = [&clean, section, exit_port_at, exit_router_at,
+                          group_at, phase_at](std::int32_t group,
+                                              std::int32_t exit_router,
+                                              std::int32_t exit_port) {
+    std::string bytes = clean;
+    // Last field first, so the earlier offsets still hold.
+    const std::pair<std::size_t, std::int32_t> fields[] = {
+        {exit_port_at, exit_port},
+        {exit_router_at, exit_router},
+        {group_at, group}};
+    for (const auto& [at, value] : fields) {
+      CheckpointWriter with;
+      with.i32(value);
+      bytes = spliced<std::int32_t>(std::move(bytes), section + at, with);
+    }
+    CheckpointWriter to;
+    to.u8(static_cast<std::uint8_t>(Phase::kToIntermediate));
+    return spliced<std::uint8_t>(std::move(bytes), section + phase_at, to);
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {i32(src_at, topo.num_nodes()), "source node"},
+      {i32(dst_at, topo.num_nodes()), "destination node"},
+      {spliced<std::uint8_t>(clean, section + phase_at, phase), "phase"},
+      {to_intermediate(kInvalidGroup, 0, 0), "intermediate group"},
+      {to_intermediate(0, kInvalidRouter, 0), "non-minimal exit router"},
+      {to_intermediate(0, 0, kInvalidPort), "non-minimal exit port"},
+      {i32(group_at, topo.num_groups()), "intermediate group"},
+      {i32(exit_router_at, topo.num_routers()), "non-minimal exit router"},
+      {i32(exit_port_at, shape.network().hot().layout().ports),
+       "non-minimal exit port"},
+      {i32(router_at, kInvalidRouter), "current router"},
+  };
+  for (const auto& [bytes, field] : cases) {
+    const std::string why = restore_error(bytes);
+    expect_field_refusal(why);
+    EXPECT_EQ(why.rfind("checkpoint: packet " + field + " ", 0), 0u) << why;
+  }
+  EXPECT_EQ(restore_error(clean), "restored without error");
+  EXPECT_EQ(restore_error(to_intermediate(0, 0, 0)), "restored without error");
+}
+
+TEST(Session, CheckpointRejectsAnOutputQueueEntryForAMissingVc) {
+  // Each Router section holds the RNG (four raw words), each input
+  // port's VC FIFOs (a VC count, then per VC a length and its packet
+  // refs) and each output queue (a length, then per entry the packet
+  // ref, the downstream VC and the ready cycle). Find the first queued
+  // entry's VC.
+  const SimConfig cfg = window_cfg();
+  const std::string clean = window_end_checkpoint(cfg);
+  const int ports = Session(cfg).network().hot().layout().ports;
+  const std::string tag = "Router";
+  std::size_t vc_at = std::string::npos;
+  for (std::size_t at = clean.find(tag, section_at(clean, "HotState"));
+       at != std::string::npos && vc_at == std::string::npos;
+       at = clean.find(tag, at + tag.size())) {
+    const std::size_t body = at + tag.size();
+    CheckpointReader reader(std::string_view(clean).substr(body));
+    for (int word = 0; word < 4; ++word) (void)reader.le64();
+    for (int port = 0; port < ports; ++port) {
+      const std::uint64_t vcs = reader.u64();
+      for (std::uint64_t vc = 0; vc < vcs; ++vc) {
+        const std::uint64_t packets = reader.u64();
+        for (std::uint64_t i = 0; i < packets; ++i) (void)reader.i32();
+      }
+    }
+    for (int port = 0; port < ports && vc_at == std::string::npos; ++port) {
+      if (reader.u64() == 0) continue;
+      (void)reader.i32();  // packet
+      vc_at = body + reader.offset();
+    }
+  }
+  ASSERT_NE(vc_at, std::string::npos) << "no queued output entry";
+  CheckpointWriter vc;
+  vc.i32(100);
+  const std::string why =
+      restore_error(spliced<std::int32_t>(clean, vc_at, vc));
+  expect_field_refusal(why);
+  EXPECT_EQ(why.rfind("checkpoint: output queue entry for VC 100 ", 0), 0u)
+      << why;
+}
+
+// --- the invariant sweep catches planted faults ----------------------------
+// HotState::load restores its counters unchecked, so a resealed
+// checkpoint can plant a fault that only check_invariants sees.
+
+/// Offset of value `i` of i32 array `array` of the HotState section,
+/// whose arrays are the credits (0), output-queue occupancies (1), link
+/// deadlines (2, i64) and input-VC occupancies (3), each a count and
+/// its values.
+std::size_t hot_value_at(const std::string& bytes, int array, std::size_t i) {
+  const std::size_t section = section_at(bytes, "HotState");
+  CheckpointReader reader(std::string_view(bytes).substr(section));
+  for (int a = 0; a < array; ++a) {
+    const std::uint64_t n = reader.u64();
+    for (std::uint64_t k = 0; k < n; ++k) {
+      if (a == 2) {
+        (void)reader.i64();
+      } else {
+        (void)reader.i32();
+      }
+    }
+  }
+  (void)reader.u64();
+  for (std::size_t k = 0; k < i; ++k) (void)reader.i32();
+  return section + reader.offset();
+}
+
+std::unique_ptr<Session> restored(const std::string& bytes) {
+  std::stringstream stream(bytes);
+  return Session::restore(stream);
+}
+
+/// What check_invariants throws on the restored `bytes`.
+std::string sweep_error(const std::string& bytes) {
+  const auto session = restored(bytes);
+  try {
+    session->network().check_invariants();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "no violation";
+}
+
+TEST(Session, InvariantSweepCatchesACreditAboveItsCapacity) {
+  for (const SimKernel kernel : {SimKernel::kActive, SimKernel::kScan}) {
+    SimConfig cfg = window_cfg();
+    cfg.kernel = kernel;
+    const std::string clean = window_end_checkpoint(cfg);
+    ASSERT_EQ(sweep_error(clean), "no violation");
+    const auto session = restored(clean);
+    // The first finite credit pool (ejection pools are unbounded).
+    const auto& caps = session->network().hot().all_credit_capacity();
+    std::size_t i = 0;
+    while (caps[i] >= (1 << 28)) ++i;
+    CheckpointWriter above;
+    above.i32(caps[i] + 1);
+    EXPECT_EQ(sweep_error(spliced<std::int32_t>(
+                  clean, hot_value_at(clean, 0, i), above)),
+              "check_invariants @" + std::to_string(session->now()) +
+                  ": flat output VC " + std::to_string(i) + " credits " +
+                  std::to_string(caps[i] + 1) + " outside [0, " +
+                  std::to_string(caps[i]) + "]");
+  }
+}
+
+TEST(Session, InvariantSweepCatchesAnOccupancyItsFifoDisagreesWith) {
+  // The restore derives each VC's mask bit from its FIFO, so an
+  // occupancy planted on an empty FIFO, or zeroed under a full one,
+  // disagrees with its mask bit.
+  for (const SimKernel kernel : {SimKernel::kActive, SimKernel::kScan}) {
+    SimConfig cfg = window_cfg();
+    cfg.kernel = kernel;
+    const std::string clean = window_end_checkpoint(cfg);
+    const auto session = restored(clean);
+    const HotState& hot = session->network().hot();
+    const auto& occ = hot.all_in_occupancy();
+    const auto stride = static_cast<std::size_t>(hot.layout().in_stride());
+    for (const bool buffered : {false, true}) {
+      std::size_t i = 0;
+      while ((occ[i] > 0) != buffered) ++i;
+      const std::int32_t planted = buffered ? 0 : cfg.packet_size;
+      CheckpointWriter with;
+      with.i32(planted);
+      EXPECT_EQ(sweep_error(spliced<std::int32_t>(
+                    clean, hot_value_at(clean, 3, i), with)),
+                "check_invariants @" + std::to_string(session->now()) +
+                    ": router " + std::to_string(i / stride) +
+                    " flat input VC " + std::to_string(i % stride) +
+                    " occupancy " + std::to_string(planted) +
+                    " inconsistent with mask bit " +
+                    std::to_string(buffered ? 1 : 0));
+    }
+  }
+}
+
+// --- per-group sums ---------------------------------------------------------
+
+/// Uniform traffic from every router but the second of each group,
+/// which stays silent: a pattern that silences part of every group.
+class SilentSecondRouter final : public TrafficPattern {
+ public:
+  explicit SilentSecondRouter(const Topology& topo) : topo_(topo) {}
+  std::string name() const override { return "test-silent-second-router"; }
+  bool generates(NodeId src) const override {
+    return topo_.router_in_group(topo_.router_of_node(src)) != 1;
+  }
+  NodeId destination(NodeId src, Rng& rng) const override {
+    if (!generates(src)) return kInvalidNode;
+    const auto dst = static_cast<NodeId>(
+        rng.below(static_cast<std::uint64_t>(topo_.num_nodes())));
+    return dst == src ? (dst + 1) % topo_.num_nodes() : dst;
+  }
+
+ private:
+  const Topology& topo_;
+};
+
+TEST(Session, GroupSumsAttributeEachRouterToItsOwnGroup) {
+  const std::string key = "test-silent-second-router";
+  if (!traffic_registry().contains(key)) {
+    traffic_registry().add(key, [](const Topology& topo, const SimConfig&) {
+      return std::make_unique<SilentSecondRouter>(topo);
+    });
+  }
+  Session session(quick("min", key, 0.3));
+  const SimResult r = session.run();
+  const Topology& topo = session.network().topology();
+  std::vector<double> sums(static_cast<std::size_t>(topo.num_groups()), 0.0);
+  for (RouterId rtr = 0; rtr < topo.num_routers(); ++rtr) {
+    const std::int64_t injected =
+        r.injections_per_router[static_cast<std::size_t>(rtr)];
+    if (topo.router_in_group(rtr) == 1) {
+      EXPECT_EQ(injected, 0) << rtr;
+    } else {
+      EXPECT_GT(injected, 0) << rtr;
+    }
+    sums[static_cast<std::size_t>(topo.group_of_router(rtr))] +=
+        static_cast<double>(injected);
+  }
+  EXPECT_EQ(r.jain_groups, summarize(sums).jain);
 }
 
 TEST(Session, ScriptedPhasesMutateLoadAndTraffic) {

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
 
@@ -89,8 +88,8 @@ TEST(SimdBernoulli, ScalarWordMatchesPerLaneRng) {
 }
 
 TEST(SimdBernoulli, DispatchedBackendMatchesScalar) {
-  // Whatever backend() resolved to on this host (AVX2, SSE2, NEON or
-  // scalar), results and lane states must equal the scalar reference.
+  // Whatever backend() resolved to on this host (AVX2, SSE2 or scalar),
+  // results and lane states must equal the scalar reference.
   for (const std::uint64_t draw :
        {~0ull, 0x1ull, 0x8000'0000'0000'0000ull, 0xdead'beef'cafe'f00dull,
         0x0000'ffff'0000'ffffull}) {
@@ -121,7 +120,7 @@ TEST(SimdMasks, DispatchedBytesMasksMatchScalar) {
   }
 #if DRAGONFLY_SIMD_X86
   // The SSE2 bodies are dispatched only where AVX2 is missing, so call
-  // them directly here and in the two tests below.
+  // them directly too.
   EXPECT_EQ(simd::nonzero_bytes_mask_sse2(bytes.data()),
             simd::nonzero_bytes_mask_scalar(bytes.data(), ~0ull));
   for (const std::uint8_t v : {0, 1, 2}) {
@@ -129,35 +128,6 @@ TEST(SimdMasks, DispatchedBytesMasksMatchScalar) {
               simd::equal_bytes_mask_scalar(bytes.data(), v, ~0ull));
   }
 #endif
-}
-
-TEST(SimdMasks, DispatchedPositiveI32MatchesScalar) {
-  std::array<std::int32_t, 64> v{};
-  Rng rng(6);
-  for (auto& x : v) x = static_cast<std::int32_t>(rng.range(-2, 3));
-  EXPECT_EQ(simd::positive_i32_mask(v.data()),
-            simd::positive_i32_mask_scalar(v.data()));
-#if DRAGONFLY_SIMD_X86
-  EXPECT_EQ(simd::positive_i32_mask_sse2(v.data()),
-            simd::positive_i32_mask_scalar(v.data()));
-#endif
-}
-
-TEST(SimdCredits, DispatchedViolationCountMatchesScalar) {
-  // Odd length exercises the vector body plus the scalar tail.
-  const std::size_t n = 203;
-  std::vector<std::int32_t> credits(n), caps(n, 32);
-  Rng rng(8);
-  for (auto& c : credits) c = static_cast<std::int32_t>(rng.range(-1, 34));
-  EXPECT_EQ(simd::credit_violations(credits.data(), caps.data(), n),
-            simd::credit_violations_scalar(credits.data(), caps.data(), n));
-#if DRAGONFLY_SIMD_X86
-  EXPECT_EQ(simd::credit_violations_sse2(credits.data(), caps.data(), n),
-            simd::credit_violations_scalar(credits.data(), caps.data(), n));
-#endif
-  // And an all-clean span must report zero.
-  std::fill(credits.begin(), credits.end(), 16);
-  EXPECT_EQ(simd::credit_violations(credits.data(), caps.data(), n), 0u);
 }
 
 TEST(Rng, BernoulliEdgeProbabilitiesConsumeNoDraw) {
