@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/fnv.hpp"
-
 namespace dragonfly {
 
 namespace {
@@ -14,7 +12,56 @@ constexpr int kMaxVarintBytes = 10;           ///< ceil(64 / 7)
 [[noreturn]] void refuse(const std::string& why) {
   throw std::runtime_error("checkpoint: " + why);
 }
+
+/// checkpoint_digest()'s multiplier (odd, so each chain step is a
+/// bijection), lane seeds and avalanche (MurmurHash3's 64-bit finalizer,
+/// a bijection too).
+constexpr std::uint64_t kDigestPrime = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kLaneSeed[4] = {
+    0xcbf29ce484222325ull, 0x84222325cbf29ce4ull, 0x243f6a8885a308d3ull,
+    0x13198a2e03707344ull};
+
+std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// The little-endian word at `p`, whatever the host's byte order (on a
+/// little-endian host the compiler folds this into one load).
+std::uint64_t word_at(const unsigned char* p) {
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+         std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
+         std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+         std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
+}
 }  // namespace
+
+std::uint64_t checkpoint_digest(std::string_view bytes) {
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::size_t n = bytes.size();
+  std::uint64_t lane[4] = {kLaneSeed[0], kLaneSeed[1], kLaneSeed[2],
+                           kLaneSeed[3]};
+  std::size_t i = 0;
+  // Four independent multiply chains: one word per lane per block, so
+  // the multiplies overlap instead of waiting on each other.
+  for (; n - i >= 32; i += 32) {
+    for (int k = 0; k < 4; ++k) {
+      lane[k] = (lane[k] ^ word_at(p + i + 8 * k)) * kDigestPrime;
+    }
+  }
+  int k = 0;
+  for (; n - i >= 8; i += 8, ++k) {
+    lane[k] = (lane[k] ^ word_at(p + i)) * kDigestPrime;
+  }
+  for (; i < n; ++i) lane[k] = (lane[k] ^ p[i]) * kDigestPrime;
+  std::uint64_t h = n;
+  for (const std::uint64_t l : lane) h = (h ^ l) * kDigestPrime;
+  return avalanche(h);
+}
 
 void CheckpointWriter::grow(std::size_t n) {
   buf_.resize(std::max({buf_.size() * 2, len_ + n, std::size_t{4096}}));
@@ -22,7 +69,7 @@ void CheckpointWriter::grow(std::size_t n) {
 
 void CheckpointWriter::seal() {
   le64(len_);
-  le64(digest_);
+  le64(checkpoint_digest(bytes()));
 }
 
 void CheckpointReader::truncated() { refuse("truncated stream"); }
@@ -67,7 +114,7 @@ void CheckpointReader::unseal() {
            " bytes before its trailer, which records " +
            std::to_string(length) + " (cut or spliced)");
   }
-  if (trailer.le64() != fnv1a64(data_.substr(0, body + 8))) {
+  if (trailer.le64() != checkpoint_digest(data_.substr(0, body + 8))) {
     refuse("checksum mismatch (corrupt stream)");
   }
   if (pos_ > body) truncated();

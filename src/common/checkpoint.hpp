@@ -1,6 +1,6 @@
 // Binary checkpoint streams for Session::checkpoint()/restore().
 //
-// The format (v7) is a flat byte stream: integers as LEB128 varints
+// The format (v8) is a flat byte stream: integers as LEB128 varints
 // (zigzag-mapped when signed), IEEE doubles and RNG state words as 8 raw
 // little-endian bytes (they are full-entropy, a varint would only grow
 // them), length-prefixed strings, and section tags. Only *mutable*
@@ -18,7 +18,8 @@
 // costs a bounds check and a few byte stores instead of a stream call.
 // Files and std::streams are touched once per checkpoint, by
 // Session::checkpoint()/restore(). A finished stream ends in an
-// integrity trailer (seal()/unseal()): its length and its FNV-1a 64.
+// integrity trailer (seal()/unseal()): its length and its
+// checkpoint_digest().
 //
 // Each checkpointed type lists its fields once, in a static
 // `walk(self, ck)` template in its own .cpp that save() and load() both
@@ -41,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/fnv.hpp"
 #include "common/ring.hpp"
 
 namespace dragonfly {
@@ -72,17 +72,28 @@ template <class W>
 inline constexpr Wire<W> wire{};
 
 /// Bytes of the integrity trailer a sealed stream ends with: the length
-/// of everything before it, then the FNV-1a 64 of everything before the
-/// digest (the body and that length), each as 8 raw little-endian bytes.
+/// of everything before it, then the checkpoint_digest() of everything
+/// before the digest (the body and that length), each as 8 raw
+/// little-endian bytes.
 inline constexpr std::size_t kTrailerBytes = 16;
+
+/// The trailer's 64-bit digest of `bytes`, in one pass. Four chains
+/// `lane = (lane ^ w) * P` take consecutive little-endian 8-byte words
+/// in turn (word k feeds lane k % 4); the bytes after the last whole
+/// word fold into the next lane one at a time; the lanes are then
+/// combined with the length and the result avalanched. Every step is a
+/// bijection of the value it updates, so a change confined to one
+/// aligned word (or one tail byte) always changes the digest. The words
+/// are assembled from bytes: the digest does not depend on the host's
+/// byte order.
+std::uint64_t checkpoint_digest(std::string_view bytes);
 
 /// Appends primitives to an in-memory byte buffer.
 class CheckpointWriter {
  public:
   void u8(std::uint8_t v) {
-    char* p = room(1);
-    *p = static_cast<char>(v);
-    commit(p, 1);
+    *room(1) = static_cast<char>(v);
+    len_ += 1;
   }
   void u32(std::uint32_t v) { varint(v); }
   void u64(std::uint64_t v) { varint(v); }
@@ -106,9 +117,8 @@ class CheckpointWriter {
   void le32(std::uint32_t v) { le<4>(v); }
   void le64(std::uint64_t v) { le<8>(v); }
   void raw(std::string_view v) {
-    char* p = room(v.size());
-    std::memcpy(p, v.data(), v.size());
-    commit(p, v.size());
+    std::memcpy(room(v.size()), v.data(), v.size());
+    len_ += v.size();
   }
 
   /// Section tag: a small string marker checked on read, so a drifted
@@ -186,7 +196,6 @@ class CheckpointWriter {
     std::string out(bytes());
     buf_ = {};
     len_ = 0;
-    digest_ = kFnv1a64Offset;
     return out;
   }
 
@@ -201,13 +210,13 @@ class CheckpointWriter {
     std::size_t n = 0;
     for (; v >= 0x80; v >>= 7) p[n++] = static_cast<char>(v | 0x80);
     p[n++] = static_cast<char>(v);
-    commit(p, n);
+    len_ += n;
   }
   template <int N, class U>
   void le(U v) {
     char* p = room(N);
     for (int i = 0; i < N; ++i) p[i] = static_cast<char>(v >> (8 * i));
-    commit(p, N);
+    len_ += N;
   }
   /// Where the next `n` bytes go. The buffer's size is its capacity: it
   /// grows (doubling) ahead of the bytes written, so a primitive is a
@@ -217,17 +226,9 @@ class CheckpointWriter {
     return buf_.data() + len_;
   }
   void grow(std::size_t n);
-  /// Counts `n` bytes just written at `p` and folds them into the running
-  /// digest. Hashing while writing lets the digest's serial multiply
-  /// chain overlap the walk, which a separate pass at seal() cannot.
-  void commit(const char* p, std::size_t n) {
-    digest_ = fnv1a64({p, n}, digest_);
-    len_ += n;
-  }
 
   std::string buf_;
   std::size_t len_ = 0;  ///< bytes written; buf_ beyond it is scratch
-  std::uint64_t digest_ = kFnv1a64Offset;  ///< FNV-1a 64 of those bytes
   PacketRefXlat pkt_xlat_;
 };
 
@@ -354,8 +355,9 @@ class CheckpointReader {
   }
 
   /// Checks the integrity trailer seal() wrote — the stream's length and
-  /// its FNV-1a 64 — and narrows the reader to the bytes before it, so a
-  /// cut or bit-flipped stream fails here, before its body is read.
+  /// its checkpoint_digest() — and narrows the reader to the bytes
+  /// before it, so a cut or bit-flipped stream fails here, before its
+  /// body is read.
   void unseal();
   /// Refuses bytes left unread (called once the last section is read).
   void expect_end() const;
@@ -371,13 +373,25 @@ class CheckpointReader {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
   }
-  /// A varint no larger than `max`; one-byte values take the fast path.
+  /// A varint no larger than `max`. One- and two-byte values (most ids,
+  /// counts and cycle stamps) are decoded inline: every field's max is at
+  /// least 2^32 - 1, so they always fit. Anything else, a non-minimal
+  /// second byte of 0 included, goes to long_varint, which refuses what
+  /// the writer cannot emit.
   std::uint64_t varint(std::uint64_t max) {
-    if (pos_ < data_.size()) {
-      const auto b = static_cast<unsigned char>(data_[pos_]);
-      if (b < 0x80) {  // every field's max is at least 0x7f
+    const std::size_t left = data_.size() - pos_;
+    if (left > 0) {
+      const auto b0 = static_cast<unsigned char>(data_[pos_]);
+      if (b0 < 0x80) {
         ++pos_;
-        return b;
+        return b0;
+      }
+      if (left > 1) {
+        const auto b1 = static_cast<unsigned char>(data_[pos_ + 1]);
+        if (b1 != 0 && b1 < 0x80) {
+          pos_ += 2;
+          return (b0 & 0x7fu) | (std::uint64_t{b1} << 7);
+        }
       }
     }
     return long_varint(max);

@@ -1,7 +1,9 @@
-// FNV-1a 64: the one byte-string digest of the simulator. It keys the
-// config hashes (SimConfig::canonical_hash/warm_hash), seals checkpoint
-// streams (their integrity trailer) and names the golden checkpoint
-// digests.
+// FNV-1a 64: the simulator's config hash. It keys
+// SimConfig::canonical_hash/warm_hash (and so the service's caches and
+// perfbench's digests) and names the golden checkpoint digests.
+// Checkpoint streams are sealed by checkpoint_digest()
+// (common/checkpoint.hpp), which reads a word at a time instead of a
+// byte.
 #pragma once
 
 #include <cstdint>

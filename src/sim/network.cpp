@@ -50,13 +50,19 @@ std::shared_ptr<const Topology> adopt_topology(
   return topo;
 }
 
-/// Refuse a restored packet field outside [lo, end).
-void check_packet_field(const char* what, int value, int lo, int end) {
-  if (value < lo || value >= end) {
-    throw std::runtime_error("checkpoint: packet " + std::string(what) + " " +
-                             std::to_string(value) + " out of range [" +
-                             std::to_string(lo) + ", " + std::to_string(end) +
-                             ")");
+[[noreturn]] void packet_field_out_of_range(const char* what, int value,
+                                            int lo, int end) {
+  throw std::runtime_error("checkpoint: packet " + std::string(what) + " " +
+                           std::to_string(value) + " out of range [" +
+                           std::to_string(lo) + ", " + std::to_string(end) +
+                           ")");
+}
+
+/// Refuse a restored packet field outside [lo, end). The compare is
+/// inline; only the refusal is a call.
+inline void check_packet_field(const char* what, int value, int lo, int end) {
+  if (value < lo || value >= end) [[unlikely]] {
+    packet_field_out_of_range(what, value, lo, end);
   }
 }
 }  // namespace
@@ -969,11 +975,14 @@ void Network::save(CheckpointWriter& ck) const {
   // Gather pending packet/credit events across all shard calendars and
   // sort them into the canonical order. Each calendar holds an event in
   // the bucket of its due cycle (`when`), so gathering one due cycle at
-  // a time, shards in order, and stable-sorting each group by the rest
-  // of the key gives exactly a global stable sort of the shard-order
-  // gather. The transmit calendar is *not* serialized: it is derived
-  // state, rebuilt from the output queues on load (rebuild_activation),
-  // which also makes checkpoint streams kernel-independent.
+  // a time, shards in order, and ordering each group by the rest of the
+  // key, ties by position in the gather, gives exactly a global stable
+  // sort of the shard-order gather. A group shares its due cycle, so
+  // `when` carries the gather position while the group sorts in place
+  // (std::stable_sort would allocate a buffer per group). The transmit
+  // calendar is *not* serialized: it is derived state, rebuilt from the
+  // output queues on load (rebuild_activation), which also makes
+  // checkpoint streams kernel-independent.
   std::vector<Event> events;
   Cycle first_due = std::numeric_limits<Cycle>::max();
   Cycle last_due = std::numeric_limits<Cycle>::min();
@@ -988,13 +997,13 @@ void Network::save(CheckpointWriter& ck) const {
                              [&](const Event& ev) { events.push_back(ev); });
     }
     if (events.size() - group < 2) continue;
-    std::stable_sort(events.begin() + static_cast<std::ptrdiff_t>(group),
-                     events.end(), [](const Event& a, const Event& b) {
-                       return std::tie(a.type, a.router, a.port, a.vc,
-                                       a.phits) <
-                              std::tie(b.type, b.router, b.port, b.vc,
-                                       b.phits);
-                     });
+    const auto first = events.begin() + static_cast<std::ptrdiff_t>(group);
+    for (auto it = first; it != events.end(); ++it) it->when = it - first;
+    std::sort(first, events.end(), [](const Event& a, const Event& b) {
+      return std::tie(a.type, a.router, a.port, a.vc, a.phits, a.when) <
+             std::tie(b.type, b.router, b.port, b.vc, b.phits, b.when);
+    });
+    for (auto it = first; it != events.end(); ++it) it->when = due;
   }
   // Delivery calendar in stored (canonical) order.
   std::vector<Delivery> deliveries;

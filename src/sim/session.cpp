@@ -56,7 +56,9 @@ constexpr std::string_view kCheckpointMagic = "dragonfly-session-checkpoint";
 /// length and FNV-1a 64). The header keeps the fixed-width layout every
 /// version has used — a u64 magic length, the magic, a u32 version — so
 /// an older file still reads as its version and is refused by number.
-constexpr std::uint32_t kCheckpointVersion = 7;
+/// v8: the trailer's digest is checkpoint_digest() (four word-wide
+/// multiply chains) instead of FNV-1a 64; the body is unchanged.
+constexpr std::uint32_t kCheckpointVersion = 8;
 
 /// A job's accepted load over the window: delivered phits divided by
 /// job-nodes times the overlap of the job's lifetime with

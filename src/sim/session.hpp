@@ -161,10 +161,11 @@ class Session {
   /// independent, so a `refine` that changes only sim.shards resumes
   /// bit-identically under the new count: a run checkpointed on a laptop
   /// at sim.shards=1 continues on a many-core box at sim.shards=8.
-  /// The stream ends in an integrity trailer (its length and FNV-1a 64),
-  /// which restore() checks before it reads the config: a cut or
-  /// corrupted stream, or one of an older format version, throws
-  /// std::runtime_error ("checkpoint: ...") before a network is built.
+  /// The stream ends in an integrity trailer (its length and its
+  /// checkpoint_digest()), which restore() checks before it reads the
+  /// config: a cut or corrupted stream, or one of an older format
+  /// version, throws std::runtime_error ("checkpoint: ...") before a
+  /// network is built.
   ///
   /// `refine`, when non-null, is a *warm-start refinement*: the restored
   /// session adopts the refinement keys (measurement window, stop rule,

@@ -13,6 +13,7 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/calendar.hpp"
@@ -63,6 +64,23 @@ TEST(AllocBudget, First700CyclesAtH2) {
   Session session(cfg, make_topology(cfg));
   const std::int64_t n = allocations_during([&] { session.step(700); });
   EXPECT_LE(n, 900) << "first 700 cycles at h=2";
+  RecordProperty("allocations", static_cast<int>(n));
+}
+
+TEST(AllocBudget, WindowEndCheckpointAtH2) {
+  // A window-end save gathers the pending events, numbers the live
+  // packets and writes into a doubling buffer: a few vectors and buffer
+  // steps, nothing per event group or per packet (29 allocations when
+  // the budget was set; a buffer per sorted event group made 129).
+  SimConfig cfg = testutil::quick("par-mm", "advc", 0.3, /*h=*/2);
+  cfg.warmup_cycles = 400;
+  cfg.measure_cycles = 600;
+  Session session(cfg, make_topology(cfg));
+  ASSERT_TRUE(session.advance_to_measure_close());
+  std::string bytes;
+  const std::int64_t n =
+      allocations_during([&] { bytes = session.checkpoint(); });
+  EXPECT_LE(n, 40) << "window-end checkpoint at h=2";
   RecordProperty("allocations", static_cast<int>(n));
 }
 

@@ -1,7 +1,8 @@
-// The checkpoint wire (format v7): integers as LEB128 varints, signed
-// ones zigzag-mapped; doubles and RNG words as 8 raw bytes. The reader
-// accepts exactly what the writer emits, so a restore followed by a save
-// writes the same bytes, and refuses anything else as `checkpoint: ...`.
+// The checkpoint wire (format v8): integers as LEB128 varints, signed
+// ones zigzag-mapped; doubles and RNG words as 8 raw bytes; a trailer of
+// the length and checkpoint_digest(). The reader accepts exactly what
+// the writer emits, so a restore followed by a save writes the same
+// bytes, and refuses anything else as `checkpoint: ...`.
 #include "common/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -152,6 +153,48 @@ TEST(CheckpointWire, SealedStreamsUnsealToTheirBody) {
   EXPECT_EQ(r.str(), "body");
   r.expect_end();
   EXPECT_THROW(r.u8(), std::runtime_error);  // the trailer is not body
+}
+
+/// `n` bytes of a fixed pseudo-random sequence.
+std::string noise(std::size_t n) {
+  Rng rng(n + 1);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.next());
+  return bytes;
+}
+
+TEST(CheckpointDigest, EveryOneBitFlipChangesTheDigest) {
+  // Lengths 0..300 put a flip in every lane of a 32-byte block, in the
+  // whole words after the last block and in every tail position.
+  for (std::size_t n = 0; n <= 300; ++n) {
+    std::string bytes = noise(n);
+    const std::uint64_t clean = checkpoint_digest(bytes);
+    for (std::size_t at = 0; at < n; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+        ASSERT_NE(checkpoint_digest(bytes), clean)
+            << "length " << n << ", bit " << bit << " of byte " << at;
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+      }
+    }
+  }
+}
+
+TEST(CheckpointDigest, DroppingOrAppendingAByteChangesTheDigest) {
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const std::string bytes = noise(n);
+    const std::uint64_t clean = checkpoint_digest(bytes);
+    for (std::size_t at = 0; at < n; ++at) {
+      std::string dropped = bytes;
+      dropped.erase(at, 1);
+      ASSERT_NE(checkpoint_digest(dropped), clean)
+          << "length " << n << ", byte " << at << " dropped";
+    }
+    for (const char extra : {'\0', '\x5a', '\xff'}) {
+      ASSERT_NE(checkpoint_digest(bytes + extra), clean)
+          << "length " << n << ", byte " << int{extra} << " appended";
+    }
+  }
 }
 
 }  // namespace

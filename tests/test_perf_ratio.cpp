@@ -26,11 +26,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/checkpoint.hpp"
+#include "common/fnv.hpp"
 #include "core/api.hpp"
 #include "service/engine.hpp"
 
@@ -57,6 +61,11 @@ constexpr double kServiceHitFloor = 88.5;
 // cycles. Idle 4.12x, after suite 3.71x; BENCH_9 1.01x (before warm
 // starts resumed at the window's end).
 constexpr double kServiceWarmFloor = 2.60;
+// fnv1a64/checkpoint_digest time over the bytes of one h=3 window-end
+// checkpoint (a serial byte hash against the trailer's word-wide
+// digest). Idle 29.8x, after suite 30.2x; not in BENCH_9 (the digest
+// came with checkpoint format v8).
+constexpr double kCheckpointDigestFloor = 20.8;
 
 constexpr int kRounds = 21;
 
@@ -245,6 +254,40 @@ TEST_F(PerfRatio, ServiceWarmStartBeatsMiss) {
   });
   expect_floor("service warm/miss", median, kServiceWarmFloor);
   EXPECT_EQ(service.stats().cold_runs, 1);
+}
+
+TEST_F(PerfRatio, CheckpointDigestOutrunsFnv1a) {
+  // A window-end checkpoint at h=3 (~200 kB), as the service's warm
+  // cache holds it; its trailer's digest covers all but its last 8
+  // bytes.
+  SimConfig cfg = SimConfig::small(3);
+  cfg.routing_name = "par-mm";
+  cfg.traffic_name = "advc";
+  cfg.load = 0.3;
+  cfg.warmup_cycles = 400;
+  cfg.measure_cycles = 600;
+  cfg.apply_vc_defaults();
+  Session session(cfg);
+  ASSERT_TRUE(session.advance_to_measure_close());
+  const std::string stream = session.checkpoint();
+  const std::string_view bytes(stream.data(), stream.size() - 8);
+  CheckpointReader trailer(std::string_view(stream).substr(bytes.size()));
+  ASSERT_EQ(checkpoint_digest(bytes), trailer.le64());
+
+  constexpr int kPasses = 20;
+  volatile std::uint64_t sink = 0;
+  auto side = [&](auto digest) {
+    return [&, digest] {
+      return seconds([&] {
+        for (int i = 0; i < kPasses; ++i) sink = sink ^ digest(bytes);
+      });
+    };
+  };
+  const double median =
+      median_ratio(side([](std::string_view b) { return fnv1a64(b); }),
+                   side([](std::string_view b) { return checkpoint_digest(b); }));
+  expect_floor("checkpoint fnv1a64/digest h=3", median,
+               kCheckpointDigestFloor);
 }
 
 }  // namespace

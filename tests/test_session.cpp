@@ -363,6 +363,10 @@ TEST(Session, CheckpointRejectsAnOlderFormatVersion) {
   std::string v6 = with_version(bytes, 6);
   v6.resize(v6.size() - kTrailerBytes);
   EXPECT_EQ(restore_error(v6), "checkpoint: unsupported version 6");
+  // A v7 file has this layout with an FNV-1a 64 trailer; the version
+  // refuses it before the trailer is read.
+  EXPECT_EQ(restore_error(with_version(bytes, 7)),
+            "checkpoint: unsupported version 7");
 }
 
 // --- checkpoints inside an open window (the service's warm starts) ---------
@@ -521,15 +525,20 @@ TEST(Session, CheckpointCutAtAnyPrefixThrows) {
   }
 }
 
-TEST(Session, CheckpointTrailerRefusesAFlippedBitInEverySection) {
-  // A window-end checkpoint of a collective workload carries every
-  // section. One flipped bit just inside any of them fails the trailer's
-  // digest before the config is read, and so does one in the trailer.
+/// A window-end checkpoint of a collective workload: it carries every
+/// section.
+std::string collective_window_end_checkpoint() {
   SimConfig cfg = window_cfg();
   cfg.workload.mode = "collective";
   cfg.workload.collective = "ring";
   cfg.workload.participants = 12;
-  const std::string clean = window_end_checkpoint(cfg);
+  return window_end_checkpoint(cfg);
+}
+
+TEST(Session, CheckpointTrailerRefusesAFlippedBitInEverySection) {
+  // One flipped bit just inside any section fails the trailer's digest
+  // before the config is read, and so does one in the trailer.
+  const std::string clean = collective_window_end_checkpoint();
   ASSERT_EQ(restore_error(clean), "restored without error");
   for (const std::string tag :
        {"SimConfig", "Session", "Network", "Packets", "Events", "Deliveries",
@@ -546,6 +555,42 @@ TEST(Session, CheckpointTrailerRefusesAFlippedBitInEverySection) {
     std::string bytes = clean;
     bytes[bytes.size() - from_end] ^= 0x01;
     EXPECT_EQ(restore_error(bytes).rfind("checkpoint: ", 0), 0u) << from_end;
+  }
+}
+
+TEST(Session, CheckpointRefusesEverySingleBitFlip) {
+  // Every bit of a real checkpoint, flipped alone: a flip in the header
+  // fails its own check (magic or version), one in the body or the
+  // digest fails the digest, one in the recorded length fails the
+  // length. None restores.
+  std::string bytes = collective_window_end_checkpoint();
+  ASSERT_GT(bytes.size(), 10'000u);
+  CheckpointReader header(bytes);
+  (void)header.raw(static_cast<std::size_t>(header.le64()));
+  (void)header.le32();
+  const std::size_t body_begin = header.offset();
+  const std::size_t body_end = bytes.size() - kTrailerBytes;
+  auto why = [&bytes]() -> std::string {
+    try {
+      Session::restore(std::string_view(bytes));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "restored without error";
+  };
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+      const std::string got = why();
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+      if (at >= body_begin && at < body_end) {
+        EXPECT_EQ(got, "checkpoint: checksum mismatch (corrupt stream)")
+            << "bit " << bit << " of byte " << at;
+      } else {
+        EXPECT_EQ(got.rfind("checkpoint: ", 0), 0u)
+            << "bit " << bit << " of byte " << at << ": " << got;
+      }
+    }
   }
 }
 
