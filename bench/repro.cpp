@@ -1,10 +1,14 @@
 // Reproduction driver: the paper's figures and tables, four ablations and
 // the UGAL extension as rows of one experiment table.
 //
-//   bench_repro [--list] [NAME...]     (no NAME runs every row)
+//   bench_repro [--list] [--config FILE] [--set KEY=VALUE]...
+//               [--results-dir DIR] [NAME...]      (no NAME runs every row)
 //
-// A row's runs go through one run_configs batch; each view prints one
-// table and mirrors it under results_dir(). REPRO_* knobs: DESIGN.md.
+// The spec starts small (h=3, default_loads(), one seed); --config files
+// apply over it, then each --set in order, then each row's own overrides.
+// examples/specs/paper_scale.spec is Table I's scale. A row's runs go
+// through one run_configs batch; each view prints one table and mirrors
+// it under DIR (default "results") as CSV, or JSON with --set out=json.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -16,9 +20,13 @@ namespace {
 
 using namespace dragonfly;
 
+constexpr const char* kUsage =
+    "usage: bench_repro [--list] [--config FILE] [--set KEY=VALUE]... "
+    "[--results-dir DIR] [NAME...]\n";
+
 /// A legend label plus space-separated `key=value` overrides applied over
-/// bench_setup()'s spec (ExperimentSpec::apply_kv). Without a load it
-/// sweeps the setup's loads; `load=fairness` is the fairness load.
+/// the driver's spec (ExperimentSpec::apply_kv). Without a load it
+/// sweeps the spec's loads; `load=fairness` is the fairness load.
 struct Run {
   std::string label;
   std::string overrides;
@@ -302,21 +310,23 @@ std::vector<Experiment> experiments() {
 }
 
 void print_view(const View& view, std::span<const Curve> all_curves,
-                std::span<const SimConfig> all_configs) {
+                std::span<const SimConfig> all_configs, const Mirror& mirror) {
   const std::size_t n = std::min(view.last, all_curves.size()) - view.first;
   const auto curves = all_curves.subspan(view.first, n);
   const auto configs = all_configs.subspan(view.first, n);
   std::ostream& os = std::cout;
   switch (view.kind) {
     case ViewKind::kCurves:
-      return report_latency_throughput(os, view.title, view.stem, curves);
+      return report_latency_throughput(os, view.title, mirror, view.stem,
+                                       curves);
     case ViewKind::kBreakdown:
-      return report_latency_breakdown(os, view.title, view.stem, curves[0]);
+      return report_latency_breakdown(os, view.title, mirror, view.stem,
+                                      curves[0]);
     case ViewKind::kInjections:
-      return report_injections_per_router(os, view.title, view.stem, curves,
-                                          0, configs.front().topo.a);
+      return report_injections_per_router(os, view.title, mirror, view.stem,
+                                          curves, 0, configs.front().topo.a);
     case ViewKind::kFairness:
-      return report_fairness_table(os, view.title, view.stem, curves);
+      return report_fairness_table(os, view.title, mirror, view.stem, curves);
     case ViewKind::kPivot:
       break;
   }
@@ -334,19 +344,19 @@ void print_view(const View& view, std::span<const Curve> all_curves,
   }
   table.print(os);
   os << "\n";
-  if (!view.stem.empty()) mirror_table(table, view.stem);
+  if (!view.stem.empty()) mirror_table(table, mirror, view.stem);
 }
 
-void run_experiment(const Experiment& e, const BenchSetup& setup) {
+void run_experiment(const Experiment& e, const ExperimentSpec& start,
+                    const Mirror& mirror, ParallelRunner& pool) {
   // The paper's fairness load is 0.4 at h=6; at reduced scale the
   // oblivious mechanisms saturate earlier, and 0.3 is the equivalent
   // below-oblivious-saturation point.
-  const std::string fairness =
-      setup.full_scale || setup.spec.base.topo.h >= 6 ? "0.4" : "0.3";
+  const std::string fairness = start.base.topo.h >= 6 ? "0.4" : "0.3";
   std::vector<SimConfig> configs;  // one per (run, offered load)
   std::vector<std::size_t> offsets{0};
   for (const Run& run : e.runs) {
-    ExperimentSpec spec = setup.spec;
+    ExperimentSpec spec = start;
     std::istringstream items(run.overrides);
     for (std::string item; items >> item;) {
       const auto [key, value] = split_kv(item);
@@ -359,10 +369,9 @@ void run_experiment(const Experiment& e, const BenchSetup& setup) {
     }
     offsets.push_back(configs.size());
   }
-  report_preamble(std::cout, e.title, configs, setup.spec.seeds,
-                  e.expectation);
+  report_preamble(std::cout, e.title, configs, start.seeds, e.expectation);
   const std::vector<AveragedResult> results =
-      run_configs(configs, setup.spec.seeds, *setup.pool);
+      run_configs(configs, start.seeds, pool);
   std::vector<Curve> curves;
   std::vector<SimConfig> firsts;  // each run's first config
   for (std::size_t i = 0; i < e.runs.size(); ++i) {
@@ -370,38 +379,85 @@ void run_experiment(const Experiment& e, const BenchSetup& setup) {
                                         results.begin() + offsets[i + 1]}});
     firsts.push_back(configs[offsets[i]]);
   }
-  for (const View& view : e.views) print_view(view, curves, firsts);
+  for (const View& view : e.views) print_view(view, curves, firsts, mirror);
+}
+
+/// Print every row's names and title.
+void list_rows(std::ostream& os, const std::vector<Experiment>& table) {
+  for (const Experiment& e : table) {
+    for (const std::string& name : e.names) {
+      os << name << (&name == &e.names.back() ? ": " : " ");
+    }
+    os << e.title << "\n";
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) try {
   const std::vector<Experiment> table = experiments();
-  std::vector<bool> chosen(table.size(), argc == 1);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto row = std::ranges::find_if(table, [&](const Experiment& e) {
-      return std::ranges::count(e.names, arg) > 0;
-    });
-    if (row == table.end()) {  // --list, or an unknown name
-      std::ostream& os = arg == "--list" ? std::cout : std::cerr;
-      if (arg != "--list") {
-        os << "unknown experiment \"" << arg
-           << "\"; usage: bench_repro [--list] [NAME...]\n";
+  ExperimentSpec spec;
+  spec.base = SimConfig::small(3);
+  spec.loads = default_loads();
+  spec.format = OutputFormat::kCsv;
+  Mirror mirror;
+  std::vector<bool> chosen(table.size(), false);
+  try {
+    auto value = [&](int& i) -> std::string {
+      if (i + 1 >= argc) {
+        throw std::invalid_argument(std::string(argv[i]) + " needs a value");
       }
-      for (const Experiment& e : table) {
-        for (const std::string& name : e.names) {
-          os << name << (&name == &e.names.back() ? ": " : " ");
-        }
-        os << e.title << "\n";
+      return argv[++i];
+    };
+    // Every --config applies first wherever it stands, then each --set in
+    // order: simulate_cli's precedence.
+    for (int i = 1; i < argc; ++i) {
+      if (std::string(argv[i]) == "--config") {
+        spec.apply_file(value(i));
       }
-      return arg == "--list" ? 0 : 2;
     }
-    chosen[static_cast<std::size_t>(row - table.begin())] = true;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--config") {
+        ++i;
+      } else if (arg == "--set") {
+        spec.apply_kv_line(value(i));
+      } else if (arg == "--results-dir") {
+        mirror.dir = value(i);
+      } else if (arg == "--list") {
+        list_rows(std::cout, table);
+        return 0;
+      } else {
+        const auto row = std::ranges::find_if(table, [&](const Experiment& e) {
+          return std::ranges::count(e.names, arg) > 0;
+        });
+        if (row == table.end()) {
+          std::cerr << "unknown experiment \"" << arg << "\"; " << kUsage;
+          list_rows(std::cerr, table);
+          return 2;
+        }
+        chosen[static_cast<std::size_t>(row - table.begin())] = true;
+      }
+    }
+    // Refused before any row runs: the mirrors are written only after a
+    // row's sweep, which a late failure would throw away.
+    if (spec.format == OutputFormat::kTable) {
+      throw std::invalid_argument("out: bench_repro mirrors csv or json, "
+                                  "not table");
+    }
+    if (!spec.out_path.empty()) {
+      throw std::invalid_argument("out_path: bench_repro mirrors every view "
+                                  "under --results-dir");
+    }
+  } catch (const std::invalid_argument& ex) {
+    std::cerr << "error: " << ex.what() << "\n" << kUsage;
+    return 2;
   }
-  const BenchSetup setup = bench_setup();
+  mirror.format = spec.format;
+  if (std::count(chosen.begin(), chosen.end(), true) == 0) chosen.flip();
+  PoolRunner pool(spec.threads);
   for (std::size_t i = 0; i < table.size(); ++i) {
-    if (chosen[i]) run_experiment(table[i], setup);
+    if (chosen[i]) run_experiment(table[i], spec, mirror, pool);
   }
   return 0;
 } catch (const std::exception& ex) {

@@ -348,7 +348,7 @@ int main(int argc, char** argv) {
       for (const AveragedResult& r : collected) {
         if (r.jobs.empty()) continue;
         std::cout << "\n";
-        report_job_table(std::cout, spec.label + " — jobs", "", r.jobs);
+        report_job_table(std::cout, spec.label + " — jobs", r.jobs);
       }
     }
     if (!spec.out_path.empty()) {

@@ -1,8 +1,6 @@
 #include "common/table.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -63,13 +61,6 @@ void Table::print(std::ostream& os) const {
   for (std::size_t i = 0; i < total; ++i) os << '-';
   os << "\n";
   for (const auto& cells : rendered) emit(cells);
-}
-
-std::string results_dir() {
-  const char* env = std::getenv("REPRO_OUT");
-  std::string dir = env != nullptr && *env != '\0' ? env : "results";
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 }  // namespace dragonfly

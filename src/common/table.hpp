@@ -41,8 +41,4 @@ class Table {
   std::vector<std::vector<Cell>> rows_;
 };
 
-/// Directory where benches drop their CSV mirrors; created on demand.
-/// Controlled by the REPRO_OUT environment variable (default "results").
-std::string results_dir();
-
 }  // namespace dragonfly

@@ -3,8 +3,8 @@
 // ParallelRunner.
 //
 // This is the layer the bench harness and the examples sit on; it also
-// defines the scaled-down defaults (and the REPRO_* environment knobs)
-// described in DESIGN.md.
+// defines the default offered-load sweep the reproduction driver
+// (bench/repro.cpp) starts from.
 #pragma once
 
 #include <cstdint>

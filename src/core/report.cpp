@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -29,16 +28,6 @@ OutputFormat output_format_from_string(const std::string& name) {
   if (name == "json") return OutputFormat::kJson;
   throw std::invalid_argument("unknown output format \"" + name +
                               "\"; valid names: table | csv | json");
-}
-
-OutputFormat results_format() {
-  const char* env = std::getenv("REPRO_FORMAT");
-  if (env == nullptr || *env == '\0') return OutputFormat::kCsv;
-  const OutputFormat format = output_format_from_string(env);
-  if (format == OutputFormat::kTable) {
-    throw std::invalid_argument("REPRO_FORMAT must be csv or json");
-  }
-  return format;
 }
 
 std::string csv_cell(const std::string& text) {
@@ -96,9 +85,12 @@ std::string encode_cell(const Table::Cell& cell, OutputFormat format) {
   return text;
 }
 
-std::string mirror_path(const std::string& stem, OutputFormat format) {
-  return results_dir() + "/" + stem +
-         (format == OutputFormat::kJson ? ".json" : ".csv");
+std::string mirror_path(const Mirror& to, const std::string& stem) {
+  if (to.format == OutputFormat::kTable) {
+    throw std::invalid_argument("result mirrors are csv or json, not table");
+  }
+  return to.dir + "/" + stem +
+         (to.format == OutputFormat::kJson ? ".json" : ".csv");
 }
 
 void write_json_table(std::ostream& os, const std::string& name,
@@ -264,18 +256,18 @@ void ResultWriter::write_file(const std::string& path,
   write(out, format);
 }
 
-std::string ResultWriter::mirror(const std::string& stem) const {
-  const OutputFormat format = results_format();
-  const std::string path = mirror_path(stem, format);
-  write_file(path, format);
+std::string ResultWriter::mirror(const Mirror& to,
+                                 const std::string& stem) const {
+  const std::string path = mirror_path(to, stem);
+  write_file(path, to.format);
   return path;
 }
 
-std::string mirror_table(const Table& table, const std::string& stem) {
-  const OutputFormat format = results_format();
-  const std::string path = mirror_path(stem, format);
+std::string mirror_table(const Table& table, const Mirror& to,
+                         const std::string& stem) {
+  const std::string path = mirror_path(to, stem);
   std::ofstream out = open_for_write(path);
-  if (format == OutputFormat::kCsv) {
+  if (to.format == OutputFormat::kCsv) {
     write_csv_table(out, table.headers(), table.data());
   } else {
     write_json_table(out, table.title(), table.headers(), table.data());
@@ -317,7 +309,7 @@ void report_preamble(std::ostream& os, const std::string& experiment,
 }
 
 void report_latency_throughput(std::ostream& os, const std::string& title,
-                               const std::string& stem,
+                               const Mirror& to, const std::string& stem,
                                std::span<const Curve> curves) {
   std::vector<std::string> lat_headers{"offered"};
   std::vector<std::string> thr_headers{"offered"};
@@ -347,11 +339,12 @@ void report_latency_throughput(std::ostream& os, const std::string& title,
   os << "\n";
   ResultWriter writer(title);
   writer.add_curves(curves);
-  writer.mirror(stem);
+  writer.mirror(to, stem);
 }
 
 void report_latency_breakdown(std::ostream& os, const std::string& title,
-                              const std::string& stem, const Curve& curve) {
+                              const Mirror& to, const std::string& stem,
+                              const Curve& curve) {
   Table table({"offered", "base", "misrouting", "congestion_local",
                "congestion_global", "injection_queues", "total"});
   table.set_title(title);
@@ -364,11 +357,11 @@ void report_latency_breakdown(std::ostream& os, const std::string& title,
   os << "\n";
   ResultWriter writer(title);
   writer.add_curve(curve);
-  writer.mirror(stem);
+  writer.mirror(to, stem);
 }
 
 void report_injections_per_router(std::ostream& os, const std::string& title,
-                                  const std::string& stem,
+                                  const Mirror& to, const std::string& stem,
                                   std::span<const Curve> curves,
                                   GroupId group, int routers_per_group) {
   std::vector<std::string> headers{"router"};
@@ -386,11 +379,10 @@ void report_injections_per_router(std::ostream& os, const std::string& title,
   }
   table.print(os);
   os << "\n";
-  mirror_table(table, stem);
+  mirror_table(table, to, stem);
 }
 
 void report_job_table(std::ostream& os, const std::string& title,
-                      const std::string& stem,
                       std::span<const JobResult> jobs) {
   Table table({"job", "label", "nodes", "start", "end", "delivered",
                "accepted", "latency", "p99", "max_lat", "iters",
@@ -407,11 +399,10 @@ void report_job_table(std::ostream& os, const std::string& title,
   }
   table.print(os);
   os << "\n";
-  if (!stem.empty()) mirror_table(table, stem);
 }
 
 void report_fairness_table(std::ostream& os, const std::string& title,
-                           const std::string& stem,
+                           const Mirror& to, const std::string& stem,
                            std::span<const Curve> curves) {
   Table table({"routing", "Min inj", "Max/Min", "COV", "Jain"});
   table.set_title(title);
@@ -423,7 +414,7 @@ void report_fairness_table(std::ostream& os, const std::string& title,
   os << "\n";
   ResultWriter writer(title);
   writer.add_curves(curves);
-  writer.mirror(stem);
+  writer.mirror(to, stem);
 }
 
 }  // namespace dragonfly

@@ -1,5 +1,5 @@
 // Figure/table emitters: print the same rows/series the paper reports and
-// mirror them to CSV under results_dir().
+// mirror them to CSV or JSON files under a caller-chosen directory.
 #pragma once
 
 #include <iosfwd>
@@ -28,9 +28,12 @@ const char* to_string(OutputFormat format);
 /// "table" | "csv" | "json"; unknown names throw, listing the valid ones.
 OutputFormat output_format_from_string(const std::string& name);
 
-/// Format result files mirror to under results_dir(): the REPRO_FORMAT
-/// environment knob ("csv" default, or "json").
-OutputFormat results_format();
+/// Where result files mirror to: `<dir>/<stem>.csv`, or `.json` when
+/// `format` is kJson. A kTable format is refused when a file is written.
+struct Mirror {
+  std::string dir = "results";
+  OutputFormat format = OutputFormat::kCsv;
+};
 
 /// One CSV field per RFC 4180: text holding a comma, quote or newline is
 /// quoted with inner quotes doubled; anything else is returned as is.
@@ -40,8 +43,8 @@ std::string csv_cell(const std::string& text);
 /// through: one row per (label, averaged point), fixed column schema
 /// (label, offered, accepted, latency, the five latency components,
 /// hops, fairness, seeds), encoded as an aligned console table, CSV, or
-/// JSON. Converging on this schema keeps every artifact under
-/// results_dir() machine-readable by the same scripts.
+/// JSON. Converging on this schema keeps every mirrored artifact
+/// machine-readable by the same scripts.
 class ResultWriter {
  public:
   explicit ResultWriter(std::string experiment);
@@ -54,9 +57,9 @@ class ResultWriter {
   void write(std::ostream& os, OutputFormat format) const;
   void write_file(const std::string& path, OutputFormat format) const;
 
-  /// Mirror under results_dir() as `<stem>.csv` / `<stem>.json` per
-  /// results_format(); returns the path written.
-  std::string mirror(const std::string& stem) const;
+  /// Mirror as `<stem>.csv` / `<stem>.json` under `to`; returns the
+  /// path written.
+  std::string mirror(const Mirror& to, const std::string& stem) const;
 
   /// The fixed column schema, in emission order.
   static std::vector<std::string> columns();
@@ -79,39 +82,38 @@ class ResultWriter {
 };
 
 /// Mirror an arbitrary pivot table (per-router injection figures and
-/// other non-scalar shapes) under results_dir(), honoring REPRO_FORMAT
-/// like ResultWriter::mirror; returns the path written.
-std::string mirror_table(const Table& table, const std::string& stem);
+/// other non-scalar shapes) like ResultWriter::mirror; returns the path
+/// written.
+std::string mirror_table(const Table& table, const Mirror& to,
+                         const std::string& stem);
 
 /// Figures 2/5: for each routing, the latency-vs-load and accepted-vs-
 /// offered series. Prints one combined table; mirrors one unified
-/// ResultWriter file to `<stem>.csv` / `<stem>.json`.
+/// ResultWriter file to `<stem>.csv` / `<stem>.json` under `to`.
 void report_latency_throughput(std::ostream& os, const std::string& title,
-                               const std::string& stem,
+                               const Mirror& to, const std::string& stem,
                                std::span<const Curve> curves);
 
 /// Figure 3: latency component breakdown over offered load.
 void report_latency_breakdown(std::ostream& os, const std::string& title,
-                              const std::string& stem,
+                              const Mirror& to, const std::string& stem,
                               const Curve& curve);
 
 /// Figures 4/6: injected packets per router of one group.
 void report_injections_per_router(std::ostream& os, const std::string& title,
-                                  const std::string& stem,
+                                  const Mirror& to, const std::string& stem,
                                   std::span<const Curve> curves,
                                   GroupId group, int routers_per_group);
 
 /// Workload battery: one row per job (id, mix/collective label, node
 /// count, lifetime, window accepted load, latency tail, collective
-/// iteration stats). Mirrors to `<stem>.csv` / `<stem>.json` when
-/// `stem` is non-empty.
+/// iteration stats).
 void report_job_table(std::ostream& os, const std::string& title,
-                      const std::string& stem,
                       std::span<const JobResult> jobs);
 
 /// Tables II/III: Min inj / Max-Min / CoV per routing configuration.
 void report_fairness_table(std::ostream& os, const std::string& title,
-                           const std::string& stem,
+                           const Mirror& to, const std::string& stem,
                            std::span<const Curve> curves);
 
 /// Header block every bench prints: what its runs actually simulate

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -59,12 +58,6 @@ int parse_positive_int(const std::string& key, const std::string& value,
                                 value + "\"");
   }
   return out;
-}
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
 }
 
 struct SpecKeyDesc {
@@ -165,9 +158,8 @@ void ExperimentSpec::apply_kv_line(const std::string& item) {
   apply_kv(key, value);
 }
 
-ExperimentSpec ExperimentSpec::parse(std::istream& is,
-                                     const std::string& origin) {
-  ExperimentSpec spec;
+void ExperimentSpec::apply_lines(std::istream& is,
+                                 const std::string& origin) {
   std::string line;
   int lineno = 0;
   while (std::getline(is, line)) {
@@ -185,19 +177,31 @@ ExperimentSpec ExperimentSpec::parse(std::istream& is,
     if (from == std::string::npos) continue;
     const auto to = line.find_last_not_of(" \t\r");
     try {
-      spec.apply_kv_line(line.substr(from, to - from + 1));
+      apply_kv_line(line.substr(from, to - from + 1));
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(origin + ":" + std::to_string(lineno) +
                                   ": " + e.what());
     }
   }
+}
+
+void ExperimentSpec::apply_file(const std::string& path) {
+  std::ifstream is(path);
+  if (!is) throw std::invalid_argument("cannot open spec file " + path);
+  apply_lines(is, path);
+}
+
+ExperimentSpec ExperimentSpec::parse(std::istream& is,
+                                     const std::string& origin) {
+  ExperimentSpec spec;
+  spec.apply_lines(is, origin);
   return spec;
 }
 
 ExperimentSpec ExperimentSpec::parse_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::invalid_argument("cannot open spec file " + path);
-  return parse(is, path);
+  ExperimentSpec spec;
+  spec.apply_file(path);
+  return spec;
 }
 
 std::vector<std::string> ExperimentSpec::kv_keys() {
@@ -275,45 +279,6 @@ void ProgressPrinter::print_locked(std::size_t finished,
   while (text.size() < last_width_) text += ' ';
   last_width_ = width;
   os_ << "\r" << text << std::flush;
-}
-
-BenchSetup bench_setup() {
-  BenchSetup setup;
-  setup.pool = std::make_unique<PoolRunner>(setup.spec.threads);
-  // Fail fast on a bad REPRO_FORMAT: the mirror writers consult it only
-  // after the sweep has run, which would lose the whole run's results.
-  (void)results_format();
-  setup.full_scale = env_int("REPRO_FULL", 0) != 0;
-  const int h = env_int("REPRO_H", setup.full_scale ? 6 : 3);
-  SimConfig& base = setup.spec.base;
-  base = setup.full_scale ? SimConfig::paper() : SimConfig::small(h);
-  base.topo = DragonflyParams::balanced(h);
-  // The paper averages 3 simulations; the small-scale default favours a
-  // fast harness pass (set REPRO_SEEDS=3 to average like the paper).
-  setup.spec.seeds = env_int("REPRO_SEEDS", setup.full_scale ? 3 : 1);
-  // REPRO_CYCLES overrides the measurement window (warmup stays at half
-  // of it) — the knob the bench-smoke ctest label uses to stay fast.
-  const int measure = env_int("REPRO_CYCLES", 0);
-  if (measure > 0) {
-    base.measure_cycles = measure;
-    base.warmup_cycles = std::max(measure / 2, 1);
-  }
-  setup.spec.loads = default_loads();
-  const int max_loads = env_int("REPRO_LOADS", 0);
-  if (max_loads >= 2 &&
-      max_loads < static_cast<int>(setup.spec.loads.size())) {
-    // Thin the sweep while keeping the first and last point.
-    std::vector<double> thin;
-    const double stride =
-        static_cast<double>(setup.spec.loads.size() - 1) /
-        static_cast<double>(max_loads - 1);
-    for (int i = 0; i < max_loads; ++i) {
-      thin.push_back(
-          setup.spec.loads[static_cast<std::size_t>(i * stride + 0.5)]);
-    }
-    setup.spec.loads = thin;
-  }
-  return setup;
 }
 
 }  // namespace dragonfly

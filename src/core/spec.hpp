@@ -21,7 +21,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -54,8 +53,13 @@ struct ExperimentSpec {
   /// Apply one "key=value" item.
   void apply_kv_line(const std::string& item);
 
-  /// Parse `key = value` lines; `origin` names the source in errors
-  /// (file path, "<cli>", ...).
+  /// Apply `key = value` lines over this spec; `origin` names the
+  /// source in errors (file path, "<cli>", ...).
+  void apply_lines(std::istream& is, const std::string& origin);
+  /// apply_lines over the file at `path`.
+  void apply_file(const std::string& path);
+
+  /// A default spec with apply_lines / apply_file applied.
   static ExperimentSpec parse(std::istream& is,
                               const std::string& origin = "<spec>");
   static ExperimentSpec parse_file(const std::string& path);
@@ -100,18 +104,5 @@ class ProgressPrinter : public RunObserver {
   std::size_t last_finished_ = 0;
   std::size_t last_width_ = 0;
 };
-
-// --- bench-harness defaults -------------------------------------------------
-
-/// Spec of the reproduction driver (bench/repro.cpp), read from the
-/// REPRO_* environment knobs (DESIGN.md describes them).
-struct BenchSetup {
-  ExperimentSpec spec;
-  bool full_scale = false;
-  /// The one worker pool (spec.threads workers) every sweep of the
-  /// bench runs on.
-  std::unique_ptr<PoolRunner> pool;
-};
-BenchSetup bench_setup();
 
 }  // namespace dragonfly

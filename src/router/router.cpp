@@ -1,7 +1,6 @@
 #include "router/router.hpp"
 
 #include <bit>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/checkpoint.hpp"
@@ -194,20 +193,6 @@ void Router::allocate(Cycle now) {
     }
   }
   allocator_.allocate(requests, scratch_->allocator);
-
-#ifdef DRAGONFLY_DEBUG_ALLOC
-  if (id_ == 0) {
-    int g = 0;
-    for (const auto& r : requests) g += r.granted ? 1 : 0;
-    std::fprintf(stderr, "[r0 @%lld] req=%zu granted=%d\n", (long long)now,
-                 requests.size(), g);
-    for (const auto& r : requests) {
-      std::fprintf(stderr, "   in=%d vc=%d -> out=%d ovc=%d inj=%d g=%d\n",
-                   r.in_port, r.in_vc, r.out_port, r.out_vc,
-                   (int)r.is_injection, (int)r.granted);
-    }
-  }
-#endif
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].granted) execute_grant(requests[i], decisions[i], now);

@@ -85,14 +85,6 @@ SimConfig SimConfig::small(int h) {
   return cfg;
 }
 
-SimConfig SimConfig::paper() {
-  SimConfig cfg;
-  cfg.topo = DragonflyParams::balanced(6);
-  cfg.warmup_cycles = 10'000;
-  cfg.measure_cycles = 15'000;
-  return cfg;
-}
-
 // --- the knob table ---------------------------------------------------------
 //
 // One descriptor per key=value knob. Applying a knob, --list, the

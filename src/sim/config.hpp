@@ -206,9 +206,6 @@ struct SimConfig {
   /// shorter windows. Keeps every microarchitectural parameter.
   static SimConfig small(int h);
 
-  /// Paper-scale preset (Table I).
-  static SimConfig paper();
-
   /// Throws std::invalid_argument on inconsistent settings, including
   /// extension-pattern knobs out of range and routing/traffic names
   /// that resolve in no registry.

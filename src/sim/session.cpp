@@ -587,14 +587,17 @@ std::unique_ptr<Session> Session::restore(std::string_view bytes,
   }
   // Reject a corrupt config section *before* sizing a network from it:
   // a bit-flipped topology field must surface as a loud error, not an
-  // OOM-scale allocation in the Network constructor.
+  // OOM-scale allocation in the Network constructor. A config validate()
+  // accepts can still fail to build (an ADVc spread the trimmed group
+  // count cannot hold): that is the same corrupt section.
+  std::unique_ptr<Session> session;
   try {
     cfg.validate();
+    session = std::make_unique<Session>(cfg, std::move(topo));
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(
         std::string("checkpoint: embedded config invalid: ") + e.what());
   }
-  auto session = std::make_unique<Session>(cfg, std::move(topo));
   walk(*session, ck);
   ck.expect_end();
   // The walk stores what it reads; a phase past kDone would end run()

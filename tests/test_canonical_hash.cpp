@@ -209,7 +209,7 @@ TEST(CanonicalHash, PinnedCacheKeys) {
   } cases[] = {
       {"small(2)", SimConfig::small(2), "326a7f419a92c55d",
        "f45872f45cd584d9"},
-      {"paper()", SimConfig::paper(), "c085ed1b0ff2b402", "3d2e7a8cb0e89364"},
+      {"SimConfig{}", SimConfig{}, "c085ed1b0ff2b402", "3d2e7a8cb0e89364"},
       {"every perturbation", every, "c2a19c9b94bdc389", "377f848d0331d05c"},
   };
   for (const auto& c : cases) {

@@ -13,7 +13,7 @@ namespace dragonfly {
 namespace {
 
 TEST(Config, DefaultsMatchTableI) {
-  const SimConfig cfg = SimConfig::paper();
+  const SimConfig cfg{};
   EXPECT_EQ(cfg.topo.num_nodes(), 5256);
   EXPECT_EQ(cfg.local_latency, 10);
   EXPECT_EQ(cfg.global_latency, 100);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -139,46 +138,6 @@ TEST(Experiment, PaperRoutingsAreTheSevenConfigs) {
   for (const std::string& name : names) {
     EXPECT_TRUE(routing_registry().contains(name)) << name;
   }
-}
-
-TEST(Experiment, BenchSetupEnvOverrides) {
-  setenv("REPRO_H", "2", 1);
-  setenv("REPRO_SEEDS", "5", 1);
-  setenv("REPRO_LOADS", "4", 1);
-  setenv("REPRO_CYCLES", "2000", 1);
-  const BenchSetup setup = bench_setup();
-  EXPECT_EQ(setup.spec.base.topo.h, 2);
-  EXPECT_EQ(setup.spec.seeds, 5);
-  EXPECT_EQ(setup.spec.loads.size(), 4u);
-  // Thinning keeps the endpoints.
-  EXPECT_DOUBLE_EQ(setup.spec.loads.front(), default_loads().front());
-  EXPECT_DOUBLE_EQ(setup.spec.loads.back(), default_loads().back());
-  EXPECT_EQ(setup.spec.base.measure_cycles, 2000);
-  EXPECT_EQ(setup.spec.base.warmup_cycles, 1000);
-  unsetenv("REPRO_H");
-  unsetenv("REPRO_SEEDS");
-  unsetenv("REPRO_LOADS");
-  unsetenv("REPRO_CYCLES");
-}
-
-TEST(Experiment, BenchSetupFullScale) {
-  setenv("REPRO_FULL", "1", 1);
-  const BenchSetup setup = bench_setup();
-  EXPECT_TRUE(setup.full_scale);
-  EXPECT_EQ(setup.spec.base.topo.h, 6);
-  EXPECT_EQ(setup.spec.base.topo.num_nodes(), 5256);
-  EXPECT_EQ(setup.spec.base.measure_cycles, 15'000);
-  EXPECT_EQ(setup.spec.seeds, 3);
-  unsetenv("REPRO_FULL");
-}
-
-TEST(Experiment, BenchSetupDefaultsSmall) {
-  const BenchSetup setup = bench_setup();
-  EXPECT_FALSE(setup.full_scale);
-  EXPECT_EQ(setup.spec.base.topo.h, 3);
-  EXPECT_GE(static_cast<int>(setup.spec.loads.size()), 10);
-  ASSERT_NE(setup.pool, nullptr);
-  EXPECT_GE(setup.pool->concurrency(), 1);
 }
 
 }  // namespace

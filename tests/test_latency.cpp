@@ -51,7 +51,7 @@ TEST_F(BaseLatencyFixture, PaperScaleZeroLoadFloor) {
   // The paper's Fig. 2a latency floor is ~150 cycles; the analytic lgl
   // base with Table I parameters is 148.
   const DragonflyTopology paper = DragonflyTopology::balanced_palmtree(6);
-  const SimConfig cfg = SimConfig::paper();
+  const SimConfig cfg{};
   for (NodeId b = 0; b < paper.num_nodes(); ++b) {
     const PathLengths len = paper.minimal_lengths(0, b);
     if (len.local == 2 && len.global == 1) {

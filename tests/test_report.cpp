@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -16,13 +15,9 @@ namespace {
 
 class ReportFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
-    setenv("REPRO_OUT", "test_report_out", 1);
-  }
-  void TearDown() override {
-    std::filesystem::remove_all("test_report_out");
-    unsetenv("REPRO_OUT");
-  }
+  void TearDown() override { std::filesystem::remove_all(to.dir); }
+
+  const Mirror to{"test_report_out", OutputFormat::kCsv};
 
   static AveragedResult make_point(double load, double latency,
                                    double accepted) {
@@ -51,7 +46,7 @@ TEST_F(ReportFixture, LatencyThroughputPrintsAndMirrorsUnifiedCsv) {
       {"In-Trns-MM", {make_point(0.1, 155, 0.1), make_point(0.2, 165, 0.2)}},
   };
   std::ostringstream os;
-  report_latency_throughput(os, "demo", "demo_fig", curves);
+  report_latency_throughput(os, "demo", to, "demo_fig", curves);
   const std::string out = os.str();
   EXPECT_NE(out.find("MIN lat"), std::string::npos);
   EXPECT_NE(out.find("In-Trns-MM acc"), std::string::npos);
@@ -148,7 +143,7 @@ TEST_F(ReportFixture, MirrorTableQuotesCsvSeparators) {
   Table table({"config", "accepted", "note"});
   table.add_row({std::string("2x speedup, 256-phit buf"), 0.75,
                  std::string("say \"hi\"")});
-  std::ifstream in(mirror_table(table, "quoted"));
+  std::ifstream in(mirror_table(table, to, "quoted"));
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(parse_csv_line(line), table.headers());
@@ -159,16 +154,18 @@ TEST_F(ReportFixture, MirrorTableQuotesCsvSeparators) {
       << line;
 }
 
-TEST_F(ReportFixture, ResultWriterMirrorHonorsReproFormat) {
+TEST_F(ReportFixture, ResultWriterMirrorTakesItsFormat) {
   ResultWriter writer("mirror-demo");
   writer.add("A", make_point(0.3, 100, 0.3));
-  setenv("REPRO_FORMAT", "json", 1);
-  const std::string path = writer.mirror("mirror_demo");
-  unsetenv("REPRO_FORMAT");
+  const std::string path =
+      writer.mirror({to.dir, OutputFormat::kJson}, "mirror_demo");
   EXPECT_EQ(path, "test_report_out/mirror_demo.json");
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_EQ(writer.mirror("mirror_demo"),
-            "test_report_out/mirror_demo.csv");  // default csv
+  EXPECT_EQ(writer.mirror(to, "mirror_demo"),
+            "test_report_out/mirror_demo.csv");
+  // A console table is no file format.
+  EXPECT_THROW(writer.mirror({to.dir, OutputFormat::kTable}, "mirror_demo"),
+               std::invalid_argument);
 }
 
 TEST_F(ReportFixture, OutputFormatRoundTrip) {
@@ -187,7 +184,7 @@ TEST_F(ReportFixture, OutputFormatRoundTrip) {
 TEST_F(ReportFixture, BreakdownListsAllComponents) {
   Curve curve{"In-Trns-MM", {make_point(0.1, 200, 0.1)}};
   std::ostringstream os;
-  report_latency_breakdown(os, "fig3", "demo_breakdown", curve);
+  report_latency_breakdown(os, "fig3", to, "demo_breakdown", curve);
   const std::string out = os.str();
   for (const char* header :
        {"base", "misrouting", "congestion_local", "congestion_global",
@@ -200,8 +197,8 @@ TEST_F(ReportFixture, BreakdownListsAllComponents) {
 TEST_F(ReportFixture, InjectionsPerRouterSelectsGroup) {
   std::vector<Curve> curves{{"A", {make_point(0.3, 100, 0.3)}}};
   std::ostringstream os;
-  report_injections_per_router(os, "fig4", "demo_inj", curves, /*group=*/0,
-                               /*routers_per_group=*/3);
+  report_injections_per_router(os, "fig4", to, "demo_inj", curves,
+                               /*group=*/0, /*routers_per_group=*/3);
   const std::string out = os.str();
   EXPECT_NE(out.find("R0"), std::string::npos);
   EXPECT_NE(out.find("R2"), std::string::npos);
@@ -212,7 +209,7 @@ TEST_F(ReportFixture, InjectionsPerRouterSelectsGroup) {
 TEST_F(ReportFixture, FairnessTableHasPaperColumns) {
   std::vector<Curve> curves{{"Obl-RRG", {make_point(0.3, 100, 0.3)}}};
   std::ostringstream os;
-  report_fairness_table(os, "table2", "demo_fairness", curves);
+  report_fairness_table(os, "table2", to, "demo_fairness", curves);
   const std::string out = os.str();
   for (const char* header : {"Min inj", "Max/Min", "COV", "Jain"}) {
     EXPECT_NE(out.find(header), std::string::npos) << header;

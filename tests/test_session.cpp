@@ -341,6 +341,26 @@ TEST(Session, CheckpointRejectsACorruptConfigValue) {
   EXPECT_EQ(drift.rfind("checkpoint: config section", 0), 0u) << drift;
 }
 
+TEST(Session, CheckpointRefusesAConfigThatCannotBuild) {
+  // validate() accepts groups=2 at h=2, but ADVc's default spread of h
+  // groups then reaches past the last group and the pattern refuses to
+  // build. The restore must name the corrupt config section, not let
+  // the pattern's std::invalid_argument escape.
+  Session session(quick("min", "advc", 0.1));
+  session.advance_to(SessionPhase::kMeasure);
+  std::stringstream stream;
+  session.checkpoint(stream);
+  std::string bytes = stream.str();
+  const std::string key = "groups";
+  const std::size_t at = bytes.find(key);
+  ASSERT_NE(at, std::string::npos);
+  CheckpointReader reader(std::string_view(bytes).substr(at + key.size()));
+  ASSERT_EQ(reader.str(), "0");
+  bytes[at + key.size() + reader.offset() - 1] = '2';
+  EXPECT_EQ(restore_error(resealed(bytes)),
+            "checkpoint: embedded config invalid: ADVc spread out of range");
+}
+
 /// `bytes` with the header's format version replaced by `version`. The
 /// header is fixed-width in every format: a u64 magic length, the
 /// magic, a u32 version.

@@ -294,14 +294,20 @@ TEST(Spec, ObserverDoesNotPerturbResults) {
   EXPECT_NE(os.str().find("jobs"), std::string::npos);
 }
 
-TEST(Spec, BenchSetupStillHonorsEnvKnobs) {
-  setenv("REPRO_H", "2", 1);
-  setenv("REPRO_SEEDS", "4", 1);
-  const BenchSetup setup = bench_setup();
-  EXPECT_EQ(setup.spec.base.topo.h, 2);
-  EXPECT_EQ(setup.spec.seeds, 4);
-  unsetenv("REPRO_H");
-  unsetenv("REPRO_SEEDS");
+TEST(Spec, PaperScaleSpecIsTableI) {
+  // bench_repro applies the file over its small-scale start; the result
+  // is Table I's scale, and the same config as SimConfig{}.
+  ExperimentSpec spec;
+  spec.base = SimConfig::small(3);
+  spec.loads = default_loads();
+  spec.apply_file(std::string(DRAGONFLY_SOURCE_DIR) +
+                  "/examples/specs/paper_scale.spec");
+  EXPECT_EQ(spec.base.topo.num_nodes(), 5256);
+  EXPECT_EQ(spec.base.warmup_cycles, 10'000);
+  EXPECT_EQ(spec.base.measure_cycles, 15'000);
+  EXPECT_EQ(spec.seeds, 3);
+  EXPECT_EQ(spec.loads, default_loads());
+  EXPECT_EQ(spec.base.canonical_hash(), SimConfig{}.canonical_hash());
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -46,9 +45,9 @@ TEST(Table, MirrorsToCsv) {
   Table t({"a", "b"});
   t.add_row({std::int64_t{1}, 2.5});
   t.add_row({std::int64_t{3}, 4.0});
-  setenv("REPRO_OUT", "test_table_out", 1);
-  const std::string path = mirror_table(t, "table");
-  unsetenv("REPRO_OUT");
+  // The directory is created on demand.
+  const std::string path =
+      mirror_table(t, {"test_table_out", OutputFormat::kCsv}, "table");
   EXPECT_EQ(path, "test_table_out/table.csv");
   std::ifstream in(path);
   std::string line;
@@ -68,15 +67,6 @@ TEST(Table, RowAndColumnCounts) {
   EXPECT_EQ(t.rows(), 0u);
   t.add_row({1.0, 2.0, 3.0});
   EXPECT_EQ(t.rows(), 1u);
-}
-
-TEST(ResultsDir, CreatesDirectory) {
-  setenv("REPRO_OUT", "test_results_dir", 1);
-  const std::string dir = results_dir();
-  EXPECT_EQ(dir, "test_results_dir");
-  EXPECT_TRUE(std::filesystem::exists(dir));
-  std::filesystem::remove_all(dir);
-  unsetenv("REPRO_OUT");
 }
 
 }  // namespace
